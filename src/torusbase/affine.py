@@ -596,7 +596,7 @@ def dhat(S, cls, ses=None, target=None):
         j0 = offR[c]
         for i in range(r):
             b[i0 + 1 + i] = Fraction(cls.cocycle[j0 + i])
-    db = I.differential(k).dot(b)
+    db = I.coboundary(k, b)
     a = QQ.zero_cochain(k + 1)
     offI1, _ = I.offsets(k + 1)
     offQ1, _ = QQ.offsets(k + 1)

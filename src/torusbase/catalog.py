@@ -729,11 +729,21 @@ def _exp(value, provenance):
     return Expectation(value=value, provenance=provenance)
 
 
+def _int_parameter(name, arg):
+    """The integer parameter after the colon of a catalog name, 1 if absent."""
+    if not arg:
+        return 1
+    try:
+        return int(arg)
+    except ValueError:
+        raise CatalogError("catalog parameter in %r is not an integer" % (name,)) from None
+
+
 def build(name):
     """Build a named catalog entry; parameters follow a colon (ff_disk:2)."""
     base, _, arg = name.partition(":")
     if base == "flat_torus":
-        m = int(arg) if arg else 1
+        m = _int_parameter(name, arg)
         S = flat_torus_surface(m)
         from math import gcd
 
@@ -777,7 +787,7 @@ def build(name):
             notes="no room for characteristic classes over a contractible base",
         )
     if base == "ff_disk":
-        k = int(arg) if arg else 1
+        k = _int_parameter(name, arg)
         S = ff_disk_surface(k)
         return CatalogEntry(
             name=name,

@@ -19,9 +19,10 @@ from .affine import (
     validate_affine,
 )
 from .catalog import CatalogError, build, catalog_names, verify
-from .complexes import validate
+from .complexes import ComplexError, validate
 from .polytopes import PolytopeError, delzant_check
-from .sheaves import cohomology, constant_sheaf, validate_sheaf
+from .sheaves import SheafError, cohomology, constant_sheaf, validate_sheaf
+from .surgery import SurgeryError
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -90,9 +91,12 @@ def _named_sheaf(args, doc):
             print("error: deriving the monodromy sheaf needs an affine section", file=sys.stderr)
             raise SystemExit(USAGE)
         return build_R_sheaf(doc.affine)
-    if name.startswith("Z"):
+    if name == "Z" or name.startswith("Z^"):
         rank = 1
         if name.startswith("Z^"):
+            if not name[2:].isdecimal():
+                print("error: bad sheaf rank in %r (use Z^k with k >= 0)" % name, file=sys.stderr)
+                raise SystemExit(USAGE)
             rank = int(name[2:])
         if doc.complex is None:
             print("error: constant sheaf needs a complex section", file=sys.stderr)
@@ -198,7 +202,7 @@ def cmd_glue(args):
         print("error: glue needs complex and sheaf sections in both files", file=sys.stderr)
         raise SystemExit(USAGE)
     from .sheaves import subcomplex
-    from .surgery import GluingSpec, SurgeryError, glue
+    from .surgery import GluingSpec, glue
     from .exact import eye
 
     shared = sorted(set(doc.complex.cells) & set(other.complex.cells), key=str)
@@ -350,7 +354,7 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else USAGE
-    except (AffineError, CatalogError, PolytopeError) as err:
+    except (AffineError, CatalogError, ComplexError, PolytopeError, SheafError, SurgeryError) as err:
         print("error: %s" % err, file=sys.stderr)
         return FAIL
 

@@ -1,8 +1,12 @@
 """Exact linear algebra over Z and Q.
 
-Everything here works on numpy arrays of dtype=object holding python ints
-(arbitrary precision) or fractions.Fraction.  Row convention: matrices act on
-column vectors; relation subgroups/subspaces are given by rows.
+Matrices and vectors come in and go out as numpy arrays of dtype=object
+holding python ints (arbitrary precision) or fractions.Fraction.  Over Z the
+normal forms work on those arrays directly.  Over Q numpy is only the
+boundary type: rref, q_rank, q_kernel, LinearSystem and QuotientSpace run one
+sparse Gauss-Jordan elimination on rows kept as {column: Fraction} dicts,
+which touches only nonzero entries.  Row convention: matrices act on column
+vectors; relation subgroups/subspaces are given by rows.
 """
 
 from dataclasses import dataclass
@@ -305,7 +309,8 @@ def kernel(M):
 
 class LinearSystem:
     """Repeated exact solving of M x = b, over Z via a cached Smith form or
-    over Q via a cached row reduction when the matrix has rational entries."""
+    over Q via a cached sparse row reduction when the matrix has rational
+    entries."""
 
     def __init__(self, M):
         self.M = M
@@ -318,31 +323,20 @@ class LinearSystem:
             self._Vcols = self.dec.V
 
     def _init_rational(self):
+        # eliminate [M | I]: the identity columns record the row transform E
         m, n = self.M.shape
-        A = zeros(m, n + m, "Q")
-        for i in range(m):
-            for j in range(n):
-                A[i, j] = Fraction(self.M[i, j])
-            A[i, n + i] = Fraction(1)
-        pivots = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, m) if A[i, c] != 0), None)
-            if piv is None:
-                continue
-            if piv != r:
-                A[[r, piv]] = A[[piv, r]]
-            A[r] = A[r] / A[r, c]
-            for i in range(m):
-                if i != r and A[i, c] != 0:
-                    A[i] = A[i] - A[i, c] * A[r]
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        self._A = A
-        self._pivots = pivots
-        self.rank = r
+        rows = _sparse_rows(self.M)
+        for i, row in enumerate(rows):
+            row[n + i] = _ONE
+        self._rows, null = _gauss_jordan(rows, n)
+        self.rank = len(self._rows)
+        # E by columns, its rows numbered pivot rows first, then the rows
+        # whose M part vanished (they span the left kernel of M)
+        self._Ecols = [{} for _ in range(m)]
+        for r, row in enumerate(list(self._rows.values()) + null):
+            for c, v in row.items():
+                if c >= n:
+                    self._Ecols[c - n][r] = v
 
     def solve(self, b, ring="Z"):
         """A particular solution or None; exact in the requested ring."""
@@ -370,27 +364,27 @@ class LinearSystem:
         return self._Vcols.dot(y)
 
     def _solve_rational(self, b):
+        """The solution with free variables 0: x[pivot r] = (E b)[r]."""
         m, n = self.M.shape
-        E = self._A[:, n:]
-        c = E.dot(np.array([Fraction(x) for x in b], dtype=object))
-        for i in range(self.rank, m):
-            if c[i] != 0:
-                return None
+        if len(b) != m:
+            raise ValueError("dimension mismatch: len(b) != rows of M")
+        c = {}
+        for i, bi in enumerate(b):
+            if bi != 0:
+                bi = Fraction(bi)
+                for r, e in self._Ecols[i].items():
+                    c[r] = c.get(r, 0) + e * bi
+        if any(v != 0 for r, v in c.items() if r >= self.rank):
+            return None
         x = zerovec(n, "Q")
-        for row, p in enumerate(self._pivots):
-            x[p] = c[row]
+        for r, p in enumerate(self._rows):
+            if r in c:
+                x[p] = c[r]
         return x
 
     def kernel_columns(self):
         if self._rational:
-            m, n = self.M.shape
-            free = [j for j in range(n) if j not in self._pivots]
-            K = zeros(n, len(free), "Q")
-            for k, j in enumerate(free):
-                K[j, k] = Fraction(1)
-                for row, p in enumerate(self._pivots):
-                    K[p, k] = -self._A[row, j]
-            return K
+            return _kernel_basis(self._rows, self.M.shape[1])
         return self._Vcols[:, self.rank:].copy()
 
 
@@ -402,50 +396,101 @@ def solve(M, b, ring="Z"):
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination
+# Rational elimination on sparse rows
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _sparse_rows(M):
+    """The rows of M as {column: Fraction} dicts of their nonzero entries."""
+    return [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in M.tolist()]
+
+
+def _axpy(row, f, other, skip):
+    """row += f * other in place, leaving out column skip; f != 0."""
+    for c, v in other.items():
+        if c != skip:
+            x = row.get(c, 0) + f * v
+            if x != 0:
+                row[c] = x
+            else:
+                del row[c]
+
+
+def _gauss_jordan(rows, width):
+    """Gauss-Jordan elimination over Q on sparse rows.
+
+    rows are {column: Fraction} dicts without zeros.  Only columns below
+    width can hold a pivot; columns from width on ride along (LinearSystem
+    keeps its row transform there).  Rows are inserted sparsest first.  Each
+    is reduced by the pivot rows found so far; its leftmost column below
+    width becomes a new pivot, which is then cleared from the earlier pivot
+    rows.  A pivot row stays monic, has no entry left of its pivot and is
+    zero at every other pivot, so the pivot rows taken in column order are
+    the reduced row echelon form.  That form is unique, so the result does
+    not depend on the insertion order.
+
+    Returns (pivot_rows, null_rows): pivot_rows maps each pivot column to
+    its row, in column order; null_rows are the reduced rows with no entry
+    below width.  The input dicts are not modified.
+    """
+    pivot_rows = {}
+    null_rows = []
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        for p in [c for c in row if c in pivot_rows]:
+            _axpy(row, -row.pop(p), pivot_rows[p], p)
+        p = min((c for c in row if c < width), default=None)
+        if p is None:
+            null_rows.append(row)
+            continue
+        f = row[p]
+        if f != 1:
+            row = {c: v / f for c, v in row.items()}
+        for other in pivot_rows.values():
+            g = other.pop(p, None)
+            if g is not None:
+                _axpy(other, -g, row, p)
+        pivot_rows[p] = row
+    return dict(sorted(pivot_rows.items())), null_rows
+
+
+def _kernel_basis(pivot_rows, n):
+    """Columns spanning the kernel of a reduced row echelon form with n
+    columns: one per free column j, equal to 1 at j and -R[r, j] at pivot r."""
+    free = [j for j in range(n) if j not in pivot_rows]
+    column = {j: k for k, j in enumerate(free)}
+    K = zeros(n, len(free), "Q")
+    for k, j in enumerate(free):
+        K[j, k] = _ONE
+    for p, row in pivot_rows.items():
+        for c, v in row.items():
+            k = column.get(c)
+            if k is not None:
+                K[p, k] = -v
+    return K
 
 
 def rref(M):
     """Reduced row echelon form over Q. Returns (R, pivot_columns)."""
-    R = M.astype(object).copy()
-    m, n = R.shape
-    for i in range(m):
-        for j in range(n):
-            R[i, j] = Fraction(R[i, j])
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if R[i, c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            R[[r, piv]] = R[[piv, r]]
-        R[r] = R[r] / R[r, c]
-        for i in range(m):
-            if i != r and R[i, c] != 0:
-                R[i] = R[i] - R[i, c] * R[r]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return R, pivots
+    m, n = M.shape
+    pivot_rows, _ = _gauss_jordan(_sparse_rows(M), n)
+    R = zeros(m, n, "Q")
+    for r, row in enumerate(pivot_rows.values()):
+        for c, v in row.items():
+            R[r, c] = v
+    return R, list(pivot_rows)
 
 
 def q_rank(M):
-    return len(rref(M)[1])
+    return len(_gauss_jordan(_sparse_rows(M), M.shape[1])[0])
 
 
 def q_kernel(M):
     """Columns spanning the rational kernel of M."""
-    R, pivots = rref(M)
-    m, n = M.shape
-    free = [j for j in range(n) if j not in pivots]
-    K = zeros(n, len(free), "Q")
-    for k, j in enumerate(free):
-        K[j, k] = Fraction(1)
-        for r, p in enumerate(pivots):
-            K[p, k] = -R[r, j]
-    return K
+    n = M.shape[1]
+    return _kernel_basis(_gauss_jordan(_sparse_rows(M), n)[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +607,18 @@ class PresentedGroup:
 
 
 class QuotientSpace:
-    """Q^n modulo the span of the given rows, with canonical coordinates."""
+    """Q^n modulo the span of the given rows, with canonical coordinates.
+
+    The coordinates of a vector are its entries at the non-pivot columns
+    after reduction by the unique reduced row echelon form of the relations,
+    pivots taken leftmost first.
+    """
 
     def __init__(self, n, relations=None):
         self.n = n
-        if relations is None or relations.shape[0] == 0:
-            self._R = zeros(0, n, "Q")
-            self._pivots = []
-        else:
-            self._R, self._pivots = rref(relations)
-        self._free = [j for j in range(n) if j not in self._pivots]
+        rows = _sparse_rows(relations) if relations is not None else []
+        self._rows = _gauss_jordan(rows, n)[0]
+        self._free = [j for j in range(n) if j not in self._rows]
 
     @property
     def dimension(self):
@@ -582,11 +629,12 @@ class QuotientSpace:
         return AbelianGroup(free_rank=self.dimension)
 
     def reduce(self, x):
-        x = np.array([Fraction(v) for v in x], dtype=object)
-        for r, p in enumerate(self._pivots):
-            if x[p] != 0:
-                x = x - x[p] * self._R[r]
-        return tuple(x[j] for j in self._free)
+        x = {j: Fraction(v) for j, v in enumerate(x) if v != 0}
+        for p, row in self._rows.items():
+            f = x.pop(p, None)
+            if f is not None:
+                _axpy(x, -f, row, p)
+        return tuple(x.get(j, _ZERO) for j in self._free)
 
     def generators(self):
         gens = []

@@ -253,6 +253,19 @@ def encode_document(complex=None, sheaf=None, affine=None, polytope=None, classe
     return doc
 
 
+def _decode_section(raw, key, decode, *args):
+    """decode(raw[key], *args), where a missing key or a wrongly typed value
+    inside the section raises DocumentError.  The library's own errors,
+    ValueError subclasses such as AffineError, pass through unchanged."""
+    try:
+        return decode(raw[key], *args)
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as err:
+        if isinstance(err, ValueError) and type(err) is not ValueError:
+            raise
+        detail = "missing key %s" % err if isinstance(err, KeyError) else str(err)
+        raise DocumentError("malformed %s section: %s" % (key, detail)) from None
+
+
 class Document:
     def __init__(self, raw):
         self.raw = raw
@@ -261,20 +274,22 @@ class Document:
         self.sheaf = None
         self.polytope = None
         if "complex" in raw:
-            self.complex = decode_complex(raw["complex"])
+            self.complex = _decode_section(raw, "complex", decode_complex)
         if "affine" in raw:
             if self.complex is None:
                 raise DocumentError("affine section requires a complex section")
-            self.affine = decode_affine(raw["affine"], self.complex)
+            self.affine = _decode_section(raw, "affine", decode_affine, self.complex)
         if "sheaf" in raw:
             if self.complex is None:
                 raise DocumentError("sheaf section requires a complex section")
-            self.sheaf = decode_sheaf(raw["sheaf"], self.complex)
+            self.sheaf = _decode_section(raw, "sheaf", decode_sheaf, self.complex)
         if "polytope" in raw:
-            self.polytope = decode_polytope(raw["polytope"])
+            self.polytope = _decode_section(raw, "polytope", decode_polytope)
 
     def classes(self, sheaf):
-        return decode_classes(self.raw.get("classes", []), sheaf)
+        if "classes" not in self.raw:
+            return {}
+        return _decode_section(self.raw, "classes", decode_classes, sheaf)
 
 
 def loads(text):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .complexes import _infer_signs
 from .exact import (
     LinearSystem,
     PresentedGroup,
@@ -26,6 +27,7 @@ from .exact import (
     preimage_lattice,
     q_rank,
     stack_rows,
+    unimodular_inverse,
     zerovec,
     zeros,
 )
@@ -99,6 +101,15 @@ class CellularSheaf:
         i = off[cell]
         return vec[i:i + self.rank(cell)]
 
+    def _block(self, sigma, tau):
+        R = self.restriction(sigma, tau)
+        if R.shape != (self.rank(tau), self.rank(sigma)):
+            raise SheafError(
+                "restriction (%s, %s) has shape %s, expected (%d, %d)"
+                % (sigma, tau, R.shape, self.rank(tau), self.rank(sigma))
+            )
+        return R
+
     def differential(self, k):
         if k in self._diff:
             return self._diff[k]
@@ -107,11 +118,30 @@ class CellularSheaf:
         D = zeros(n_k1, n_k, self.ring)
         for tau in self.cochain_cells(k + 1):
             for sigma, sign in self.base.faces_of(tau):
-                R = self.restriction(sigma, tau)
+                R = self._block(sigma, tau)
                 i, j = off_k1[tau], off_k[sigma]
                 D[i:i + self.rank(tau), j:j + self.rank(sigma)] += sign * R
         self._diff[k] = D
         return D
+
+    def coboundary(self, k, vec):
+        """d applied to a k-cochain, one restriction block at a time.
+
+        Equal to differential(k).dot(vec), but cells where vec vanishes are
+        skipped and the dense differential is never built.
+        """
+        off_k, _ = self.offsets(k)
+        off_k1, _ = self.offsets(k + 1)
+        out = self.zero_cochain(k + 1)
+        for sigma in self.cochain_cells(k):
+            j = off_k[sigma]
+            x = vec[j:j + self.rank(sigma)]
+            if all(v == 0 for v in x):
+                continue
+            for tau, sign in self.base.cofaces_of(sigma):
+                i = off_k1[tau]
+                out[i:i + self.rank(tau)] += sign * self._block(sigma, tau).dot(x)
+        return out
 
     def moduli_rows(self, k):
         """Rows spanning the torsion lattice of C^k (Z sheaves only)."""
@@ -133,8 +163,7 @@ class CellularSheaf:
         return out
 
     def is_cocycle(self, k, vec):
-        D = self.differential(k)
-        img = D.dot(vec)
+        img = self.coboundary(k, vec)
         if self.ring == "Q":
             return all(x == 0 for x in img)
         L = self.moduli_rows(k + 1)
@@ -637,7 +666,6 @@ def connecting_map(ses, k, rng=None, check=True):
 
     p_k = ses.p.cochain_matrix(k)
     i_k1 = ses.i.cochain_matrix(k + 1)
-    dB = B.differential(k)
     sys_p = LinearSystem(_augment(p_k, C.moduli_rows(k))) if ring == "Z" else LinearSystem(p_k)
     sys_i = LinearSystem(_augment(i_k1, B.moduli_rows(k + 1))) if ring == "Z" else LinearSystem(i_k1)
     nB = B.cochain_rank(k)
@@ -656,7 +684,7 @@ def connecting_map(ses, k, rng=None, check=True):
             K = sys_p.kernel_columns()
             for j in range(K.shape[1]):
                 b = b + rng.randint(-2, 2) * K[:nB, j]
-        dbv = dB.dot(b)
+        dbv = B.coboundary(k, b)
         sol2 = sys_i.solve(dbv, "Z" if ring == "Z" else "Q")
         if sol2 is None:
             raise SheafError("d of the lift does not come from the subsheaf")
@@ -796,7 +824,7 @@ def automorphism_action(aut, cls):
     F = aut.sheaf
     k = cls.degree
     X = F.base
-    eps = _automorphism_signs(X, aut.cell_map)
+    eps = _infer_signs(X, aut.cell_map)
     if eps is None:
         raise SheafError("cell map does not commute with incidence signs")
     out = F.zero_cochain(k)
@@ -809,12 +837,6 @@ def automorphism_action(aut, cls):
     return CohomologyClass(F, k, out)
 
 
-def _automorphism_signs(X, mapping):
-    from .complexes import _infer_signs
-
-    return _infer_signs(X, mapping)
-
-
 def orbit_of_class(results, action_mats, start_coords, max_word_length=6):
     """Orbit of canonical coordinates under matrices acting on coordinates."""
     start = tuple(start_coords)
@@ -823,7 +845,7 @@ def orbit_of_class(results, action_mats, start_coords, max_word_length=6):
     mats = []
     for M in action_mats:
         mats.append(M)
-        mats.append(unimodular_inv(M))
+        mats.append(unimodular_inverse(M))
     for _ in range(max_word_length):
         new = []
         for c in frontier:
@@ -837,9 +859,3 @@ def orbit_of_class(results, action_mats, start_coords, max_word_length=6):
         if not frontier:
             break
     return seen
-
-
-def unimodular_inv(M):
-    from .exact import unimodular_inverse
-
-    return unimodular_inverse(M)

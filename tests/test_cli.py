@@ -178,3 +178,100 @@ def test_sphere_roundtrip_preserves_invariants(tmp_path):
     assert validate_affine(doc.affine).valid
     assert doc.affine.focus_focus_count() == 24
     assert classify_surface(doc.complex, 24).kind == "sphere"
+
+
+def assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "Traceback" not in err
+
+
+def test_catalog_parameter_not_an_integer(capsys):
+    assert main(["catalog", "flat_torus:abc"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert main(["catalog", "ff_disk:x", "--verify"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("sheaf", ["Z^x", "Z^-1", "Z^", "Zx"])
+def test_bad_constant_sheaf_rank(torus_file, capsys, sheaf):
+    capsys.readouterr()
+    assert main(["cohomology", torus_file, "--sheaf", sheaf, "--degree", "1"]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_constant_sheaf_rank_parses(torus_file, capsys):
+    assert main(["cohomology", torus_file, "--sheaf", "Z^2", "--degree", "2"]) == 0
+    assert "H^2 = Z^2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"format": "torusbase/1", "complex": {}},
+        {"format": "torusbase/1", "complex": []},
+        {"format": "torusbase/1", "complex": {"cells": 5, "incidence": []}},
+        {"format": "torusbase/1", "complex": {"cells": [["a", "x"]], "incidence": []}},
+        {"format": "torusbase/1", "polytope": {"dimension": 2}},
+        {"format": "torusbase/1", "polytope": "square"},
+    ],
+)
+def test_malformed_document_is_usage(tmp_path, capsys, raw):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(serialize.DocumentError):
+        serialize.load_path(str(path))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "malformed" in err
+
+
+def test_malformed_sheaf_and_affine_sections(tmp_path, capsys):
+    S = flat_torus_surface()
+    good = serialize.encode_document(complex=S.base, affine=S)
+    for section, broken in (("affine", {"charts": []}), ("sheaf", {"ring": "Z", "stalks": 3})):
+        raw = dict(good)
+        raw[section] = broken
+        path = tmp_path / ("bad_%s.json" % section)
+        path.write_text(serialize.dumps(raw))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "malformed %s section" % section in err
+
+
+def test_wrongly_shaped_restriction_is_a_sheaf_error(tmp_path, capsys):
+    from torusbase.complexes import complex_from_polygons
+    from torusbase.sheaves import constant_sheaf
+
+    X = complex_from_polygons({"f": ["a", "b", "c"]})
+    raw = serialize.encode_document(complex=X, sheaf=constant_sheaf(X, 1))
+    raw["sheaf"]["restrictions"][0][2] = [["1", "0"]]
+    path = tmp_path / "shape.json"
+    path.write_text(serialize.dumps(raw))
+    assert main(["cohomology", str(path), "--degree", "1"]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "shape" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    ["torusbase.sheaves.SheafError", "torusbase.complexes.ComplexError", "torusbase.surgery.SurgeryError"],
+)
+def test_library_errors_exit_one(torus_file, capsys, monkeypatch, error):
+    import importlib
+
+    module, _, name = error.rpartition(".")
+    cls = getattr(importlib.import_module(module), name)
+
+    def fail(*args, **kwargs):
+        raise cls("broken on purpose")
+
+    monkeypatch.setattr("torusbase.cli.cohomology", fail)
+    capsys.readouterr()
+    assert main(["cohomology", torus_file, "--sheaf", "Z", "--degree", "1"]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "broken on purpose" in err
