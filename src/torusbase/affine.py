@@ -32,6 +32,7 @@ from .sheaves import (
     CohomologyClass,
     SheafMap,
     ShortExactSequence,
+    SheafReport,
     Stalk,
     cohomology,
     validate_sheaf,
@@ -204,18 +205,6 @@ def unipotent_power(W):
     return int(d[0])
 
 
-@dataclass
-class AffineReport:
-    violations: list
-
-    @property
-    def valid(self):
-        return not self.violations
-
-    def __str__(self):
-        return "valid" if self.valid else "\n".join(map(str, self.violations))
-
-
 def validate_affine(S):
     """All affine invariants: transitions, chart positions, vertex wheels."""
     from .complexes import validate as validate_complex
@@ -223,11 +212,11 @@ def validate_affine(S):
     bad = []
     rep = validate_complex(S.base)
     if not rep.valid:
-        return AffineReport(["base complex invalid: %s" % rep])
+        return SheafReport(["base complex invalid: %s" % rep])
     X = S.base
     if X.dimension != 2:
         bad.append("base complex must be 2-dimensional")
-        return AffineReport(bad)
+        return SheafReport(bad)
     # polygon charts are optional (needed for areas); when present they must
     # cover the face's vertices and agree with the transitions
     for f, ch in S.charts.items():
@@ -239,7 +228,7 @@ def validate_affine(S):
         if missing:
             bad.append("chart of %s misses vertices %s" % (f, sorted(missing, key=str)))
     if bad:
-        return AffineReport(bad)
+        return SheafReport(bad)
     for e in X.cells_of_dim(1):
         cofs = [g for g, _ in X.cofaces_of(e)]
         if len(cofs) == 2:
@@ -265,7 +254,7 @@ def validate_affine(S):
         elif e in S.transitions:
             bad.append("boundary edge %s carries a transition" % (e,))
     if bad:
-        return AffineReport(bad)
+        return SheafReport(bad)
     for cell, mark in S.markings.items():
         if mark.kind == "focus_focus" and X.dim(cell) != 0:
             bad.append("focus_focus mark on non-vertex %s" % (cell,))
@@ -310,7 +299,7 @@ def validate_affine(S):
         else:
             if not affine_eq(wheel, affine_identity()):
                 bad.append("wheel at %s vertex %s is not the identity" % (mark.kind, v))
-    return AffineReport(bad)
+    return SheafReport(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +489,13 @@ def build_I_sheaf(S):
     The stalk of I is constants plus the rationalized monodromy stalk; the
     translation parts of the transitions twist the constant component.
     """
+    return _build_I_sheaf(S, build_R_sheaf(S))
+
+
+def _build_I_sheaf(S, R):
+    """build_I_sheaf on top of the monodromy sheaf R of S, built already."""
     from .sheaves import constant_sheaf
 
-    R = build_R_sheaf(S)
     X = S.base
     RQ = CellularSheaf(
         X,
@@ -615,8 +608,8 @@ def lagrangian_moduli(S):
     Presents the symplectic moduli H^2(O, R)/dhat(H^1(O, R-sheaf)) as an
     ambient dimension and a lattice rank.
     """
-    I, ses = build_I_sheaf(S)
     R = build_R_sheaf(S)
+    _, ses = _build_I_sheaf(S, R)
     h1 = cohomology(R, 1)
     QQ = ses.i.source
     hA = cohomology(QQ, 2)

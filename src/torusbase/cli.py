@@ -308,7 +308,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument("--json", action="store_true", help="machine readable output")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="verb")
 
     p = sub.add_parser("check", help="validate every section of a document")

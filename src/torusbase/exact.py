@@ -7,6 +7,14 @@ boundary type: rref, q_rank, q_kernel, LinearSystem and QuotientSpace run one
 sparse Gauss-Jordan elimination on rows kept as {column: Fraction} dicts,
 which touches only nonzero entries.  Row convention: matrices act on column
 vectors; relation subgroups/subspaces are given by rows.
+
+Coordinates.  A basis in echelon form (EchelonBasis: the HNF rows of a
+lattice over Z, the kernel vectors of an RREF over Q) gives the coefficients
+of a vector by back-substitution, the loop QuotientSpace.reduce runs; over Z
+a division by a pivot that leaves a remainder means the vector is not in the
+lattice.  Over Z the canonical coordinates of a class are those coefficients
+mapped through the Smith transform of PresentedGroup; over Q they are the
+entries at the non-pivot columns after QuotientSpace reduces them.
 """
 
 from dataclasses import dataclass
@@ -144,11 +152,6 @@ def hnf(M):
         if r == m:
             break
     return H, U
-
-
-def hnf_rank(M):
-    H, _ = hnf(M)
-    return sum(1 for i in range(H.shape[0]) if any(x != 0 for x in H[i]))
 
 
 def unimodular_inverse(U):
@@ -384,7 +387,8 @@ class LinearSystem:
 
     def kernel_columns(self):
         if self._rational:
-            return _kernel_basis(self._rows, self.M.shape[1])
+            n = self.M.shape[1]
+            return EchelonBasis(n, _kernel_rows(self._rows, n), "Q").matrix()
         return self._Vcols[:, self.rank:].copy()
 
 
@@ -456,20 +460,39 @@ def _gauss_jordan(rows, width):
     return dict(sorted(pivot_rows.items())), null_rows
 
 
-def _kernel_basis(pivot_rows, n):
-    """Columns spanning the kernel of a reduced row echelon form with n
-    columns: one per free column j, equal to 1 at j and -R[r, j] at pivot r."""
-    free = [j for j in range(n) if j not in pivot_rows]
-    column = {j: k for k, j in enumerate(free)}
-    K = zeros(n, len(free), "Q")
-    for k, j in enumerate(free):
-        K[j, k] = _ONE
+def _kernel_rows(pivot_rows, n):
+    """The kernel of a reduced row echelon form with n columns, one sparse
+    vector per free column j: 1 at j, -R[r, j] at pivot r, 0 elsewhere."""
+    out = {j: {j: _ONE} for j in range(n) if j not in pivot_rows}
     for p, row in pivot_rows.items():
         for c, v in row.items():
-            k = column.get(c)
-            if k is not None:
-                K[p, k] = -v
-    return K
+            if c in out:
+                out[c][p] = -v
+    return out
+
+
+def _substitute(x, pivot_rows):
+    """Take multiples of echelon rows out of the sparse vector x, in place.
+
+    pivot_rows maps a pivot column p to a row with a nonzero entry d at p;
+    each row is zero at the pivots before it, and the rows after it are zero
+    at its pivot.  Row p is taken out x[p] / d times, rows in order.  Over Q
+    every d is 1.  Over Z a division that leaves a remainder means x is not
+    in the row lattice; the result is then None, else the multiples {p: f}.
+    """
+    coef = {}
+    for p, row in pivot_rows.items():
+        f = x.pop(p, None)
+        if f is None:
+            continue
+        d = row[p]
+        if d != 1:
+            f, r = divmod(f, d)
+            if r:
+                return None
+        _axpy(x, -f, row, p)
+        coef[p] = f
+    return coef
 
 
 def rref(M):
@@ -489,8 +512,7 @@ def q_rank(M):
 
 def q_kernel(M):
     """Columns spanning the rational kernel of M."""
-    n = M.shape[1]
-    return _kernel_basis(_gauss_jordan(_sparse_rows(M), n)[0], n)
+    return EchelonBasis.kernel(M).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +533,7 @@ def lattice_eq(A, B):
 
 
 def lattice_member(rows, v):
-    if rows.shape[0] == 0:
-        return all(x == 0 for x in v)
-    return solve(rows.T, v, "Z") is not None
+    return EchelonBasis.lattice(lattice_hnf(rows)).coefficients(v) is not None
 
 
 def stack_rows(*mats):
@@ -630,11 +650,11 @@ class QuotientSpace:
 
     def reduce(self, x):
         x = {j: Fraction(v) for j, v in enumerate(x) if v != 0}
-        for p, row in self._rows.items():
-            f = x.pop(p, None)
-            if f is not None:
-                _axpy(x, -f, row, p)
+        _substitute(x, self._rows)
         return tuple(x.get(j, _ZERO) for j in self._free)
+
+    def coordinate_orders(self):
+        return (0,) * self.dimension
 
     def generators(self):
         gens = []
@@ -646,3 +666,59 @@ class QuotientSpace:
 
     def is_zero(self, x):
         return all(c == 0 for c in self.reduce(x))
+
+
+# ---------------------------------------------------------------------------
+# Bases in echelon form
+
+
+class EchelonBasis:
+    """Independent vectors of Z^n or Q^n in echelon form, with coefficients
+    read by back-substitution (see _substitute), so no system is solved.
+
+    Vector i is a sparse {column: entry} row kept under its pivot column, in
+    pivot order; the vectors are the columns of matrix().
+    """
+
+    def __init__(self, n, pivot_rows, ring):
+        self.n = n
+        self.ring = ring
+        self._rows = pivot_rows
+
+    @classmethod
+    def lattice(cls, H):
+        """The nonzero rows of H, a matrix in row Hermite normal form, each
+        under its leading column."""
+        rows = [{j: x for j, x in enumerate(r) if x != 0} for r in H.tolist()]
+        return cls(H.shape[1], {min(r): r for r in rows if r}, "Z")
+
+    @classmethod
+    def kernel(cls, M):
+        """The rational kernel of M: per free column of its reduced row
+        echelon form, the vector that is 1 there and 0 at every other free
+        column, under that column."""
+        n = M.shape[1]
+        return cls(n, _kernel_rows(_gauss_jordan(_sparse_rows(M), n)[0], n), "Q")
+
+    def __len__(self):
+        return len(self._rows)
+
+    def matrix(self):
+        B = zeros(self.n, len(self._rows), self.ring)
+        for i, row in enumerate(self._rows.values()):
+            for c, v in row.items():
+                B[c, i] = v
+        return B
+
+    def coefficients(self, x):
+        """The coefficient vector of x, or None when x is not in the span
+        (over Z: not in the lattice the vectors span)."""
+        x = {j: v for j, v in enumerate(x) if v != 0}
+        coef = _substitute(x, self._rows)
+        if coef is None or x:
+            return None
+        out = zerovec(len(self._rows), self.ring)
+        for i, p in enumerate(self._rows):
+            if p in coef:
+                out[i] += coef[p]
+        return out

@@ -94,7 +94,7 @@ def vertices(P):
     return verts
 
 
-def _has_recession_ray(P, probe=7):
+def _has_recession_ray(P):
     # a recession direction survives translation of every vertex; cheap test:
     # sample candidate rays from facet intersections and check <a, d> <= 0
     n = P.dimension

@@ -2,7 +2,8 @@
 
 All integers are written as decimal strings and rationals as "p/q" strings,
 so numbers of any size round-trip exactly.  Sections: complex, sheaf, affine,
-polytope, classes, gluing; a document carries any subset.
+polytope, classes, gluing; a document carries any subset, and its
+"format" field must read "torusbase/1".
 """
 
 import json
@@ -15,6 +16,9 @@ from .complexes import CellComplex
 from .exact import zeros
 from .polytopes import LatticePolytope
 from .sheaves import CellularSheaf, Stalk
+
+
+FORMAT = "torusbase/1"
 
 
 class DocumentError(ValueError):
@@ -239,7 +243,7 @@ def decode_classes(doc, sheaf):
 
 
 def encode_document(complex=None, sheaf=None, affine=None, polytope=None, classes=None):
-    doc = {"format": "torusbase/1"}
+    doc = {"format": FORMAT}
     if complex is not None:
         doc["complex"] = encode_complex(complex)
     if sheaf is not None:
@@ -301,6 +305,8 @@ def loads(text):
         )
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
+    if raw.get("format") != FORMAT:
+        raise DocumentError("document format must be %r, got %r" % (FORMAT, raw.get("format")))
     return Document(raw)
 
 

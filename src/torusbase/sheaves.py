@@ -16,14 +16,16 @@ import numpy as np
 
 from .complexes import _infer_signs
 from .exact import (
+    EchelonBasis,
     LinearSystem,
     PresentedGroup,
     QuotientSpace,
     eye,
-    hnf_rank,
+    fracmat,
     intmat,
     lattice_eq,
     lattice_hnf,
+    lattice_member,
     preimage_lattice,
     q_rank,
     stack_rows,
@@ -61,6 +63,8 @@ class CellularSheaf:
         self.base = base
         self.ring = ring
         self.stalks = {c: _as_stalk(s) for c, s in stalks.items()}
+        if ring == "Q" and any(any(s.moduli) for s in self.stalks.values()):
+            raise SheafError("stalks over Q carry no torsion moduli")
         self.restrictions = dict(restrictions)
         self._offsets = {}
         self._diff = {}
@@ -163,15 +167,7 @@ class CellularSheaf:
         return out
 
     def is_cocycle(self, k, vec):
-        img = self.coboundary(k, vec)
-        if self.ring == "Q":
-            return all(x == 0 for x in img)
-        L = self.moduli_rows(k + 1)
-        if L.shape[0] == 0:
-            return all(x == 0 for x in img)
-        from .exact import lattice_member
-
-        return lattice_member(L, img)
+        return lattice_member(self.moduli_rows(k + 1), self.coboundary(k, vec))
 
 
 def constant_sheaf(base, rank=1, ring="Z", moduli=()):
@@ -195,9 +191,7 @@ class SheafReport:
         return "valid" if self.valid else "\n".join(map(str, self.violations))
 
 
-def _respects_moduli(F, M, src_stalk, dst_stalk):
-    if F.ring == "Q":
-        return True
+def _respects_moduli(M, src_stalk, dst_stalk):
     for i in range(src_stalk.rank):
         m = src_stalk.order(i)
         if not m:
@@ -227,7 +221,7 @@ def validate_sheaf(F):
                 % (face, cof, M.shape, F.rank(cof), F.rank(face))
             )
             continue
-        if not _respects_moduli(F, M, F.stalk(face), F.stalk(cof)):
+        if not _respects_moduli(M, F.stalk(face), F.stalk(cof)):
             bad.append("restriction (%s, %s) ignores stalk torsion" % (face, cof))
     if bad:
         return SheafReport(bad)
@@ -245,12 +239,7 @@ def validate_sheaf(F):
             base_tau, base = pairs[0]
             for tau, comp in pairs[1:]:
                 diff = comp - base
-                ok = (
-                    all(x == 0 for x in diff.flat)
-                    if F.ring == "Q" or not F.stalk(rho).moduli
-                    else _diff_in_moduli(F.stalk(rho), F.stalk(sigma), diff)
-                )
-                if not ok:
+                if not _diff_in_moduli(F.stalk(rho), diff):
                     bad.append(
                         "restrictions around (%s <= %s) do not commute (via %s vs %s)"
                         % (sigma, rho, base_tau, tau)
@@ -259,7 +248,7 @@ def validate_sheaf(F):
     return SheafReport(bad)
 
 
-def _diff_in_moduli(dst_stalk, src_stalk, diff):
+def _diff_in_moduli(dst_stalk, diff):
     for r in range(diff.shape[0]):
         d = dst_stalk.order(r)
         for c in range(diff.shape[1]):
@@ -277,68 +266,37 @@ def _diff_in_moduli(dst_stalk, src_stalk, diff):
 
 
 class CohomologyResult:
-    """H^k of a sheaf with canonical coordinates and generator cocycles."""
+    """H^k of a sheaf with canonical coordinates and generator cocycles.
+
+    The cocycles have a basis in echelon form (EchelonBasis): over Z the HNF
+    rows of the cocycle lattice, over Q the kernel vectors of the RREF of d.
+    The coefficients of a cocycle in it are read by back-substitution; the
+    coefficients of the coboundaries (and of the stalk torsion) are the
+    relations of the presentation, which fixes the canonical coordinates.
+    """
 
     def __init__(self, sheaf, degree):
         self.sheaf = sheaf
         self.degree = degree
         F, k = sheaf, degree
-        n_k = F.cochain_rank(k)
-        self._n = n_k
-        if n_k == 0:
-            self._basis = zeros(n_k, 0, F.ring)
-            self._pg = PresentedGroup(0) if F.ring == "Z" else QuotientSpace(0)
-            self._sys = None
-            return
-        if k < 0 or k > F.base.dimension:
-            D_k = zeros(0, n_k, F.ring)
-        else:
-            D_k = F.differential(k)
+        D = F.differential(k)
         if F.ring == "Z":
-            Lk1 = F.moduli_rows(k + 1)
-            P = preimage_lattice(D_k, Lk1)  # rows span the cocycle lattice
-            self._basis = P.T.copy()  # columns are the cocycle basis
-            self._sys = LinearSystem(self._basis) if self._basis.shape[1] else None
-            rel_rows = []
-            gens = []
-            if k >= 1:
-                Dprev = F.differential(k - 1)
-                for j in range(Dprev.shape[1]):
-                    gens.append(Dprev[:, j])
-            Lk = F.moduli_rows(k)
-            for i in range(Lk.shape[0]):
-                gens.append(Lk[i])
-            z = self._basis.shape[1]
-            for g in gens:
-                if z == 0:
-                    continue
-                coef = self._sys.solve(g, "Z")
-                if coef is None:
-                    raise SheafError("coboundary lies outside the cocycle lattice")
-                rel_rows.append(coef)
-            rel = zeros(len(rel_rows), z)
-            for i, r in enumerate(rel_rows):
-                rel[i] = r
-            self._pg = PresentedGroup(z, rel)
+            self._cocycles = EchelonBasis.lattice(preimage_lattice(D, F.moduli_rows(k + 1)))
+            quotient = PresentedGroup
         else:
-            from .exact import q_kernel
-
-            K = q_kernel(D_k)
-            self._basis = K
-            self._sys = LinearSystem(self._basis) if self._basis.shape[1] else None
-            rel_rows = []
-            z = self._basis.shape[1]
-            if k >= 1 and z:
-                Dprev = F.differential(k - 1)
-                for j in range(Dprev.shape[1]):
-                    coef = self._sys.solve(Dprev[:, j], "Q")
-                    if coef is None:
-                        raise SheafError("coboundary is not a cocycle")
-                    rel_rows.append(coef)
-            rel = zeros(len(rel_rows), z, "Q")
-            for i, r in enumerate(rel_rows):
-                rel[i] = r
-            self._pg = QuotientSpace(z, rel)
+            self._cocycles = EchelonBasis.kernel(D)
+            quotient = QuotientSpace
+        self._basis = self._cocycles.matrix()  # columns are the cocycle basis
+        z = len(self._cocycles)
+        # the relations: the coboundaries and the stalk torsion of C^k
+        gens = list(F.differential(k - 1).T) + list(F.moduli_rows(k)) if z else []
+        rel = zeros(len(gens), z, F.ring)
+        for i, g in enumerate(gens):
+            coef = self._cocycles.coefficients(g)
+            if coef is None:
+                raise SheafError("coboundary lies outside the cocycle lattice")
+            rel[i] = coef
+        self._pg = quotient(z, rel)
 
     @property
     def group(self):
@@ -350,19 +308,10 @@ class CohomologyResult:
 
     def coordinates(self, cocycle):
         """Canonical coordinates of a cocycle's class."""
-        if self._n == 0:
-            return ()
-        if self._sys is None:
-            if any(x != 0 for x in cocycle):
-                raise SheafError("vector is not a cocycle")
-            return self._pg.reduce(zerovec(0, self.sheaf.ring))
-        coef = self._sys.solve(cocycle, self.sheaf.ring)
-        if coef is None:
-            raise SheafError("vector is not a cocycle")
-        return self._pg.reduce(coef)
+        return self._pg.reduce(self.to_presentation_coords(cocycle))
 
     def to_presentation_coords(self, cocycle):
-        coef = self._sys.solve(cocycle, self.sheaf.ring) if self._sys else zerovec(0, self.sheaf.ring)
+        coef = self._cocycles.coefficients(cocycle)
         if coef is None:
             raise SheafError("vector is not a cocycle")
         return coef
@@ -453,20 +402,14 @@ class SheafMap:
             B = self.block(cell)
             if B.shape != (self.target.rank(cell), self.source.rank(cell)):
                 bad.append("block at %s has the wrong shape" % (cell,))
-            elif not _respects_moduli(self.source, B, self.source.stalk(cell), self.target.stalk(cell)):
+            elif not _respects_moduli(B, self.source.stalk(cell), self.target.stalk(cell)):
                 bad.append("block at %s ignores stalk torsion" % (cell,))
         if bad:
             return SheafReport(bad)
         for (cof, face) in X.incidence:
             left = self.block(cof).dot(self.source.restriction(face, cof))
             right = self.target.restriction(face, cof).dot(self.block(face))
-            diff = left - right
-            ok = (
-                all(x == 0 for x in diff.flat)
-                if self.source.ring == "Q" or not self.target.stalk(cof).moduli
-                else _diff_in_moduli(self.target.stalk(cof), self.source.stalk(face), diff)
-            )
-            if not ok:
+            if not _diff_in_moduli(self.target.stalk(cof), left - right):
                 bad.append("map does not commute with restriction (%s, %s)" % (face, cof))
         return SheafReport(bad)
 
@@ -526,7 +469,7 @@ class ShortExactSequence:
                 if q_rank(iB) + q_rank(pB) != self.B.rank(cell):
                     bad.append("sequence is not exact at %s" % (cell,))
             else:
-                if not _diff_in_moduli(self.C.stalk(cell), self.A.stalk(cell), comp):
+                if not _diff_in_moduli(self.C.stalk(cell), comp):
                     bad.append("p after i is nonzero at %s" % (cell,))
                     continue
                 if not self._exact_at(cell):
@@ -616,28 +559,17 @@ def induced_map(source_result, target_result, cochain_map):
 def image_dimension(f):
     """Dimension (Q) or rank (Z, modulo torsion) of the image of an InducedMap."""
     cols = [f.target.presentation.reduce(f.matrix[:, j]) for j in range(f.matrix.shape[1])]
-    if not cols:
+    free = [i for i, d in enumerate(f.target.presentation.coordinate_orders()) if d == 0]
+    if not cols or not free:
         return 0
-    if f.source.sheaf.ring == "Q":
-        from .exact import fracmat
-
-        return q_rank(fracmat(cols))
-    orders = f.target.presentation.coordinate_orders()
-    free = [i for i, d in enumerate(orders) if d == 0]
-    rows = intmat([[c[i] for i in free] for c in cols]) if free else zeros(len(cols), 0)
-    return hnf_rank(rows) if free else 0
+    return q_rank(fracmat([[c[i] for i in free] for c in cols]))
 
 
 def rank_exact_at(f, g):
     """Rank exactness at the middle group of X -f-> Y -g-> Z."""
     if f.target is not g.source:
         raise SheafError("maps are not composable at the middle group")
-    hY = g.source
-    if hY.sheaf.ring == "Q":
-        dim_y = hY.presentation.dimension
-    else:
-        dim_y = hY.group.free_rank
-    return dim_y == image_dimension(f) + image_dimension(g)
+    return g.source.group.free_rank == image_dimension(f) + image_dimension(g)
 
 
 def torsion_exact_at(f, g):
@@ -666,17 +598,13 @@ def connecting_map(ses, k, rng=None, check=True):
 
     p_k = ses.p.cochain_matrix(k)
     i_k1 = ses.i.cochain_matrix(k + 1)
-    sys_p = LinearSystem(_augment(p_k, C.moduli_rows(k))) if ring == "Z" else LinearSystem(p_k)
-    sys_i = LinearSystem(_augment(i_k1, B.moduli_rows(k + 1))) if ring == "Z" else LinearSystem(i_k1)
+    sys_p = LinearSystem(_augment(p_k, C.moduli_rows(k)))
+    sys_i = LinearSystem(_augment(i_k1, B.moduli_rows(k + 1)))
     nB = B.cochain_rank(k)
     nA = A.cochain_rank(k + 1)
 
     def delta(c_vec):
-        target = c_vec
-        if ring == "Z":
-            sol = sys_p.solve(target, "Z")
-        else:
-            sol = sys_p.solve(target, "Q")
+        sol = sys_p.solve(c_vec, ring)
         if sol is None:
             raise SheafError("cannot lift cocycle through p")
         b = sol[:nB]
@@ -685,7 +613,7 @@ def connecting_map(ses, k, rng=None, check=True):
             for j in range(K.shape[1]):
                 b = b + rng.randint(-2, 2) * K[:nB, j]
         dbv = B.coboundary(k, b)
-        sol2 = sys_i.solve(dbv, "Z" if ring == "Z" else "Q")
+        sol2 = sys_i.solve(dbv, ring)
         if sol2 is None:
             raise SheafError("d of the lift does not come from the subsheaf")
         return sol2[:nA]

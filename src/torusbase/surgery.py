@@ -20,7 +20,7 @@ from .affine import (
     monodromy_rep,
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
-from .exact import PresentedGroup, stack_rows, zeros, zerovec
+from .exact import PresentedGroup, stack_rows, unimodular_inverse, zeros, zerovec
 from .sheaves import (
     CellularSheaf,
     cohomology,
@@ -70,6 +70,11 @@ class GluingSpec:
                 continue
             if J.shape != (self.sheaf2.rank(self.cell_map[c]), self.sheaf1.rank(c)):
                 bad.append("stalk iso at %s has the wrong shape" % (c,))
+                continue
+            try:
+                unimodular_inverse(J)
+            except ValueError:
+                bad.append("stalk iso at %s is not invertible over Z" % (c,))
         if bad:
             return bad
         for (cof, face), v in self.overlap1.incidence.items():
@@ -102,7 +107,7 @@ def glue(spec):
     for c in spec.overlap1.cells:
         J = spec.stalk_isos[c]
         to2[spec.cell_map[c]] = J
-        to1[spec.cell_map[c]] = _invert_iso(J)
+        to1[spec.cell_map[c]] = unimodular_inverse(J)
     for c in spec.complex1.cells:
         stalks[relabel[("A", c)]] = spec.sheaf1.stalk(c)
     for c in spec.complex2.cells:
@@ -123,20 +128,6 @@ def glue(spec):
         restrictions[key] = M
     F = CellularSheaf(Z, spec.sheaf1.ring, stalks, restrictions)
     return Z, F, relabel
-
-
-def _invert_iso(J):
-    n = J.shape[0]
-    if J.shape[0] != J.shape[1]:
-        raise SurgeryError("stalk iso is not square")
-    if n == 0:
-        return J
-    from .exact import hnf, mat_eq, eye
-
-    H, U = hnf(J)
-    if not mat_eq(H, eye(n)):
-        raise SurgeryError("stalk iso is not invertible over Z")
-    return U
 
 
 @dataclass
@@ -184,7 +175,7 @@ def gluing_obstruction(spec, class1, class2, rational_difference=None):
     h2_full = cohomology(spec.sheaf2, 2)
     off2, _ = spec.sheaf2.offsets(2)
     offo, n_o = G1.offsets(2)
-    iso_inv = {c: _invert_iso(spec.stalk_isos[c]) for c in over1.cells if over1.dim(c) == 2}
+    iso_inv = {c: unimodular_inverse(spec.stalk_isos[c]) for c in over1.cells if over1.dim(c) == 2}
 
     def pull_to_overlap1(vec2):
         out = zerovec(n_o, G1.ring)

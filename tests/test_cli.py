@@ -275,3 +275,28 @@ def test_library_errors_exit_one(torus_file, capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "broken on purpose" in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"complex": {"cells": [], "incidence": []}},
+        {"format": "torusbase/2", "complex": {"cells": [], "incidence": []}},
+        {"format": None},
+        {"format": 1},
+    ],
+)
+def test_missing_or_unknown_format_is_usage(tmp_path, capsys, raw):
+    path = tmp_path / "format.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(serialize.DocumentError):
+        serialize.loads(path.read_text())
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "torusbase/1" in err
+
+
+def test_export_carries_the_format(torus_file):
+    with open(torus_file, encoding="utf-8") as fh:
+        assert json.load(fh)["format"] == "torusbase/1"

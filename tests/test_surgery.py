@@ -250,3 +250,19 @@ def test_all_2d_catalog_surfaces_realizable():
             continue
         rep = realizability_report_2d(entry.payload)
         assert rep.verdict == "realizable", name
+
+
+def test_non_invertible_stalk_iso_is_a_surgery_error():
+    import dataclasses
+
+    fb = fake_base_space()
+    spec = fb["spec"]
+    c = next(iter(spec.overlap1.cells))
+    J = spec.stalk_isos[c].copy()
+    J[0] = 2 * J[0]
+    bad = dataclasses.replace(spec, stalk_isos={**spec.stalk_isos, c: J})
+    assert any("not invertible over Z" in v for v in bad.validate())
+    with pytest.raises(SurgeryError):
+        glue(bad)
+    with pytest.raises(SurgeryError):
+        gluing_obstruction(bad, fb["class_minus"], fb["class_plus"])
