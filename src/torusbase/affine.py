@@ -9,6 +9,7 @@ convention is fixed here and used everywhere.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -22,9 +23,9 @@ from .exact import (
     intvec,
     inv2,
     kernel,
+    lattice_hnf,
     mat_eq,
     q_rank,
-    snf,
     zeros,
 )
 from .sheaves import (
@@ -191,18 +192,16 @@ def vertex_wheel(S, v):
 
 
 def unipotent_power(W):
-    """k with W conjugate in GL(2,Z) to [[1,k],[0,1]], else None."""
+    """k with W conjugate in GL(2,Z) to [[1,k],[0,1]], else None.
+
+    det W = 1 and trace 2 give det(W - I) = 0, so the Smith form of W - I is
+    diag(k, 0) with k the gcd of its entries (0 when W is the identity).
+    """
     if W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0] != 1:
         return None
     if W[0, 0] + W[1, 1] != 2:
         return None
-    N = W - eye(2)
-    if all(x == 0 for x in N.flat):
-        return 0
-    d = snf(N).diagonal
-    if d[1] != 0:
-        return None
-    return int(d[0])
+    return gcd(*(int(x) for x in (W - eye(2)).flat))
 
 
 def validate_affine(S):
@@ -412,11 +411,16 @@ def _edge_frame_owner(S, e):
 
 
 def fixed_covector(W):
-    """Primitive covector fixed by the dual of the wheel linear part W."""
-    K = kernel((W - eye(2)).T)
-    if K.shape[1] != 1:
+    """Primitive covector fixed by the dual of the wheel linear part W.
+
+    The fixed covectors form the lattice ker (W - I)^T; when it has rank 1
+    its generator is taken to be its HNF row, whose first nonzero entry is
+    positive.
+    """
+    L = lattice_hnf(kernel((W - eye(2)).T).T)
+    if L.shape[0] != 1:
         return None
-    return K[:, 0].copy()
+    return L[0].copy()
 
 
 def build_R_sheaf(S):
@@ -608,7 +612,11 @@ def lagrangian_moduli(S):
     Presents the symplectic moduli H^2(O, R)/dhat(H^1(O, R-sheaf)) as an
     ambient dimension and a lattice rank.
     """
-    R = build_R_sheaf(S)
+    return _lagrangian_moduli(S, build_R_sheaf(S))
+
+
+def _lagrangian_moduli(S, R):
+    """lagrangian_moduli on top of the monodromy sheaf R of S, built already."""
     _, ses = _build_I_sheaf(S, R)
     h1 = cohomology(R, 1)
     QQ = ses.i.source

@@ -79,6 +79,16 @@ def cmd_check(args):
     return OK if not problems else FAIL
 
 
+def _checked_affine(S):
+    """S once validate_affine passes; otherwise one error line and exit 1."""
+    rep = validate_affine(S)
+    if not rep.valid:
+        reason = "; ".join(str(rep).splitlines())
+        print("error: affine structure invalid: %s" % reason, file=sys.stderr)
+        raise SystemExit(FAIL)
+    return S
+
+
 def _named_sheaf(args, doc):
     name = args.sheaf
     if name == "document":
@@ -90,7 +100,7 @@ def _named_sheaf(args, doc):
         if doc.affine is None:
             print("error: deriving the monodromy sheaf needs an affine section", file=sys.stderr)
             raise SystemExit(USAGE)
-        return build_R_sheaf(doc.affine)
+        return build_R_sheaf(_checked_affine(doc.affine))
     if name == "Z" or name.startswith("Z^"):
         rank = 1
         if name.startswith("Z^"):
@@ -132,12 +142,7 @@ def cmd_monodromy(args):
     if doc.affine is None:
         print("error: monodromy needs an affine section", file=sys.stderr)
         raise SystemExit(USAGE)
-    S = doc.affine
-    rep_v = validate_affine(S)
-    if not rep_v.valid:
-        print("error: affine structure invalid:\n%s" % rep_v, file=sys.stderr)
-        return FAIL
-    rep = monodromy_rep(S)
+    rep = monodromy_rep(_checked_affine(doc.affine))
     lines = []
     payload = {"basepoint": str(rep.basepoint), "loops": []}
     for loop, M in zip(rep.loops, rep.images):
@@ -176,7 +181,7 @@ def cmd_moduli(args):
     if doc.affine is None:
         print("error: moduli needs an affine section", file=sys.stderr)
         raise SystemExit(USAGE)
-    dim, rank = lagrangian_moduli(doc.affine)
+    dim, rank = lagrangian_moduli(_checked_affine(doc.affine))
     if (dim, rank) == (0, 0):
         shape = "0"
     elif dim == rank:

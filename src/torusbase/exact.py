@@ -1,12 +1,15 @@
 """Exact linear algebra over Z and Q.
 
 Matrices and vectors come in and go out as numpy arrays of dtype=object
-holding python ints (arbitrary precision) or fractions.Fraction.  Over Z the
-normal forms work on those arrays directly.  Over Q numpy is only the
-boundary type: rref, q_rank, q_kernel, LinearSystem and QuotientSpace run one
-sparse Gauss-Jordan elimination on rows kept as {column: Fraction} dicts,
-which touches only nonzero entries.  Row convention: matrices act on column
-vectors; relation subgroups/subspaces are given by rows.
+holding python ints (arbitrary precision) or fractions.Fraction.  There are
+two eliminations.  snf, a dense Smith form, fixes the Z coordinates of
+PresentedGroup and solves LinearSystem over Z.  Everything else (hnf, kernel,
+the lattice functions, rref, q_rank, q_kernel, LinearSystem over Q,
+QuotientSpace, EchelonBasis) runs one sparse echelon loop, _echelon, on rows
+kept as {column: entry} dicts, touching only nonzero entries: it gives the
+row Hermite normal form over Z and the reduced row echelon form over Q.  Row
+convention: matrices act on column vectors; relation subgroups/subspaces are
+given by rows.
 
 Coordinates.  A basis in echelon form (EchelonBasis: the HNF rows of a
 lattice over Z, the kernel vectors of an RREF over Q) gives the coefficients
@@ -17,6 +20,7 @@ mapped through the Smith transform of PresentedGroup; over Q they are the
 entries at the non-pivot columns after QuotientSpace reduces them.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,17 +89,9 @@ def mat_eq(A, B):
     )
 
 
-def is_zero(A):
-    return all(x == 0 for x in A.flat)
-
-
-def det2(A):
-    return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-
-
 def inv2(A):
     """Inverse of a 2x2 integer matrix of determinant +-1."""
-    d = det2(A)
+    d = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return intmat([[A[1, 1] * d, -A[0, 1] * d], [-A[1, 0] * d, A[0, 0] * d]])
@@ -110,55 +106,18 @@ def hnf(M):
 
     Returns (H, U) with H = U @ M, U unimodular, H in row echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
+    The rows of U past the rank span the left kernel of M.
     """
-    H = M.astype(object).copy()
-    m, n = H.shape
-    U = eye(m)
-    r = 0
-    for c in range(n):
-        # pick the nonzero pivot of least magnitude to limit entry growth
-        piv = None
-        for i in range(r, m):
-            if H[i, c] != 0 and (piv is None or abs(H[i, c]) < abs(H[piv, c])):
-                piv = i
-        if piv is None:
-            continue
-        if piv != r:
-            H[[r, piv]] = H[[piv, r]]
-            U[[r, piv]] = U[[piv, r]]
-        while True:
-            done = True
-            for i in range(r + 1, m):
-                if H[i, c] != 0:
-                    q = H[i, c] // H[r, c]
-                    if q != 0:
-                        H[i] = H[i] - q * H[r]
-                        U[i] = U[i] - q * U[r]
-                    if H[i, c] != 0:
-                        H[[r, i]] = H[[i, r]]
-                        U[[r, i]] = U[[i, r]]
-                        done = False
-            if done:
-                break
-        if H[r, c] < 0:
-            H[r] = -H[r]
-            U[r] = -U[r]
-        for i in range(r):
-            q = H[i, c] // H[r, c]
-            if q != 0:
-                H[i] = H[i] - q * H[r]
-                U[i] = U[i] - q * U[r]
-        r += 1
-        if r == m:
-            break
-    return H, U
+    m, n = M.shape
+    pivot_rows, null_rows = _echelon_with_transform(M, "Z")
+    rows = list(pivot_rows.values()) + null_rows
+    return _dense(rows, (m, n)), _dense(rows, (m, m), first=n)
 
 
 def unimodular_inverse(U):
     """Inverse of a unimodular integer matrix."""
     H, W = hnf(U)
-    n = U.shape[0]
-    if not mat_eq(H, eye(n)):
+    if not mat_eq(H, eye(U.shape[0])):
         raise ValueError("matrix is not unimodular")
     return W
 
@@ -181,9 +140,6 @@ class SmithDecomposition:
     @property
     def rank(self):
         return sum(1 for d in self.diagonal if d != 0)
-
-    def invariant_factors(self):
-        return [d for d in self.diagonal if d > 1]
 
 
 def _min_nonzero(D, t):
@@ -282,16 +238,10 @@ class AbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def group_from_diagonal(diag, free_rank):
-    return AbelianGroup(free_rank=free_rank, invariant_factors=tuple(d for d in diag if d > 1))
-
-
 def cokernel(M):
     """Z^cols modulo the row span of M, in canonical form."""
-    if M.shape[0] == 0:
-        return AbelianGroup(free_rank=M.shape[1])
     dec = snf(M)
-    return group_from_diagonal(dec.diagonal, M.shape[1] - dec.rank)
+    return AbelianGroup(M.shape[1] - dec.rank, tuple(d for d in dec.diagonal if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +254,8 @@ def kernel(M):
     The kernel of an integer matrix is saturated, so the columns generate all
     integer solutions of Mx = 0.
     """
-    m, n = M.shape
     H, U = hnf(M.T)
-    rank = sum(1 for i in range(n) if any(x != 0 for x in H[i]))
+    rank = sum(1 for r in H if any(x != 0 for x in r))
     return U[rank:].T.copy()
 
 
@@ -318,20 +267,12 @@ class LinearSystem:
     def __init__(self, M):
         self.M = M
         self._rational = any(isinstance(x, Fraction) for x in M.flat)
-        if self._rational:
-            self._init_rational()
-        else:
+        if not self._rational:
             self.dec = snf(M)
             self.rank = self.dec.rank
-            self._Vcols = self.dec.V
-
-    def _init_rational(self):
-        # eliminate [M | I]: the identity columns record the row transform E
-        m, n = self.M.shape
-        rows = _sparse_rows(self.M)
-        for i, row in enumerate(rows):
-            row[n + i] = _ONE
-        self._rows, null = _gauss_jordan(rows, n)
+            return
+        m, n = M.shape
+        self._rows, null = _echelon_with_transform(M, "Q")
         self.rank = len(self._rows)
         # E by columns, its rows numbered pivot rows first, then the rows
         # whose M part vanished (they span the left kernel of M)
@@ -364,7 +305,7 @@ class LinearSystem:
                 y[i] = Fraction(c[i], d)
         if any(c[i] != 0 for i in range(min(m, n), m)):
             return None
-        return self._Vcols.dot(y)
+        return self.dec.V.dot(y)
 
     def _solve_rational(self, b):
         """The solution with free variables 0: x[pivot r] = (E b)[r]."""
@@ -389,7 +330,7 @@ class LinearSystem:
         if self._rational:
             n = self.M.shape[1]
             return EchelonBasis(n, _kernel_rows(self._rows, n), "Q").matrix()
-        return self._Vcols[:, self.rank:].copy()
+        return self.dec.V[:, self.rank:].copy()
 
 
 def solve(M, b, ring="Z"):
@@ -400,40 +341,71 @@ def solve(M, b, ring="Z"):
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination on sparse rows
+# Echelon elimination on sparse rows
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _sparse_rows(M):
-    """The rows of M as {column: Fraction} dicts of their nonzero entries."""
-    return [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in M.tolist()]
+def _sparse_rows(M, ring):
+    """The rows of M as {column: nonzero entry} dicts, ints over Z, Fractions over Q."""
+    conv = int if ring == "Z" else Fraction
+    return [{j: conv(x) for j, x in enumerate(row) if x != 0} for row in M.tolist()]
 
 
-def _axpy(row, f, other, skip):
-    """row += f * other in place, leaving out column skip; f != 0."""
+def _dense(rows, shape, ring="Z", first=0):
+    """The sparse rows, columns from first on, as an object matrix of the given shape."""
+    A = zeros(*shape, ring)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            if first <= c < first + shape[1]:
+                A[r, c - first] = v
+    return A
+
+
+def _axpy(row, f, other):
+    """row += f * other in place, dropping the entries that cancel."""
     for c, v in other.items():
-        if c != skip:
-            x = row.get(c, 0) + f * v
-            if x != 0:
-                row[c] = x
-            else:
-                del row[c]
+        x = row.get(c, 0) + f * v
+        if x != 0:
+            row[c] = x
+        else:
+            row.pop(c, None)  # absent when f is 0
 
 
-def _gauss_jordan(rows, width):
-    """Gauss-Jordan elimination over Q on sparse rows.
+def _reduce(row, p, piv, ring):
+    """Take the multiple t of the pivot row piv (pivot at column p) out of row
+    that clears row[p] over Q and leaves it in [0, piv[p]) over Z; return t."""
+    t = row.get(p, 0)
+    t = t // piv[p] if ring == "Z" else t
+    if t:
+        _axpy(row, -t, piv)
+    return t
 
-    rows are {column: Fraction} dicts without zeros.  Only columns below
-    width can hold a pivot; columns from width on ride along (LinearSystem
-    keeps its row transform there).  Rows are inserted sparsest first.  Each
-    is reduced by the pivot rows found so far; its leftmost column below
-    width becomes a new pivot, which is then cleared from the earlier pivot
-    rows.  A pivot row stays monic, has no entry left of its pivot and is
-    zero at every other pivot, so the pivot rows taken in column order are
-    the reduced row echelon form.  That form is unique, so the result does
-    not depend on the insertion order.
+
+def _xgcd(f, d):
+    """(g, a, b) with a * f + b * d = g = gcd(f, d) > 0, for d != 0."""
+    if f % d == 0:
+        return abs(d), 0, 1 if d > 0 else -1
+    g, a, b = _xgcd(d, f % d)
+    return g, b, a - f // d * b
+
+
+def _echelon(rows, width, ring):
+    """Row echelon elimination on sparse rows, over Z or Q.
+
+    rows are {column: entry} dicts without zeros.  Only columns below width
+    can hold a pivot; columns from width on ride along (hnf and LinearSystem
+    keep their row transform there).  Rows are inserted sparsest first and
+    reduced left to right.  A row takes its first column without a pivot row
+    as its pivot (scaled to 1 over Q, made positive over Z); its entries at
+    later pivots are cleared (Q) or reduced into [0, pivot) (Z), and so is
+    its pivot in the pivot rows already there.  Over Z an entry f before it
+    that the pivot d there does not divide meets that pivot row in the
+    extended-gcd step (row, pivot) -> (a row + b pivot, d/g row - f/g pivot),
+    of determinant -1, with a f + b d = g = gcd(f, d); as that step and the
+    reductions can leave entries out of range, a last pass reduces them
+    again, pivots left to right.  The result, the reduced row echelon form
+    over Q and the row Hermite normal form over Z, is unique.
 
     Returns (pivot_rows, null_rows): pivot_rows maps each pivot column to
     its row, in column order; null_rows are the reduced rows with no entry
@@ -443,21 +415,58 @@ def _gauss_jordan(rows, width):
     null_rows = []
     for row in sorted(rows, key=len):
         row = dict(row)
-        for p in [c for c in row if c in pivot_rows]:
-            _axpy(row, -row.pop(p), pivot_rows[p], p)
-        p = min((c for c in row if c < width), default=None)
-        if p is None:
+        todo = [c for c in row if c < width]
+        heapq.heapify(todo)
+        lead = None
+        while todo:
+            p = heapq.heappop(todo)
+            f = row.get(p)
+            if f is None:
+                continue  # cancelled, or a column met twice
+            piv = pivot_rows.get(p)
+            if piv is None:
+                if lead is None:
+                    lead = p
+                    if ring == "Q" and f != 1:
+                        row = {c: v / f for c, v in row.items()}
+                    elif ring == "Z" and f < 0:
+                        row = {c: -v for c, v in row.items()}
+                continue
+            d = piv[p]
+            if lead is None and ring == "Z" and f % d:
+                g, a, b = _xgcd(f, d)
+                pivot_rows[p] = {c: a * v for c, v in row.items()}
+                _axpy(pivot_rows[p], b, piv)
+                row = {c: d // g * v for c, v in row.items()}
+                _axpy(row, -(f // g), piv)
+            elif not _reduce(row, p, piv, ring):
+                continue  # already in range
+            for c in piv:
+                if p < c < width:
+                    heapq.heappush(todo, c)
+        if lead is None:
             null_rows.append(row)
             continue
-        f = row[p]
-        if f != 1:
-            row = {c: v / f for c, v in row.items()}
         for other in pivot_rows.values():
-            g = other.pop(p, None)
-            if g is not None:
-                _axpy(other, -g, row, p)
-        pivot_rows[p] = row
-    return dict(sorted(pivot_rows.items())), null_rows
+            if lead in other:
+                _reduce(other, lead, row, ring)
+        pivot_rows[lead] = row
+    order = sorted(pivot_rows)
+    if ring == "Z":
+        for i, p in enumerate(order):
+            for other in (pivot_rows[o] for o in order[:i]):
+                if p in other:
+                    _reduce(other, p, pivot_rows[p], ring)
+    return {p: pivot_rows[p] for p in order}, null_rows
+
+
+def _echelon_with_transform(M, ring):
+    """_echelon of [M | I]: the identity columns record the row transform."""
+    n = M.shape[1]
+    rows = _sparse_rows(M, ring)
+    for i, row in enumerate(rows):
+        row[n + i] = 1 if ring == "Z" else _ONE
+    return _echelon(rows, n, ring)
 
 
 def _kernel_rows(pivot_rows, n):
@@ -482,7 +491,7 @@ def _substitute(x, pivot_rows):
     """
     coef = {}
     for p, row in pivot_rows.items():
-        f = x.pop(p, None)
+        f = x.get(p)
         if f is None:
             continue
         d = row[p]
@@ -490,7 +499,7 @@ def _substitute(x, pivot_rows):
             f, r = divmod(f, d)
             if r:
                 return None
-        _axpy(x, -f, row, p)
+        _axpy(x, -f, row)
         coef[p] = f
     return coef
 
@@ -498,16 +507,12 @@ def _substitute(x, pivot_rows):
 def rref(M):
     """Reduced row echelon form over Q. Returns (R, pivot_columns)."""
     m, n = M.shape
-    pivot_rows, _ = _gauss_jordan(_sparse_rows(M), n)
-    R = zeros(m, n, "Q")
-    for r, row in enumerate(pivot_rows.values()):
-        for c, v in row.items():
-            R[r, c] = v
-    return R, list(pivot_rows)
+    pivot_rows, _ = _echelon(_sparse_rows(M, "Q"), n, "Q")
+    return _dense(pivot_rows.values(), (m, n), "Q"), list(pivot_rows)
 
 
 def q_rank(M):
-    return len(_gauss_jordan(_sparse_rows(M), M.shape[1])[0])
+    return len(_echelon(_sparse_rows(M, "Q"), M.shape[1], "Q")[0])
 
 
 def q_kernel(M):
@@ -521,11 +526,9 @@ def q_kernel(M):
 
 def lattice_hnf(rows):
     """Canonical basis (HNF rows, zero rows dropped) of the row lattice."""
-    if rows.shape[0] == 0:
-        return rows.copy()
-    H, _ = hnf(rows)
-    keep = [i for i in range(H.shape[0]) if any(x != 0 for x in H[i])]
-    return H[keep].copy()
+    n = rows.shape[1]
+    pivot_rows, _ = _echelon(_sparse_rows(rows, "Z"), n, "Z")
+    return _dense(pivot_rows.values(), (len(pivot_rows), n))
 
 
 def lattice_eq(A, B):
@@ -533,7 +536,7 @@ def lattice_eq(A, B):
 
 
 def lattice_member(rows, v):
-    return EchelonBasis.lattice(lattice_hnf(rows)).coefficients(v) is not None
+    return EchelonBasis.lattice(rows).coefficients(v) is not None
 
 
 def stack_rows(*mats):
@@ -636,8 +639,8 @@ class QuotientSpace:
 
     def __init__(self, n, relations=None):
         self.n = n
-        rows = _sparse_rows(relations) if relations is not None else []
-        self._rows = _gauss_jordan(rows, n)[0]
+        rows = _sparse_rows(relations, "Q") if relations is not None else []
+        self._rows = _echelon(rows, n, "Q")[0]
         self._free = [j for j in range(n) if j not in self._rows]
 
     @property
@@ -651,7 +654,7 @@ class QuotientSpace:
     def reduce(self, x):
         x = {j: Fraction(v) for j, v in enumerate(x) if v != 0}
         _substitute(x, self._rows)
-        return tuple(x.get(j, _ZERO) for j in self._free)
+        return tuple(x.get(j, Fraction(0)) for j in self._free)
 
     def coordinate_orders(self):
         return (0,) * self.dimension
@@ -686,11 +689,11 @@ class EchelonBasis:
         self._rows = pivot_rows
 
     @classmethod
-    def lattice(cls, H):
-        """The nonzero rows of H, a matrix in row Hermite normal form, each
-        under its leading column."""
-        rows = [{j: x for j, x in enumerate(r) if x != 0} for r in H.tolist()]
-        return cls(H.shape[1], {min(r): r for r in rows if r}, "Z")
+    def lattice(cls, M):
+        """The lattice spanned by the rows of M: its row Hermite normal form,
+        each row under its leading column."""
+        n = M.shape[1]
+        return cls(n, _echelon(_sparse_rows(M, "Z"), n, "Z")[0], "Z")
 
     @classmethod
     def kernel(cls, M):
@@ -698,17 +701,13 @@ class EchelonBasis:
         echelon form, the vector that is 1 there and 0 at every other free
         column, under that column."""
         n = M.shape[1]
-        return cls(n, _kernel_rows(_gauss_jordan(_sparse_rows(M), n)[0], n), "Q")
+        return cls(n, _kernel_rows(_echelon(_sparse_rows(M, "Q"), n, "Q")[0], n), "Q")
 
     def __len__(self):
         return len(self._rows)
 
     def matrix(self):
-        B = zeros(self.n, len(self._rows), self.ring)
-        for i, row in enumerate(self._rows.values()):
-            for c, v in row.items():
-                B[c, i] = v
-        return B
+        return _dense(self._rows.values(), (len(self._rows), self.n), self.ring).T
 
     def coefficients(self, x):
         """The coefficient vector of x, or None when x is not in the span

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import fracmat, q_rank, rref
+from .exact import eye, fracmat, intmat, lattice_eq, q_rank, rref
 
 
 class PolytopeError(ValueError):
@@ -118,27 +118,34 @@ def _has_recession_ray(P):
     return False
 
 
-def edge_directions(P, v):
-    """Primitive directions of the polytope edges leaving vertex v."""
-    n = P.dimension
-    dirs = []
-    verts = vertices(P)
-    for w in verts:
+def _edges(P, v):
+    """The edges leaving vertex v, as (w - v, its primitive direction) for
+    each vertex w that shares an edge with v."""
+    for w in vertices(P):
         if w.point == v.point:
             continue
         shared = set(v.facets) & set(w.facets)
         rows = [P.halfspaces[i][0] for i in shared]
-        if rows and q_rank(fracmat(rows)) == n - 1:
+        if rows and q_rank(fracmat(rows)) == P.dimension - 1:
             d = [wi - vi for wi, vi in zip(w.point, v.point)]
             den = 1
             for x in d:
                 den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-            dirs.append(primitive([Fraction(x) * den for x in d]))
+            yield d, primitive([Fraction(x) * den for x in d])
+
+
+def edge_directions(P, v):
+    """Primitive directions of the polytope edges leaving vertex v."""
     seen = []
-    for d in dirs:
+    for _, d in _edges(P, v):
         if d not in seen:
             seen.append(d)
     return seen
+
+
+def _unimodular_corner(dirs, n):
+    """n edge directions that span Z^n (a Z^n basis)."""
+    return len(dirs) == n and lattice_eq(intmat(dirs), eye(n))
 
 
 @dataclass
@@ -156,46 +163,22 @@ class DelzantReport:
         )
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
 def delzant_check(P):
     """Each vertex must have exactly n edges forming a Z^n basis."""
     n = P.dimension
     for v in vertices(P):
         dirs = edge_directions(P, v)
-        if len(dirs) != n or abs(_det([list(d) for d in dirs])) != 1:
+        if not _unimodular_corner(dirs, n):
             return DelzantReport(ok=False, failing_vertex=v.point, failing_directions=tuple(dirs))
     return DelzantReport(ok=True)
 
 
 def _edge_parameter_bound(P, v):
     """Largest cut size along each edge before reaching the far vertex."""
-    bounds = []
-    for w in vertices(P):
-        if w.point == v.point:
-            continue
-        shared = set(v.facets) & set(w.facets)
-        rows = [P.halfspaces[i][0] for i in shared]
-        if rows and q_rank(fracmat(rows)) == P.dimension - 1:
-            d = [wi - vi for wi, vi in zip(w.point, v.point)]
-            den = 1
-            for x in d:
-                den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-            prim = primitive([Fraction(x) * den for x in d])
-            # lattice length of the edge in primitive units
-            ratios = [Fraction(di) / pi for di, pi in zip(d, prim) if pi != 0]
-            bounds.append(ratios[0])
+    # lattice length of each edge in primitive units
+    bounds = [
+        next(Fraction(di) / pi for di, pi in zip(d, prim) if pi != 0) for d, prim in _edges(P, v)
+    ]
     return min(bounds) if bounds else None
 
 
@@ -217,7 +200,7 @@ def vertex_blowup(P, v, eps):
             raise PolytopeError("not a vertex")
     dirs = edge_directions(P, vv)
     n = P.dimension
-    if len(dirs) != n or abs(_det([list(d) for d in dirs])) != 1:
+    if not _unimodular_corner(dirs, n):
         raise PolytopeError("vertex is not Delzant")
     if len(vv.facets) != n:
         raise PolytopeError("vertex is not simple")

@@ -322,9 +322,6 @@ class CohomologyResult:
             gens.append(self._basis.dot(g))
         return gens
 
-    def is_zero_class(self, cocycle):
-        return all(c == 0 for c in self.coordinates(cocycle))
-
 
 def cohomology(F, k):
     """H^k(base, F) with representative cocycles.
@@ -423,10 +420,6 @@ class SheafMap:
             M[i:i + B.shape[0], j:j + B.shape[1]] = M[i:i + B.shape[0], j:j + B.shape[1]] + B
         return M
 
-    def apply_class(self, cls):
-        M = self.cochain_matrix(cls.degree)
-        return CohomologyClass(self.target, cls.degree, M.dot(cls.cocycle))
-
 
 @dataclass
 class ShortExactSequence:
@@ -522,9 +515,6 @@ class InducedMap:
     source: CohomologyResult
     target: CohomologyResult
     matrix: np.ndarray  # presentation coords of target per source generator
-
-    def apply_coords(self, pres_coords):
-        return self.matrix.dot(pres_coords)
 
     def image_rows(self):
         """Rows spanning image + target relations in the target presentation."""

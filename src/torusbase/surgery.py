@@ -15,8 +15,8 @@ import numpy as np
 
 from .affine import (
     AffineSurface,
+    _lagrangian_moduli,
     build_R_sheaf,
-    lagrangian_moduli,
     monodromy_rep,
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
@@ -27,7 +27,6 @@ from .sheaves import (
     constant_sheaf,
     restrict_sheaf,
     restriction_on_cohomology,
-    subcomplex,
 )
 
 
@@ -342,7 +341,7 @@ def realizability_report_2d(S):
         R = build_R_sheaf(S)
         details = {
             "H2(O, R)": str(cohomology(R, 2).group),
-            "moduli (dim, lattice rank)": lagrangian_moduli(S),
+            "moduli (dim, lattice rank)": _lagrangian_moduli(S, R),
             "focus_focus_points": S.focus_focus_count(),
         }
         if S.base.is_connected():

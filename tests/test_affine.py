@@ -317,3 +317,31 @@ def test_dhat_degree1_zero_translations():
     for g in h1.generator_cocycles():
         _, coords = dhat(S, CohomologyClass(R, 1, g), ses)
         assert all(c == 0 for c in coords)
+
+
+def test_unipotent_power_against_smith_form():
+    # k of W = P [[1, k], [0, 1]] P^-1 is the first Smith invariant of W - I
+    from math import gcd
+
+    from torusbase.affine import fixed_covector
+    from torusbase.exact import inv2, snf
+
+    rng = random.Random(29)
+    for _ in range(100):
+        k = rng.randint(-6, 6)
+        P = eye(2)
+        for _ in range(4):
+            s = rng.randint(-3, 3)
+            P = P.dot(intmat([[1, s], [0, 1]] if rng.random() < 0.5 else [[1, 0], [s, 1]]))
+        W = P.dot(intmat([[1, k], [0, 1]])).dot(inv2(P))
+        assert unipotent_power(W) == snf(W - eye(2)).diagonal[0] == abs(k)
+        xi = fixed_covector(W)
+        if k == 0:
+            assert xi is None
+            continue
+        # primitive, fixed by the dual action, first nonzero entry positive
+        assert all(a == b for a, b in zip(W.T.dot(xi), xi))
+        assert next(x for x in xi if x != 0) > 0
+        assert gcd(int(xi[0]), int(xi[1])) == 1
+    assert unipotent_power(intmat([[2, 1], [1, 1]])) is None
+    assert unipotent_power(intmat([[-1, 1], [0, -1]])) is None

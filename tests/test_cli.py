@@ -300,3 +300,24 @@ def test_missing_or_unknown_format_is_usage(tmp_path, capsys, raw):
 def test_export_carries_the_format(torus_file):
     with open(torus_file, encoding="utf-8") as fh:
         assert json.load(fh)["format"] == "torusbase/1"
+
+
+def _non_unimodular_torus(tmp_path):
+    """flat_torus exported with one transition's linear part set to diag(2, 1)."""
+    raw = serialize.encode_document(complex=flat_torus_surface().base, affine=flat_torus_surface())
+    raw["affine"]["transitions"][0][3] = [["2", "0"], ["0", "1"]]
+    path = tmp_path / "non_unimodular.json"
+    path.write_text(serialize.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["moduli"], ["cohomology", "--sheaf", "R", "--degree", "1"], ["monodromy"]],
+)
+def test_invalid_affine_structure_exits_one(tmp_path, capsys, argv):
+    path = _non_unimodular_torus(tmp_path)
+    assert main(argv[:1] + [path] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "not unimodular" in err

@@ -26,6 +26,7 @@ from torusbase.exact import (
     rref,
     snf,
     solve,
+    stack_rows,
     unimodular_inverse,
 )
 
@@ -269,3 +270,108 @@ def test_linear_system_reuse():
         x = sys.solve(intvec(b))
         assert x is not None
         assert list(M.dot(x)) == b
+
+
+# ---------------------------------------------------------------------------
+# The sparse echelon loop over Z, through hnf, kernel and lattice_hnf.  The
+# rank and the saturation of the kernel are checked against snf, which shares
+# no code with the loop.
+
+
+def random_sparse_int(rng, m, n):
+    """An m x n integer matrix, mostly zeros, often with a zero row, a zero
+    column, a duplicate row or a row that is a combination of two others."""
+    density = rng.choice([0.1, 0.3, 0.6])
+    rows = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    if m and n:
+        kind = rng.randrange(5)
+        i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+        if kind == 0:
+            rows[i] = [0] * n
+        elif kind == 1:
+            col = rng.randrange(n)
+            for r in rows:
+                r[col] = 0
+        elif kind == 2:
+            rows[i] = list(rows[j])
+        elif kind == 3:
+            rows[i] = [2 * a - 3 * b for a, b in zip(rows[j], rows[k])]
+    M = np.empty((m, n), dtype=object)
+    for a in range(m):
+        for b in range(n):
+            M[a, b] = rows[a][b]
+    return M
+
+
+def sparse_cases():
+    rng = random.Random(31)
+    cases = [np.empty((0, 4), dtype=object), np.empty((3, 0), dtype=object), np.empty((0, 0), dtype=object)]
+    cases += [random_sparse_int(rng, rng.randint(0, 9), rng.randint(0, 9)) for _ in range(400)]
+    return cases
+
+
+def assert_row_hnf(H):
+    last = -1
+    for i in range(H.shape[0]):
+        nz = [j for j in range(H.shape[1]) if H[i, j] != 0]
+        if not nz:
+            assert all(not any(x != 0 for x in H[k]) for k in range(i, H.shape[0]))
+            return
+        p = nz[0]
+        assert p > last
+        last = p
+        assert H[i, p] > 0
+        for k in range(i):
+            assert 0 <= H[k, p] < H[i, p]
+
+
+def test_hnf_sparse_invariants_and_smith_rank():
+    for M in sparse_cases():
+        m, n = M.shape
+        H, U = hnf(M)
+        assert H.shape == (m, n) and U.shape == (m, m)
+        assert mat_eq(H, U.dot(M))
+        if m:
+            assert det(U) in (1, -1)
+        assert_row_hnf(H)
+        rank = sum(1 for i in range(m) if any(x != 0 for x in H[i]))
+        assert rank == snf(M).rank
+        L = lattice_hnf(M)
+        assert mat_eq(L, H[:rank])
+        # the HNF is unique: permuting and doubling rows gives the same one
+        perm = list(range(m))
+        random.Random(m * 17 + n).shuffle(perm)
+        if m:
+            assert mat_eq(lattice_hnf(stack_rows(M[perm], M)), L)
+
+
+def test_kernel_sparse_is_saturated():
+    for M in sparse_cases():
+        m, n = M.shape
+        K = kernel(M)
+        rank = snf(M).rank
+        assert K.shape == (n, n - rank)
+        if m and K.shape[1]:
+            assert all(x == 0 for x in M.dot(K).flat)
+        # saturated: Z^n / (column span of K) is torsion-free
+        assert all(d == 1 for d in snf(K).diagonal)
+
+
+def test_lattice_member_sparse():
+    rng = random.Random(37)
+    for M in sparse_cases()[:150]:
+        m, n = M.shape
+        if not m or not n:
+            continue
+        x = intvec([rng.randint(-3, 3) for _ in range(m)])
+        v = x.dot(M)
+        assert lattice_member(M, v)
+        e = intvec([rng.randint(-1, 1) for _ in range(n)])
+        assert lattice_member(M, e) == (solve(M.T, e, "Z") is not None)
+
+
+def test_unimodular_inverse_rejects_determinant_two():
+    with pytest.raises(ValueError):
+        unimodular_inverse(intmat([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        unimodular_inverse(intmat([[1, 1], [1, -1]]))

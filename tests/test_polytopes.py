@@ -147,3 +147,17 @@ def test_delzant_unimodular_invariance():
             hs.append((a2, b2))
         Q = LatticePolytope(2, hs)
         assert delzant_check(Q).ok == delzant_check(P).ok
+
+
+def test_delzant_fail_index_two_corner():
+    # triangle (0,0), (2,0), (2,4): the simple corner at the origin has edge
+    # directions (1,0) and (1,2), which span an index-2 sublattice of Z^2
+    P = LatticePolytope(2, [((0, -1), 0), ((-2, 1), 0), ((1, 0), 2)])
+    rep = delzant_check(P)
+    assert not rep.ok
+    assert rep.failing_vertex == (Fraction(0), Fraction(0))
+    assert set(rep.failing_directions) == {(1, 0), (1, 2)}
+    with pytest.raises(PolytopeError):
+        vertex_blowup(P, (Fraction(0), Fraction(0)), Fraction(1, 4))
+    Q = LatticePolytope(2, [((0, -1), 0), ((-1, 1), 0), ((1, 0), 2)])
+    assert delzant_check(Q).ok

@@ -266,3 +266,19 @@ def test_non_invertible_stalk_iso_is_a_surgery_error():
         glue(bad)
     with pytest.raises(SurgeryError):
         gluing_obstruction(bad, fb["class_minus"], fb["class_plus"])
+
+
+def test_realizability_report_builds_the_monodromy_sheaf_once(monkeypatch):
+    from torusbase import affine, surgery
+
+    calls = []
+
+    def counting(S):
+        calls.append(S)
+        return build_R_sheaf(S)
+
+    monkeypatch.setattr(affine, "build_R_sheaf", counting)
+    monkeypatch.setattr(surgery, "build_R_sheaf", counting)
+    rep = realizability_report_2d(flat_torus_surface())
+    assert rep.details["moduli (dim, lattice rank)"] == (1, 1)
+    assert len(calls) == 1
