@@ -6,6 +6,7 @@ focus-focus points, their monodromy sheaves, realizability obstructions,
 Delzant polytope surgeries, and base-level gluing.
 """
 
+from .errors import TorusbaseError
 from .exact import AbelianGroup, SmithDecomposition, cokernel, hnf, snf, solve
 from .complexes import (
     CellComplex,

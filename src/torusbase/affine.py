@@ -14,6 +14,7 @@ from math import gcd
 import numpy as np
 
 from .complexes import boundary_traversal, dual_loops, vertex_star_cycle
+from .errors import TorusbaseError
 from .exact import (
     PresentedGroup,
     eye,
@@ -40,7 +41,7 @@ from .sheaves import (
 )
 
 
-class AffineError(ValueError):
+class AffineError(TorusbaseError):
     pass
 
 

@@ -24,6 +24,7 @@ from .complexes import (
     product,
     quotient_by_free_involution,
 )
+from .errors import TorusbaseError
 from .exact import eye, fracvec, intmat, zeros
 from .sheaves import (
     CellularSheaf,
@@ -35,7 +36,7 @@ from .sheaves import (
 )
 
 
-class CatalogError(ValueError):
+class CatalogError(TorusbaseError):
     pass
 
 

@@ -2,7 +2,8 @@
 
 Verbs: check, cohomology, monodromy, delzant, glue, moduli, catalog.
 Exit codes: 0 success, 1 validation or obstruction failure, 2 usage or
-parse errors.
+parse errors.  A library error that reaches main prints one error line: a
+DocumentError exits 2, any other TorusbaseError exits 1.
 """
 
 import argparse
@@ -11,7 +12,6 @@ import sys
 
 from . import serialize
 from .affine import (
-    AffineError,
     build_R_sheaf,
     lagrangian_moduli,
     monodromy_rep,
@@ -19,10 +19,10 @@ from .affine import (
     validate_affine,
 )
 from .catalog import CatalogError, build, catalog_names, verify
-from .complexes import ComplexError, validate
+from .complexes import validate
+from .errors import TorusbaseError
 from .polytopes import PolytopeError, delzant_check
-from .sheaves import SheafError, cohomology, constant_sheaf, validate_sheaf
-from .surgery import SurgeryError
+from .sheaves import cohomology, constant_sheaf, validate_sheaf
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -34,19 +34,16 @@ def _emit(args, payload, human):
         print(human)
 
 
-def _load(args):
+def _load(path):
     try:
-        return serialize.load_path(args.file)
+        return serialize.load_path(path)
     except FileNotFoundError:
-        print("error: no such file: %s" % args.file, file=sys.stderr)
-        raise SystemExit(USAGE)
-    except serialize.DocumentError as err:
-        print("error: %s" % err, file=sys.stderr)
+        print("error: no such file: %s" % path, file=sys.stderr)
         raise SystemExit(USAGE)
 
 
 def cmd_check(args):
-    doc = _load(args)
+    doc = _load(args.file)
     problems = []
     checked = []
     if doc.complex is not None:
@@ -117,7 +114,7 @@ def _named_sheaf(args, doc):
 
 
 def cmd_cohomology(args):
-    doc = _load(args)
+    doc = _load(args.file)
     F = _named_sheaf(args, doc)
     res = cohomology(F, args.degree)
     payload = {"degree": args.degree, "group": str(res.group)}
@@ -138,7 +135,7 @@ def cmd_cohomology(args):
 
 
 def cmd_monodromy(args):
-    doc = _load(args)
+    doc = _load(args.file)
     if doc.affine is None:
         print("error: monodromy needs an affine section", file=sys.stderr)
         raise SystemExit(USAGE)
@@ -163,7 +160,7 @@ def cmd_monodromy(args):
 
 
 def cmd_delzant(args):
-    doc = _load(args)
+    doc = _load(args.file)
     if doc.polytope is None:
         print("error: delzant needs a polytope section", file=sys.stderr)
         raise SystemExit(USAGE)
@@ -177,7 +174,7 @@ def cmd_delzant(args):
 
 
 def cmd_moduli(args):
-    doc = _load(args)
+    doc = _load(args.file)
     if doc.affine is None:
         print("error: moduli needs an affine section", file=sys.stderr)
         raise SystemExit(USAGE)
@@ -194,15 +191,11 @@ def cmd_moduli(args):
 
 
 def cmd_glue(args):
-    doc = _load(args)
+    doc = _load(args.file)
     if doc.complex is None or doc.sheaf is None:
         print("error: glue needs complex and sheaf sections in both files", file=sys.stderr)
         raise SystemExit(USAGE)
-    try:
-        other = serialize.load_path(args.other)
-    except serialize.DocumentError as err:
-        print("error: %s" % err, file=sys.stderr)
-        raise SystemExit(USAGE)
+    other = _load(args.other)
     if other.complex is None or other.sheaf is None:
         print("error: glue needs complex and sheaf sections in both files", file=sys.stderr)
         raise SystemExit(USAGE)
@@ -224,11 +217,7 @@ def cmd_glue(args):
         cell_map={c: c for c in shared},
         stalk_isos=isos,
     )
-    try:
-        Z, F, _ = glue(spec)
-    except SurgeryError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return FAIL
+    Z, F, _ = glue(spec)
     rep = validate(Z)
     payload = {
         "cells": {str(k): len(Z.cells_of_dim(k)) for k in range(Z.dimension + 1)},
@@ -358,9 +347,9 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else USAGE
-    except (AffineError, CatalogError, ComplexError, PolytopeError, SheafError, SurgeryError) as err:
+    except TorusbaseError as err:
         print("error: %s" % err, file=sys.stderr)
-        return FAIL
+        return USAGE if isinstance(err, serialize.DocumentError) else FAIL
 
 
 if __name__ == "__main__":

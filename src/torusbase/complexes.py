@@ -8,10 +8,11 @@ computation elsewhere relies on that ordering.
 
 from dataclasses import dataclass, field
 
+from .errors import TorusbaseError
 from .exact import AbelianGroup, PresentedGroup, intmat, zeros
 
 
-class ComplexError(ValueError):
+class ComplexError(TorusbaseError):
     pass
 
 
@@ -748,35 +749,37 @@ def boundary_traversal(X, base_face, record_tree=False):
         elif kind in ("cotree", "boundary"):
             emissions.append((e, f, g))
 
-    def walk(face, enter_edge):
-        word = list(X.boundary_words[face])
+    def edges_after(face, enter_edge):
+        """face's boundary edges in walking order: all of them from the
+        start of the word, or those after enter_edge, back round to it."""
+        word = X.boundary_words[face]
         n = len(word)
         if enter_edge is None:
-            start = 0
+            start, count = 0, n
         else:
-            start = next(i for i, (e, _) in enumerate(word) if e == enter_edge)
-            start += 1
-        for k in range(n if enter_edge is None else n - 1):
-            e, _ = word[(start + k) % n]
+            start = next(i for i, (e, _) in enumerate(word) if e == enter_edge) + 1
+            count = n - 1
+        return (word[(start + k) % n][0] for k in range(count))
+
+    # a depth-first walk of the dual tree: each frame is a face, the tree
+    # edge it was entered by and the rest of its boundary
+    stack = [(base_face, None, edges_after(base_face, None))]
+    while stack:
+        face, enter_edge, edges = stack[-1]
+        for e in edges:
             cofs = [g for g, _ in X.cofaces_of(e)]
             if len(cofs) == 1:
                 emit(e, face, None, "boundary")
-            elif e in tree_edges:
+                continue
+            g = next(h for h in cofs if h != face)
+            if e in tree_edges:
                 # a tree edge met mid-walk always leads to an unvisited child
-                g = next(h for h in cofs if h != face)
                 emit(e, face, g, "tree")
-                walk(g, e)
-                emit(e, g, face, "tree")
-            else:
-                g = next(h for h in cofs if h != face)
-                emit(e, face, g, "cotree")
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(X.cells) + 100))
-    try:
-        walk(base_face, None)
-    finally:
-        sys.setrecursionlimit(old)
+                stack.append((g, e, edges_after(g, e)))
+                break
+            emit(e, face, g, "cotree")
+        else:
+            stack.pop()
+            if enter_edge is not None:
+                emit(enter_edge, face, stack[-1][0], "tree")
     return emissions

@@ -2,14 +2,16 @@
 
 Matrices and vectors come in and go out as numpy arrays of dtype=object
 holding python ints (arbitrary precision) or fractions.Fraction.  There are
-two eliminations.  snf, a dense Smith form, fixes the Z coordinates of
-PresentedGroup and solves LinearSystem over Z.  Everything else (hnf, kernel,
-the lattice functions, rref, q_rank, q_kernel, LinearSystem over Q,
-QuotientSpace, EchelonBasis) runs one sparse echelon loop, _echelon, on rows
-kept as {column: entry} dicts, touching only nonzero entries: it gives the
-row Hermite normal form over Z and the reduced row echelon form over Q.  Row
-convention: matrices act on column vectors; relation subgroups/subspaces are
-given by rows.
+two eliminations, both on sparse rows.  snf, a Smith form loop with a
+written pivot rule (see snf), fixes the Z coordinates of PresentedGroup and
+solves LinearSystem over Z; the rule, not the storage, fixes its D, U and V,
+so those coordinates did not move when the loop left dense arrays.
+Everything else (hnf, kernel, the lattice functions, rref, q_rank, q_kernel,
+LinearSystem over Q, QuotientSpace, EchelonBasis) runs one sparse echelon
+loop, _echelon, on rows kept as {column: entry} dicts, touching only nonzero
+entries: it gives the row Hermite normal form over Z and the reduced row
+echelon form over Q.  Row convention: matrices act on column vectors;
+relation subgroups/subspaces are given by rows.
 
 Coordinates.  A basis in echelon form (EchelonBasis: the HNF rows of a
 lattice over Z, the kernel vectors of an RREF over Q) gives the coefficients
@@ -142,68 +144,112 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _min_nonzero(D, t):
-    best = None
-    m, n = D.shape
-    for i in range(t, m):
-        for j in range(t, n):
-            if D[i, j] != 0 and (best is None or abs(D[i, j]) < abs(D[best[0], best[1]])):
-                best = (i, j)
-    return best
-
-
 def snf(M):
-    """Smith normal form with transformation matrices."""
-    D = M.astype(object).copy()
-    m, n = D.shape
-    U, V = eye(m), eye(n)
+    """Smith normal form with transformation matrices.
+
+    Step t moves to (t, t) the nonzero entry of least absolute value in the
+    rows and columns from t on, the first in row-major order.  It clears
+    column t below that pivot and then row t to its right by floor
+    quotients, and starts the step again while a remainder is left.  Then,
+    unless the pivot is +-1, the first later row holding an entry the pivot
+    does not divide is added to row t and the step starts again.  Last, the
+    pivot is made positive.  This rule fixes D, U and V, and with them the
+    Z coordinates of PresentedGroup.
+
+    The loop keeps D as sparse rows with an index from each column to the
+    rows that hold it, U as sparse rows and V as sparse columns; the dense
+    matrices are built at the end.
+    """
+    m, n = M.shape
+    D = _sparse_rows(M, "Z")
+    holders = [set() for _ in range(n)]
+    for i, row in enumerate(D):
+        for j in row:
+            holders[j].add(i)
+    U = [{i: 1} for i in range(m)]
+    V = [{j: 1} for j in range(n)]
+
+    def put(i, j, x):
+        if x:
+            D[i][j] = x
+            holders[j].add(i)
+        else:
+            D[i].pop(j, None)
+            holders[j].discard(i)
+
+    def add_row(i, f, k):
+        """D[i] += f * D[k] and U[i] += f * U[k]."""
+        row = D[i]
+        for c, v in D[k].items():
+            put(i, c, row.get(c, 0) + f * v)
+        _axpy(U[i], f, U[k])
+
+    def add_col(j, f, k):
+        """Column j of D += f * column k, and V[j] += f * V[k]."""
+        for r in list(holders[k]):
+            put(r, j, D[r].get(j, 0) + f * D[r][k])
+        _axpy(V[j], f, V[k])
+
+    def swap_rows(a, b):
+        for r in (a, b):
+            for c in D[r]:
+                holders[c].discard(r)
+        D[a], D[b], U[a], U[b] = D[b], D[a], U[b], U[a]
+        for r in (a, b):
+            for c in D[r]:
+                holders[c].add(r)
+
+    def swap_cols(a, b):
+        for r in holders[a] | holders[b]:
+            x, y = D[r].pop(a, None), D[r].pop(b, None)
+            if x is not None:
+                D[r][b] = x
+            if y is not None:
+                D[r][a] = y
+        holders[a], holders[b], V[a], V[b] = holders[b], holders[a], V[b], V[a]
+
+    def pivot(t):
+        # rows from t on hold no entry left of column t
+        best = None
+        for i in range(t, m):
+            if D[i]:
+                size, j = min((abs(v), c) for c, v in D[i].items())
+                if best is None or size < best[0]:
+                    best = (size, i, j)
+                    if size == 1:
+                        break
+        return best
+
     t = 0
     while t < min(m, n):
-        pos = _min_nonzero(D, t)
-        if pos is None:
+        best = pivot(t)
+        if best is None:
             break
-        i, j = pos
+        _, i, j = best
         if i != t:
-            D[[t, i]] = D[[i, t]]
-            U[[t, i]] = U[[i, t]]
+            swap_rows(t, i)
         if j != t:
-            D[:, [t, j]] = D[:, [j, t]]
-            V[:, [t, j]] = V[:, [j, t]]
+            swap_cols(t, j)
+        p = D[t][t]
         dirty = False
-        for i in range(t + 1, m):
-            if D[i, t] != 0:
-                q = D[i, t] // D[t, t]
-                D[i] = D[i] - q * D[t]
-                U[i] = U[i] - q * U[t]
-                if D[i, t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if D[t, j] != 0:
-                q = D[t, j] // D[t, t]
-                D[:, j] = D[:, j] - q * D[:, t]
-                V[:, j] = V[:, j] - q * V[:, t]
-                if D[t, j] != 0:
-                    dirty = True
+        for i in sorted(r for r in holders[t] if r > t):
+            add_row(i, -(D[i][t] // p), t)
+            dirty = dirty or t in D[i]
+        for j in sorted(c for c in D[t] if c > t):
+            add_col(j, -(D[t][j] // p), t)
+            dirty = dirty or j in D[t]
         if dirty:
             continue
-        # divisibility: fold any entry not divisible by the pivot into column t
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if D[i, j] % D[t, t] != 0:
-                    bad = i
-                    break
+        if p not in (1, -1):
+            bad = next((i for i in range(t + 1, m) if any(v % p for v in D[i].values())), None)
             if bad is not None:
-                break
-        if bad is not None:
-            D[t] = D[t] + D[bad]
-            U[t] = U[t] + U[bad]
-            continue
-        if D[t, t] < 0:
-            D[t] = -D[t]
-            U[t] = -U[t]
+                add_row(t, 1, bad)
+                continue
+        if p < 0:
+            D[t] = {c: -v for c, v in D[t].items()}
+            U[t] = {c: -v for c, v in U[t].items()}
         t += 1
-    return SmithDecomposition(D=D, U=U, V=V)
+    return SmithDecomposition(D=_dense(D, (m, n)), U=_dense(U, (m, m)), V=_dense(V, (n, n)).T)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .errors import TorusbaseError
 from .exact import eye, fracmat, intmat, lattice_eq, q_rank, rref
 
 
-class PolytopeError(ValueError):
+class PolytopeError(TorusbaseError):
     pass
 
 

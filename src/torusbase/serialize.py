@@ -13,6 +13,7 @@ import numpy as np
 
 from .affine import AffineSurface, EdgeTransition, SingularityMark
 from .complexes import CellComplex
+from .errors import TorusbaseError
 from .exact import zeros
 from .polytopes import LatticePolytope
 from .sheaves import CellularSheaf, Stalk
@@ -21,7 +22,7 @@ from .sheaves import CellularSheaf, Stalk
 FORMAT = "torusbase/1"
 
 
-class DocumentError(ValueError):
+class DocumentError(TorusbaseError):
     pass
 
 

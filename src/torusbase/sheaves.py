@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import _infer_signs
+from .errors import TorusbaseError
 from .exact import (
     EchelonBasis,
     LinearSystem,
@@ -35,7 +36,7 @@ from .exact import (
 )
 
 
-class SheafError(ValueError):
+class SheafError(TorusbaseError):
     pass
 
 

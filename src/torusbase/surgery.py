@@ -20,6 +20,7 @@ from .affine import (
     monodromy_rep,
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
+from .errors import TorusbaseError
 from .exact import PresentedGroup, stack_rows, unimodular_inverse, zeros, zerovec
 from .sheaves import (
     CellularSheaf,
@@ -30,7 +31,7 @@ from .sheaves import (
 )
 
 
-class SurgeryError(ValueError):
+class SurgeryError(TorusbaseError):
     pass
 
 

@@ -321,3 +321,47 @@ def test_invalid_affine_structure_exits_one(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "not unimodular" in err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        ("torusbase.errors.TorusbaseError", 1),
+        ("torusbase.affine.AffineError", 1),
+        ("torusbase.catalog.CatalogError", 1),
+        ("torusbase.polytopes.PolytopeError", 1),
+        ("torusbase.complexes.NotASurfaceError", 1),
+        ("torusbase.serialize.DocumentError", 2),
+    ],
+)
+def test_any_library_error_is_one_line(torus_file, capsys, monkeypatch, error, code):
+    import importlib
+
+    from torusbase.errors import TorusbaseError
+
+    module, _, name = error.rpartition(".")
+    cls = getattr(importlib.import_module(module), name)
+    assert issubclass(cls, TorusbaseError) and issubclass(cls, ValueError)
+
+    def fail(*args, **kwargs):
+        raise cls("broken on purpose")
+
+    monkeypatch.setattr("torusbase.cli.cohomology", fail)
+    capsys.readouterr()
+    assert main(["cohomology", torus_file, "--sheaf", "Z", "--degree", "1"]) == code
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "broken on purpose" in err
+
+
+def test_glue_missing_second_file_is_usage(tmp_path, capsys):
+    from torusbase.complexes import complex_from_polygons
+    from torusbase.sheaves import constant_sheaf
+
+    X = complex_from_polygons({"f": ["a", "b", "c"]})
+    path = tmp_path / "t.json"
+    path.write_text(serialize.dumps(serialize.encode_document(complex=X, sheaf=constant_sheaf(X, 1))))
+    assert main(["glue", str(path), str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "no such file" in err

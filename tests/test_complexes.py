@@ -310,3 +310,95 @@ def test_boundary_traversal_counts():
     # every co-tree edge is seen twice, tree edges never
     assert all(v == 2 for v in seen.values())
     assert len(seen) == 10
+
+
+def recursive_boundary_traversal(X, base_face, record_tree=False):
+    """boundary_traversal as it was before its walk became iterative, kept as
+    the reference for the order of the emissions."""
+    from torusbase.complexes import _check_surface, _dual_tree
+
+    _check_surface(X)
+    tree, seen = _dual_tree(X, base_face)
+    tree_edges = {e for (_, e) in tree.values()}
+    emissions = []
+
+    def emit(e, f, g, kind):
+        if record_tree:
+            emissions.append((e, f, g, kind))
+        elif kind in ("cotree", "boundary"):
+            emissions.append((e, f, g))
+
+    def walk(face, enter_edge):
+        word = list(X.boundary_words[face])
+        n = len(word)
+        if enter_edge is None:
+            start = 0
+        else:
+            start = next(i for i, (e, _) in enumerate(word) if e == enter_edge)
+            start += 1
+        for k in range(n if enter_edge is None else n - 1):
+            e, _ = word[(start + k) % n]
+            cofs = [g for g, _ in X.cofaces_of(e)]
+            if len(cofs) == 1:
+                emit(e, face, None, "boundary")
+            elif e in tree_edges:
+                g = next(h for h in cofs if h != face)
+                emit(e, face, g, "tree")
+                walk(g, e)
+                emit(e, g, face, "tree")
+            else:
+                g = next(h for h in cofs if h != face)
+                emit(e, face, g, "cotree")
+
+    walk(base_face, None)
+    return emissions
+
+
+def catalog_surfaces():
+    from torusbase.affine import AffineSurface
+    from torusbase.catalog import build, catalog_names
+
+    names = catalog_names() + ["flat_torus:1", "flat_torus:2", "ff_disk:1", "ff_disk:2", "ff_disk:3"]
+    for name in names:
+        if name == "fake_base_space":
+            continue  # three-dimensional pieces
+        payload = build(name).payload
+        if isinstance(payload, AffineSurface):
+            yield name, payload.base
+        elif isinstance(payload, CellComplex) and payload.dimension == 2:
+            yield name, payload
+
+
+def test_boundary_traversal_matches_the_recursive_walk():
+    surfaces = dict(catalog_surfaces())
+    assert {"sphere_24ff", "rp2_12ff", "klein_affine", "ff_disk:3"} <= set(surfaces)
+    for X in surfaces.values():
+        for base in X.cells_of_dim(2):
+            for record_tree in (False, True):
+                want = recursive_boundary_traversal(X, base, record_tree)
+                assert boundary_traversal(X, base, record_tree) == want
+
+
+def test_boundary_traversal_deeper_than_the_recursion_limit(monkeypatch):
+    import sys
+    from collections import Counter
+
+    def refuse(limit):
+        raise AssertionError("boundary_traversal changed the recursion limit")
+
+    limit = sys.getrecursionlimit()
+    X = grid_torus(2 * limit + 10, 3)
+    base = X.cells_of_dim(2)[0]
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    em = boundary_traversal(X, base, record_tree=True)
+    # the dual tree is deeper than the limit a recursive walk would hit
+    seen, depth, deepest = {base}, 0, 0
+    for e, f, g, kind in em:
+        if kind == "tree":
+            depth += -1 if g in seen else 1
+            seen.add(g)
+            deepest = max(deepest, depth)
+    assert deepest > limit
+    assert len(seen) == len(X.cells_of_dim(2))
+    cotree = Counter(e for e, _, _, kind in em if kind == "cotree")
+    assert set(cotree.values()) == {2}

@@ -9,6 +9,7 @@ from torusbase.exact import (
     LinearSystem,
     PresentedGroup,
     QuotientSpace,
+    SmithDecomposition,
     cokernel,
     eye,
     fracmat,
@@ -275,7 +276,7 @@ def test_linear_system_reuse():
 # ---------------------------------------------------------------------------
 # The sparse echelon loop over Z, through hnf, kernel and lattice_hnf.  The
 # rank and the saturation of the kernel are checked against snf, which shares
-# no code with the loop.
+# no elimination step with the loop (only the sparse row helpers).
 
 
 def random_sparse_int(rng, m, n):
@@ -375,3 +376,147 @@ def test_unimodular_inverse_rejects_determinant_two():
         unimodular_inverse(intmat([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         unimodular_inverse(intmat([[1, 1], [1, -1]]))
+
+
+# ---------------------------------------------------------------------------
+# snf runs on sparse rows but must make the moves of the dense loop it
+# replaced, so that D, U and V (and with them every Z coordinate of
+# PresentedGroup) stay the same.  That loop is kept here, verbatim, as the
+# reference.
+
+
+def _min_nonzero(D, t):
+    best = None
+    m, n = D.shape
+    for i in range(t, m):
+        for j in range(t, n):
+            if D[i, j] != 0 and (best is None or abs(D[i, j]) < abs(D[best[0], best[1]])):
+                best = (i, j)
+    return best
+
+
+def reference_snf(M):
+    """Smith normal form with transformation matrices."""
+    D = M.astype(object).copy()
+    m, n = D.shape
+    U, V = eye(m), eye(n)
+    t = 0
+    while t < min(m, n):
+        pos = _min_nonzero(D, t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            D[[t, i]] = D[[i, t]]
+            U[[t, i]] = U[[i, t]]
+        if j != t:
+            D[:, [t, j]] = D[:, [j, t]]
+            V[:, [t, j]] = V[:, [j, t]]
+        dirty = False
+        for i in range(t + 1, m):
+            if D[i, t] != 0:
+                q = D[i, t] // D[t, t]
+                D[i] = D[i] - q * D[t]
+                U[i] = U[i] - q * U[t]
+                if D[i, t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if D[t, j] != 0:
+                q = D[t, j] // D[t, t]
+                D[:, j] = D[:, j] - q * D[:, t]
+                V[:, j] = V[:, j] - q * V[:, t]
+                if D[t, j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility: fold any entry not divisible by the pivot into column t
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if D[i, j] % D[t, t] != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            D[t] = D[t] + D[bad]
+            U[t] = U[t] + U[bad]
+            continue
+        if D[t, t] < 0:
+            D[t] = -D[t]
+            U[t] = -U[t]
+        t += 1
+    return SmithDecomposition(D=D, U=U, V=V)
+
+
+def near_diagonal(rng):
+    """The shape PresentedGroup hands to snf: a permuted diagonal of +-1 with
+    a few 2s, a sprinkling of +-1 off the diagonal, sometimes extra rows or
+    columns."""
+    k = rng.randint(1, 14)
+    m, n = k + rng.randint(0, 2), k + rng.randint(0, 2)
+    rows = [[0] * n for _ in range(m)]
+    cols = rng.sample(range(n), k)
+    for i, j in zip(rng.sample(range(m), k), cols):
+        rows[i][j] = rng.choice([1, -1, 1, 1, 2, -2] if rng.random() < 0.3 else [1, -1])
+    for _ in range(rng.randint(0, k)):
+        rows[rng.randrange(m)][rng.randrange(n)] = rng.choice([1, -1])
+    return intmat(rows)
+
+
+def smith_cases():
+    rng = random.Random(43)
+    cases = [intmat(r) for r in ([[2, 0], [0, 3]], [[4, 0], [0, 6]], [[2, 0, 0], [0, 3, 0], [0, 0, 5]])]
+    cases += [intmat(r) for r in ([[-2, 0], [0, -3]], [[-1]], [[0, -4], [-6, 0]], [[0, 0], [0, 0]])]
+    cases += [np.empty((0, 4), dtype=object), np.empty((3, 0), dtype=object), np.empty((0, 0), dtype=object)]
+    cases += [near_diagonal(rng) for _ in range(150)]
+    # dense small matrices
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(intmat([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]))
+    # zero rows and columns, 0 x n and m x 0
+    cases += [random_sparse_int(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(80)]
+    # negative entries only, so every pivot starts out negative
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(intmat([[-rng.randint(0, 6) for _ in range(n)] for _ in range(m)]))
+    # permuted diagonals whose entries do not divide each other: the fold step
+    for _ in range(30):
+        k = rng.randint(2, 5)
+        rows = [[0] * k for _ in range(k)]
+        for i, j in enumerate(rng.sample(range(k), k)):
+            rows[i][j] = rng.choice([2, 3, 4, 5, 6, 9, 10, -3, -4])
+        cases.append(intmat(rows))
+    return cases
+
+
+def assert_same_entries(A, B):
+    assert A.shape == B.shape
+    assert all(type(a) is int and type(b) is int and a == b for a, b in zip(A.flat, B.flat))
+
+
+def test_snf_makes_the_moves_of_the_dense_loop():
+    cases = smith_cases()
+    assert len(cases) >= 400
+    for M in cases:
+        got, want = snf(M), reference_snf(M)
+        assert_same_entries(got.D, want.D)
+        assert_same_entries(got.U, want.U)
+        assert_same_entries(got.V, want.V)
+
+
+def test_snf_diagonal_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    # the matrices of acceptance criterion 8a, then the seeded set above
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(500):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        cases.append(intmat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]))
+    for M in cases + smith_cases():
+        S = smith_normal_form(Matrix(M.tolist()), domain=ZZ) if M.size else None
+        theirs = [abs(int(S[i, i])) for i in range(min(M.shape))] if S is not None else []
+        assert snf(M).diagonal == theirs
