@@ -9,12 +9,12 @@ convention is fixed here and used everywhere.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .complexes import boundary_traversal, dual_loops, vertex_star_cycle
-from .errors import TorusbaseError
+from .errors import TorusbaseError, ValidationReport
 from .exact import (
     PresentedGroup,
     eye,
@@ -34,7 +34,6 @@ from .sheaves import (
     CohomologyClass,
     SheafMap,
     ShortExactSequence,
-    SheafReport,
     Stalk,
     cohomology,
     validate_sheaf,
@@ -183,7 +182,11 @@ def star_transports(S, v):
 
 def vertex_wheel(S, v):
     """Total affine holonomy around an interior vertex, or None on boundary."""
-    faces, edges, closed, T = star_transports(S, v)
+    return _close_wheel(S, v, *star_transports(S, v))
+
+
+def _close_wheel(S, v, faces, edges, closed, T):
+    """vertex_wheel from the transports of a star walk already made."""
     if not closed:
         return None
     m, other = S.crossing(edges[-1], faces[-1])
@@ -212,11 +215,11 @@ def validate_affine(S):
     bad = []
     rep = validate_complex(S.base)
     if not rep.valid:
-        return SheafReport(["base complex invalid: %s" % rep])
+        return ValidationReport(["base complex invalid: %s" % rep])
     X = S.base
     if X.dimension != 2:
         bad.append("base complex must be 2-dimensional")
-        return SheafReport(bad)
+        return ValidationReport(bad)
     # polygon charts are optional (needed for areas); when present they must
     # cover the face's vertices and agree with the transitions
     for f, ch in S.charts.items():
@@ -228,7 +231,7 @@ def validate_affine(S):
         if missing:
             bad.append("chart of %s misses vertices %s" % (f, sorted(missing, key=str)))
     if bad:
-        return SheafReport(bad)
+        return ValidationReport(bad)
     for e in X.cells_of_dim(1):
         cofs = [g for g, _ in X.cofaces_of(e)]
         if len(cofs) == 2:
@@ -254,7 +257,7 @@ def validate_affine(S):
         elif e in S.transitions:
             bad.append("boundary edge %s carries a transition" % (e,))
     if bad:
-        return SheafReport(bad)
+        return ValidationReport(bad)
     for cell, mark in S.markings.items():
         if mark.kind == "focus_focus" and X.dim(cell) != 0:
             bad.append("focus_focus mark on non-vertex %s" % (cell,))
@@ -270,7 +273,8 @@ def validate_affine(S):
             bad.append("elliptic_vertex mark on non-vertex %s" % (cell,))
     for v in X.cells_of_dim(0):
         mark = S.mark(v)
-        wheel = vertex_wheel(S, v)
+        faces, edges, closed, T = star_transports(S, v)
+        wheel = _close_wheel(S, v, faces, edges, closed, T)
         if wheel is None:
             if mark.kind == "focus_focus":
                 bad.append("focus-focus mark on boundary vertex %s" % (v,))
@@ -283,7 +287,6 @@ def validate_affine(S):
                     % (v, mark.k)
                 )
                 continue
-            faces, _, _, _ = star_transports(S, v)
             if faces[0] in S.charts:
                 pos = fracvec(S.charts[faces[0]][v])
                 img = wheel[0].dot(pos) + wheel[1]
@@ -299,7 +302,7 @@ def validate_affine(S):
         else:
             if not affine_eq(wheel, affine_identity()):
                 bad.append("wheel at %s vertex %s is not the identity" % (mark.kind, v))
-    return SheafReport(bad)
+    return ValidationReport(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +400,6 @@ _STALK_RANKS = {
 }
 
 
-def covector_transport(S, v):
-    """Dual transports along the star fan of v, per star face."""
-    faces, edges, closed, T = star_transports(S, v)
-    duals = [dual_matrix(m[0]) for m in T]
-    return faces, edges, closed, T, duals
-
-
 def _edge_frame_owner(S, e):
     cofs = S.base.cofaces_of(e)
     if len(cofs) == 1:
@@ -424,16 +420,32 @@ def fixed_covector(W):
     return L[0].copy()
 
 
+class _MonodromySheaf(CellularSheaf):
+    """The monodromy sheaf R, with the translation behind each restriction.
+
+    _shifts[(sigma, tau)] is the translation part t of the affine transport
+    whose dual gives the frame of R(sigma <= tau): tr.t for (e, to_face), the
+    star walk's transport for (v, e); absent (zero) for (e, from_face) and
+    boundary edges.  build_I_sheaf twists R by them, so it walks no star.
+    """
+
+    def __init__(self, base, stalks, restrictions, shifts):
+        super().__init__(base, "Z", stalks, restrictions)
+        self._shifts = shifts
+
+
 def build_R_sheaf(S):
     """The sheaf of local fiberwise circle actions, over Z.
 
     Face and edge stalks are Z^2 in chart frames (edges use the frame of the
     transition's from_face); a focus-focus vertex carries the rank-1 lattice
-    of covectors fixed by its local monodromy.
+    of covectors fixed by its local monodromy.  One star walk per vertex
+    gives the vertex restrictions and, at a focus-focus vertex, the wheel.
     """
     X = S.base
     stalks = {}
     restrictions = {}
+    shifts = {}
     for f in X.cells_of_dim(2):
         stalks[f] = Stalk(2)
     for e in X.cells_of_dim(1):
@@ -448,12 +460,12 @@ def build_R_sheaf(S):
             tr = S.transitions[e]
             restrictions[(e, tr.from_face)] = eye(2)
             restrictions[(e, tr.to_face)] = dual_matrix(tr.A)
+            shifts[(e, tr.to_face)] = tr.t
     for v in X.cells_of_dim(0):
-        mark = S.mark(v)
-        faces, edges, closed, T, duals = covector_transport(S, v)
-        if mark.kind == "focus_focus":
-            wheel = vertex_wheel(S, v)
-            xi = fixed_covector(wheel[0])
+        faces, edges, closed, T = star_transports(S, v)
+        if S.mark(v).kind == "focus_focus":
+            wheel = _close_wheel(S, v, faces, edges, closed, T)
+            xi = None if wheel is None else fixed_covector(wheel[0])
             if xi is None:
                 raise AffineError("no fixed covector at focus-focus vertex %s" % (v,))
             stalks[v] = Stalk(1)
@@ -462,82 +474,71 @@ def build_R_sheaf(S):
         else:
             stalks[v] = Stalk(2)
             incl = eye(2)
+        duals = [dual_matrix(m[0]) for m in T]
         star_edges = [e for e, _ in X.cofaces_of(v) if X.dim(e) == 1]
         for e in star_edges:
-            owner = _edge_frame_owner(S, e)
-            idx = faces.index(owner)
+            idx = faces.index(_edge_frame_owner(S, e))
             restrictions[(v, e)] = duals[idx].dot(incl)
-    F = CellularSheaf(X, "Z", stalks, restrictions)
+            shifts[(v, e)] = T[idx][1]
+    F = _MonodromySheaf(X, stalks, restrictions, shifts)
     rep = validate_sheaf(F)
     if not rep.valid:
         raise AffineError("monodromy sheaf invalid: %s" % rep)
     return F
 
 
-def _affine_block(A, t):
-    """Restriction of (constant, covector) data across a transition."""
-    D = dual_matrix(A)
-    M = zeros(3, 3, "Q")
-    M[0, 0] = Fraction(1)
-    for j in range(2):
-        M[0, 1 + j] = -sum(Fraction(t[i]) * Fraction(D[i, j]) for i in range(2))
-    for i in range(2):
-        for j in range(2):
-            M[1 + i, 1 + j] = Fraction(D[i, j])
-    return M
+def _twist(M, t, frac):
+    """(M over Q, [[1, -t^T M], [0, M]] over Q): an R block and its I block.
+
+    frac maps each integer entry of M, and 0 and 1, to its Fraction."""
+    ints = M.tolist()
+    t = [Fraction(s) for s in t]
+    den = lcm(*(s.denominator for s in t))
+    top = [
+        Fraction(-sum(s.numerator * (den // s.denominator) * x for s, x in zip(t, col)), den)
+        for col in zip(*ints)
+    ]
+    rows = [[frac[x] for x in row] for row in ints]
+    return _qmat(rows), _qmat([[frac[1]] + top] + [[frac[0]] + row for row in rows])
+
+
+def _qmat(rows):
+    """Object array of the given rows of Fractions, which it does not copy."""
+    out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    out[:, :] = rows
+    return out
 
 
 def build_I_sheaf(S):
     """Sheaf of local integral affine functions over Q, with its sequence.
 
     Returns (I, ses) where ses is 0 -> Q -> I -> R_Q -> 0, exact stalkwise.
-    The stalk of I is constants plus the rationalized monodromy stalk; the
-    translation parts of the transitions twist the constant component.
+    The stalk of I is constants plus the rationalized monodromy stalk, and
+    every restriction is R twisted by a translation:
+
+        I(sigma <= tau) = [[1, -t^T R(sigma <= tau)], [0, R(sigma <= tau)]]
+
+    where t is the translation of the affine transport that gives the frame
+    of R(sigma <= tau): tr.t for (e, to_face), 0 for (e, from_face) and for
+    boundary edges, and the star walk's transport from the vertex frame to
+    the edge frame for (v, e).
     """
-    return _build_I_sheaf(S, build_R_sheaf(S))
+    return _build_I_sheaf(build_R_sheaf(S))
 
 
-def _build_I_sheaf(S, R):
-    """build_I_sheaf on top of the monodromy sheaf R of S, built already."""
+def _build_I_sheaf(R):
+    """build_I_sheaf on top of the monodromy sheaf R, built already."""
     from .sheaves import constant_sheaf
 
-    X = S.base
-    RQ = CellularSheaf(
-        X,
-        "Q",
-        {c: R.stalk(c) for c in X.cells},
-        {k: M.astype(object) * Fraction(1) for k, M in R.restrictions.items()},
-    )
-    stalks = {c: Stalk(1 + R.rank(c)) for c in X.cells}
+    X = R.base
+    frac = {x: Fraction(x) for M in R.restrictions.values() for x in M.flat}
+    frac.update({0: Fraction(0), 1: Fraction(1)})
+    rq = {}
     restrictions = {}
-    for e in X.cells_of_dim(1):
-        cofs = [g for g, _ in X.cofaces_of(e)]
-        if len(cofs) == 1:
-            restrictions[(e, cofs[0])] = eye(3, "Q")
-        else:
-            tr = S.transitions[e]
-            restrictions[(e, tr.from_face)] = eye(3, "Q")
-            restrictions[(e, tr.to_face)] = _affine_block(tr.A, tr.t)
-    for v in X.cells_of_dim(0):
-        faces, edges, closed, T, duals = covector_transport(S, v)
-        rv = R.rank(v)
-        incl = zeros(3, 1 + rv, "Q")
-        incl[0, 0] = Fraction(1)
-        if rv == 1:
-            xi = None
-            wheel = vertex_wheel(S, v)
-            xi = fixed_covector(wheel[0])
-            incl[1, 1] = Fraction(xi[0])
-            incl[2, 1] = Fraction(xi[1])
-        else:
-            incl[1, 1] = Fraction(1)
-            incl[2, 2] = Fraction(1)
-        star_edges = [e for e, _ in X.cofaces_of(v) if X.dim(e) == 1]
-        for e in star_edges:
-            owner = _edge_frame_owner(S, e)
-            idx = faces.index(owner)
-            block = _affine_block(T[idx][0], T[idx][1])
-            restrictions[(v, e)] = block.dot(incl)
+    for key, M in R.restrictions.items():
+        rq[key], restrictions[key] = _twist(M, R._shifts.get(key, ()), frac)
+    RQ = CellularSheaf(X, "Q", {c: R.stalk(c) for c in X.cells}, rq)
+    stalks = {c: Stalk(1 + R.rank(c)) for c in X.cells}
     I = CellularSheaf(X, "Q", stalks, restrictions)
     rep = validate_sheaf(I)
     if not rep.valid:
@@ -618,7 +619,7 @@ def lagrangian_moduli(S):
 
 def _lagrangian_moduli(S, R):
     """lagrangian_moduli on top of the monodromy sheaf R of S, built already."""
-    _, ses = _build_I_sheaf(S, R)
+    _, ses = _build_I_sheaf(R)
     h1 = cohomology(R, 1)
     QQ = ses.i.source
     hA = cohomology(QQ, 2)

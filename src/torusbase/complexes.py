@@ -8,7 +8,7 @@ computation elsewhere relies on that ordering.
 
 from dataclasses import dataclass, field
 
-from .errors import TorusbaseError
+from .errors import TorusbaseError, ValidationReport
 from .exact import AbelianGroup, PresentedGroup, intmat, zeros
 
 
@@ -84,20 +84,6 @@ class CellComplex:
         return len(seen) == len(verts)
 
 
-@dataclass
-class ValidationReport:
-    violations: list
-
-    @property
-    def valid(self):
-        return not self.violations
-
-    def __str__(self):
-        if self.valid:
-            return "valid"
-        return "\n".join("violation: %s" % v for v in self.violations)
-
-
 def validate(X):
     """Check d(d(.)) = 0, regularity basics, and boundary-word consistency."""
     bad = []
@@ -110,7 +96,7 @@ def validate(X):
         if val not in (1, -1):
             bad.append("incidence coefficient of (%s, %s) is %s" % (cof, face, val))
     if bad:
-        return ValidationReport(bad)
+        return ValidationReport(bad, "violation: ")
     for cell, d in X.cells.items():
         if d >= 1 and not X.faces_of(cell):
             bad.append("cell %s of dim %d has empty boundary" % (cell, d))
@@ -130,7 +116,7 @@ def validate(X):
             if total != 0:
                 bad.append("dd != 0 at pair (%s, %s): sum %d" % (rho, sigma, total))
     for f, word in X.boundary_words.items():
-        if X.dim(f) != 2:
+        if f not in X.cells or X.dim(f) != 2:
             bad.append("boundary word on non-2-cell %s" % (f,))
             continue
         counts = {}
@@ -139,7 +125,7 @@ def validate(X):
         inc = {e: v for e, v in X.faces_of(f)}
         if counts != inc:
             bad.append("boundary word of %s disagrees with incidence" % (f,))
-    return ValidationReport(bad)
+    return ValidationReport(bad, "violation: ")
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,15 @@ def _enc_matrix(M, frac=False):
     return [[enc(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
 
 
-def _dec_matrix(rows, ring="Z"):
+def _dec_matrix(rows, ring="Z", shape=None):
     dec = _dec_frac if ring == "Q" else _dec_int
     vals = [[dec(x) for x in r] for r in rows]
     m = len(vals)
     n = len(vals[0]) if vals else 0
+    if any(len(r) != n for r in vals):
+        raise DocumentError("ragged matrix %s" % (rows,))
+    if shape is not None and (m, n) != shape:
+        raise DocumentError("matrix %s is not %dx%d" % (rows, shape[0], shape[1]))
     out = zeros(m, n, ring)
     for i, r in enumerate(vals):
         for j, x in enumerate(r):
@@ -129,18 +133,34 @@ def encode_sheaf(F):
     }
 
 
+def _dec_ref(c, base, what):
+    """The cell id c, which must name a cell of the complex base."""
+    cell = _dec_cell(c)
+    if cell not in base.cells:
+        raise DocumentError("%s names %r, which is not a cell of the complex" % (what, cell))
+    return cell
+
+
+def _dec_pair(v, dec):
+    """The two entries of the list v, each decoded by dec."""
+    if not isinstance(v, list) or len(v) != 2:
+        raise DocumentError("expected two entries, got %s" % (v,))
+    return dec(v[0]), dec(v[1])
+
+
 def decode_sheaf(doc, base):
     ring = doc["ring"]
     if ring not in ("Z", "Q"):
         raise DocumentError("unknown ring %r" % (ring,))
     stalks = {}
     for item in doc["stalks"]:
-        c, rank = _dec_cell(item[0]), int(item[1])
+        c, rank = _dec_ref(item[0], base, "a sheaf stalk"), int(item[1])
         moduli = tuple(_dec_int(m) for m in item[2]) if len(item) > 2 else ()
         stalks[c] = Stalk(rank, moduli)
     restrictions = {}
     for a, b, M in doc["restrictions"]:
-        restrictions[(_dec_cell(a), _dec_cell(b))] = _dec_matrix(M, ring)
+        pair = tuple(_dec_ref(c, base, "a sheaf restriction") for c in (a, b))
+        restrictions[pair] = _dec_matrix(M, ring)
     return CellularSheaf(base, ring, stalks, restrictions)
 
 
@@ -178,24 +198,24 @@ def encode_affine(S):
 def decode_affine(doc, base):
     charts = {}
     for f, ch in doc["charts"]:
-        charts[_dec_cell(f)] = {
-            _dec_cell(v): (_dec_frac(p[0]), _dec_frac(p[1])) for v, p in ch
+        charts[_dec_ref(f, base, "an affine chart")] = {
+            _dec_ref(v, base, "an affine chart"): _dec_pair(p, _dec_frac) for v, p in ch
         }
     transitions = {}
     for item in doc["transitions"]:
         e, fa, fb, A, t = item
-        transitions[_dec_cell(e)] = EdgeTransition(
-            _dec_cell(fa),
-            _dec_cell(fb),
-            _dec_matrix(A, "Z"),
-            np.array([_dec_frac(t[0]), _dec_frac(t[1])], dtype=object),
+        transitions[_dec_ref(e, base, "an affine transition")] = EdgeTransition(
+            _dec_ref(fa, base, "an affine transition"),
+            _dec_ref(fb, base, "an affine transition"),
+            _dec_matrix(A, "Z", shape=(2, 2)),
+            np.array(_dec_pair(t, _dec_frac), dtype=object),
         )
     markings = {}
     for c, kind, k in doc.get("markings", []):
-        markings[_dec_cell(c)] = SingularityMark(kind, int(k))
+        markings[_dec_ref(c, base, "an affine marking")] = SingularityMark(kind, int(k))
     chern = {}
     for f, v in doc.get("chern", []):
-        chern[_dec_cell(f)] = (_dec_int(v[0]), _dec_int(v[1]))
+        chern[_dec_ref(f, base, "an affine chern entry")] = _dec_pair(v, _dec_int)
     return AffineSurface(
         base=base, charts=charts, transitions=transitions, markings=markings,
         chern_cocycle=chern,

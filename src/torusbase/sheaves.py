@@ -11,11 +11,12 @@ mod-n coefficient sheaves and their Bockstein connecting maps.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .complexes import _infer_signs
-from .errors import TorusbaseError
+from .errors import TorusbaseError, ValidationReport
 from .exact import (
     EchelonBasis,
     LinearSystem,
@@ -180,18 +181,6 @@ def constant_sheaf(base, rank=1, ring="Z", moduli=()):
     return CellularSheaf(base, ring, stalks, restrictions)
 
 
-@dataclass
-class SheafReport:
-    violations: list
-
-    @property
-    def valid(self):
-        return not self.violations
-
-    def __str__(self):
-        return "valid" if self.valid else "\n".join(map(str, self.violations))
-
-
 def _respects_moduli(M, src_stalk, dst_stalk):
     for i in range(src_stalk.rank):
         m = src_stalk.order(i)
@@ -209,7 +198,15 @@ def _respects_moduli(M, src_stalk, dst_stalk):
 
 
 def validate_sheaf(F):
-    """Shape consistency and codim-2 commutativity of restrictions."""
+    """Shape consistency and codim-2 commutativity of restrictions.
+
+    The squares are compared over one denominator per block: each restriction
+    M is read once as N / d, with N integer and d the lcm of the denominators
+    of M (over Z, N = M and d = 1).  Two composites N2 N1 / (d2 d1) and
+    N2' N1' / (d2' d1') agree modulo an order m of the target stalk exactly
+    when N2 N1 d2' d1' - N2' N1' d2 d1 is divisible by m d2 d1 d2' d1' (zero
+    when m = 0), which is what is checked.
+    """
     bad = []
     X = F.base
     for (face, cof), M in F.restrictions.items():
@@ -225,33 +222,51 @@ def validate_sheaf(F):
         if not _respects_moduli(M, F.stalk(face), F.stalk(cof)):
             bad.append("restriction (%s, %s) ignores stalk torsion" % (face, cof))
     if bad:
-        return SheafReport(bad)
+        return ValidationReport(bad)
+    # over Z every block is its own integer matrix, with denominator 1
+    cleared = {}
+    if F.ring == "Q":
+        cleared = {key: _over_one_denominator(M) for key, M in F.restrictions.items()}
     for rho in X.cells:
         if X.dim(rho) < 2:
             continue
         # collect composite maps sigma -> rho through every intermediate tau
         composites = {}
         for tau, _ in X.faces_of(rho):
-            R2 = F.restriction(tau, rho)
+            N2, d2 = cleared.get((tau, rho)) or (F.restriction(tau, rho), 1)
             for sigma, _ in X.faces_of(tau):
-                comp = R2.dot(F.restriction(sigma, tau))
-                composites.setdefault(sigma, []).append((tau, comp))
+                N1, d1 = cleared.get((sigma, tau)) or (F.restriction(sigma, tau), 1)
+                composites.setdefault(sigma, []).append((tau, N2.dot(N1), d2 * d1))
         for sigma, pairs in composites.items():
-            base_tau, base = pairs[0]
-            for tau, comp in pairs[1:]:
-                diff = comp - base
-                if not _diff_in_moduli(F.stalk(rho), diff):
+            base_tau, base, e = pairs[0]
+            for tau, comp, d in pairs[1:]:
+                if d == e:
+                    diff, den = comp - base, d
+                else:
+                    diff, den = comp * e - base * d, d * e
+                if not _diff_in_moduli(F.stalk(rho), diff, den):
                     bad.append(
                         "restrictions around (%s <= %s) do not commute (via %s vs %s)"
                         % (sigma, rho, base_tau, tau)
                     )
                     break
-    return SheafReport(bad)
+    return ValidationReport(bad)
 
 
-def _diff_in_moduli(dst_stalk, diff):
+def _over_one_denominator(M):
+    """(N, d): M = N / d with N an integer matrix and d the lcm of M's denominators."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r] for r in M.tolist()]
+    d = lcm(*(x.denominator for r in rows for x in r))
+    N = zeros(*M.shape)
+    if N.size:
+        N[:, :] = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+    return N, d
+
+
+def _diff_in_moduli(dst_stalk, diff, den=1):
+    """Whether diff / den vanishes modulo the orders of dst_stalk (den > 0)."""
     for r in range(diff.shape[0]):
-        d = dst_stalk.order(r)
+        d = dst_stalk.order(r) * den
         for c in range(diff.shape[1]):
             v = diff[r, c]
             if d == 0:
@@ -403,13 +418,13 @@ class SheafMap:
             elif not _respects_moduli(B, self.source.stalk(cell), self.target.stalk(cell)):
                 bad.append("block at %s ignores stalk torsion" % (cell,))
         if bad:
-            return SheafReport(bad)
+            return ValidationReport(bad)
         for (cof, face) in X.incidence:
             left = self.block(cof).dot(self.source.restriction(face, cof))
             right = self.target.restriction(face, cof).dot(self.block(face))
             if not _diff_in_moduli(self.target.stalk(cof), left - right):
                 bad.append("map does not commute with restriction (%s, %s)" % (face, cof))
-        return SheafReport(bad)
+        return ValidationReport(bad)
 
     def cochain_matrix(self, k):
         soff, sn = self.source.offsets(k)
@@ -446,7 +461,7 @@ class ShortExactSequence:
         if self.p.source is not self.i.target:
             bad.append("maps do not compose")
         if bad:
-            return SheafReport(bad)
+            return ValidationReport(bad)
         ring = self.A.ring
         for cell in self.B.base.cells:
             iB = self.i.block(cell)
@@ -468,7 +483,7 @@ class ShortExactSequence:
                     continue
                 if not self._exact_at(cell):
                     bad.append("sequence is not exact at %s" % (cell,))
-        return SheafReport(bad)
+        return ValidationReport(bad)
 
     def _exact_at(self, cell):
         # kernel of (B -> C) equals image of (A -> B), as subgroups of the
@@ -716,7 +731,7 @@ class SheafAutomorphism:
         img = set(self.cell_map.values())
         if set(self.cell_map) != set(X.cells) or img != set(X.cells):
             bad.append("cell map is not a bijection of the cells")
-            return SheafReport(bad)
+            return ValidationReport(bad)
         for c in X.cells:
             if X.dim(self.cell_map[c]) != X.dim(c):
                 bad.append("cell map changes dimension at %s" % (c,))
@@ -724,7 +739,7 @@ class SheafAutomorphism:
             if (self.cell_map[cof], self.cell_map[face]) not in X.incidence:
                 bad.append("cell map breaks incidence at (%s, %s)" % (cof, face))
         if bad:
-            return SheafReport(bad)
+            return ValidationReport(bad)
         for (cof, face) in X.incidence:
             J_f = self.stalk_isos[face]
             J_c = self.stalk_isos[cof]
@@ -732,7 +747,7 @@ class SheafAutomorphism:
             right = J_c.dot(self.sheaf.restriction(face, cof))
             if not all(x == 0 for x in (left - right).flat):
                 bad.append("stalk isos break restriction at (%s, %s)" % (face, cof))
-        return SheafReport(bad)
+        return ValidationReport(bad)
 
 
 def automorphism_action(aut, cls):

@@ -8,6 +8,7 @@ from torusbase.affine import (
     AffineSurface,
     EdgeTransition,
     SingularityMark,
+    _edge_frame_owner,
     affine_area,
     affine_disjoint_union,
     affine_eq,
@@ -16,12 +17,16 @@ from torusbase.affine import (
     build_I_sheaf,
     build_R_sheaf,
     dhat,
+    dual_matrix,
+    fixed_covector,
     lagrangian_moduli,
     monodromy_rep,
     rechart,
+    star_transports,
     torus_bundle_h1,
     unipotent_power,
     validate_affine,
+    vertex_wheel,
 )
 from torusbase.catalog import (
     cp2_triangle_surface,
@@ -31,8 +36,16 @@ from torusbase.catalog import (
     klein_affine_surface,
     sphere_24ff_surface,
 )
-from torusbase.exact import AbelianGroup, PresentedGroup, eye, fracvec, intmat
-from torusbase.sheaves import CohomologyClass, cohomology, validate_sheaf
+from torusbase.exact import AbelianGroup, PresentedGroup, eye, fracvec, intmat, zeros
+from torusbase.sheaves import (
+    CellularSheaf,
+    CohomologyClass,
+    SheafMap,
+    ShortExactSequence,
+    Stalk,
+    cohomology,
+    validate_sheaf,
+)
 
 
 def zero_translation_torus():
@@ -345,3 +358,167 @@ def test_unipotent_power_against_smith_form():
         assert gcd(int(xi[0]), int(xi[1])) == 1
     assert unipotent_power(intmat([[2, 1], [1, 1]])) is None
     assert unipotent_power(intmat([[-1, 1], [0, -1]])) is None
+
+
+# ---------------------------------------------------------------------------
+# The affine-function sheaf against its reference construction.  The
+# functions below are the construction build_I_sheaf used before it read I
+# off R and the translations of R's star walk: a second star walk per
+# vertex, and 3x3 Fraction products of _affine_block with the stalk
+# inclusion.  Kept verbatim as the reference.
+
+
+def covector_transport(S, v):
+    """Dual transports along the star fan of v, per star face."""
+    faces, edges, closed, T = star_transports(S, v)
+    duals = [dual_matrix(m[0]) for m in T]
+    return faces, edges, closed, T, duals
+
+
+def _affine_block(A, t):
+    """Restriction of (constant, covector) data across a transition."""
+    D = dual_matrix(A)
+    M = zeros(3, 3, "Q")
+    M[0, 0] = Fraction(1)
+    for j in range(2):
+        M[0, 1 + j] = -sum(Fraction(t[i]) * Fraction(D[i, j]) for i in range(2))
+    for i in range(2):
+        for j in range(2):
+            M[1 + i, 1 + j] = Fraction(D[i, j])
+    return M
+
+
+def _build_I_sheaf(S, R):
+    """build_I_sheaf on top of the monodromy sheaf R of S, built already."""
+    from torusbase.sheaves import constant_sheaf
+
+    X = S.base
+    RQ = CellularSheaf(
+        X,
+        "Q",
+        {c: R.stalk(c) for c in X.cells},
+        {k: M.astype(object) * Fraction(1) for k, M in R.restrictions.items()},
+    )
+    stalks = {c: Stalk(1 + R.rank(c)) for c in X.cells}
+    restrictions = {}
+    for e in X.cells_of_dim(1):
+        cofs = [g for g, _ in X.cofaces_of(e)]
+        if len(cofs) == 1:
+            restrictions[(e, cofs[0])] = eye(3, "Q")
+        else:
+            tr = S.transitions[e]
+            restrictions[(e, tr.from_face)] = eye(3, "Q")
+            restrictions[(e, tr.to_face)] = _affine_block(tr.A, tr.t)
+    for v in X.cells_of_dim(0):
+        faces, edges, closed, T, duals = covector_transport(S, v)
+        rv = R.rank(v)
+        incl = zeros(3, 1 + rv, "Q")
+        incl[0, 0] = Fraction(1)
+        if rv == 1:
+            xi = None
+            wheel = vertex_wheel(S, v)
+            xi = fixed_covector(wheel[0])
+            incl[1, 1] = Fraction(xi[0])
+            incl[2, 1] = Fraction(xi[1])
+        else:
+            incl[1, 1] = Fraction(1)
+            incl[2, 2] = Fraction(1)
+        star_edges = [e for e, _ in X.cofaces_of(v) if X.dim(e) == 1]
+        for e in star_edges:
+            owner = _edge_frame_owner(S, e)
+            idx = faces.index(owner)
+            block = _affine_block(T[idx][0], T[idx][1])
+            restrictions[(v, e)] = block.dot(incl)
+    I = CellularSheaf(X, "Q", stalks, restrictions)
+    rep = validate_sheaf(I)
+    if not rep.valid:
+        raise AffineError("affine-function sheaf invalid: %s" % rep)
+    QQ = constant_sheaf(X, 1, "Q")
+    iblocks = {}
+    pblocks = {}
+    for c in X.cells:
+        r = R.rank(c)
+        ib = zeros(1 + r, 1, "Q")
+        ib[0, 0] = Fraction(1)
+        pb = zeros(r, 1 + r, "Q")
+        for i in range(r):
+            pb[i, 1 + i] = Fraction(1)
+        iblocks[c] = ib
+        pblocks[c] = pb
+    ses = ShortExactSequence(
+        i=SheafMap(QQ, I, iblocks), p=SheafMap(I, RQ, pblocks)
+    )
+    return I, ses
+
+
+def _assert_same_sheaf(F, G):
+    """F and G have the same stalks and, restriction by restriction, the same
+    blocks, every entry a Fraction."""
+    assert F.ring == G.ring == "Q"
+    assert {c: s.rank for c, s in F.stalks.items()} == {c: s.rank for c, s in G.stalks.items()}
+    assert list(F.restrictions) == list(G.restrictions)
+    for key, M in F.restrictions.items():
+        N = G.restrictions[key]
+        assert M.shape == N.shape, key
+        assert all(type(x) is Fraction for x in M.flat), key
+        assert M.tolist() == N.tolist(), key
+
+
+def _assert_I_matches_reference(S):
+    I, ses = build_I_sheaf(S)
+    I_ref, ses_ref = _build_I_sheaf(S, build_R_sheaf(S))
+    _assert_same_sheaf(I, I_ref)
+    _assert_same_sheaf(ses.C, ses_ref.C)
+    for c in S.base.cells:
+        for got, ref in ((ses.i.block(c), ses_ref.i.block(c)), (ses.p.block(c), ses_ref.p.block(c))):
+            assert got.tolist() == ref.tolist()
+    return I
+
+
+def _affine_catalog_entries():
+    from torusbase.catalog import build, catalog_names
+
+    return [n for n in catalog_names() if build(n).kind == "affine"]
+
+
+@pytest.mark.parametrize("name", _affine_catalog_entries())
+def test_I_sheaf_matches_reference_on_catalog(name):
+    from torusbase.catalog import build
+
+    _assert_I_matches_reference(build(name).payload)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_I_sheaf_matches_reference_on_flat_tori(m, size):
+    _assert_I_matches_reference(flat_torus_surface(m, size=size))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_I_sheaf_matches_reference_on_ff_disks(k):
+    _assert_I_matches_reference(ff_disk_surface(k))
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [lambda: ff_disk_surface(2), lambda: flat_torus_surface(2, size=3), klein_affine_surface],
+    ids=["ff_disk:2", "flat_torus:2", "klein_affine"],
+)
+def test_I_sheaf_matches_reference_after_half_integer_recharting(surface):
+    rng = random.Random(47)
+    S = surface()
+    halves = False
+    for _ in range(3):
+        maps = {}
+        for f in S.base.cells_of_dim(2):
+            U = eye(2)
+            U[0, 1] = rng.randint(-2, 2)
+            if rng.random() < 0.5:
+                U = U.T
+            c = fracvec([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 2)])
+            maps[f] = (U, c)
+        S2 = rechart(S, maps)
+        assert validate_affine(S2).valid
+        I = _assert_I_matches_reference(S2)
+        halves |= any(x.denominator == 2 for M in I.restrictions.values() for x in M.flat)
+    assert halves

@@ -365,3 +365,86 @@ def test_glue_missing_second_file_is_usage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "no such file" in err
+
+
+def _mutate_flat_torus(mutation):
+    raw = serialize.encode_document(complex=flat_torus_surface().base, affine=flat_torus_surface())
+    aff = raw["affine"]
+    if mutation == "marking":
+        aff["markings"].append(["nosuch", "focus_focus", 1])
+    elif mutation == "A 1x1":
+        aff["transitions"][0][3] = [["1"]]
+    elif mutation == "A 2x3":
+        aff["transitions"][0][3] = [["1", "0", "0"], ["0", "1", "0"]]
+    elif mutation == "A ragged":
+        aff["transitions"][0][3] = [["1", "0"], ["1"]]
+    elif mutation == "t of length 3":
+        aff["transitions"][0][4] = ["0", "0", "1"]
+    elif mutation == "transition edge":
+        aff["transitions"][0][0] = "nosuch"
+    elif mutation == "transition face":
+        aff["transitions"][0][2] = ["t", "nosuch"]
+    elif mutation == "chart face":
+        aff["charts"].append(["nosuch", []])
+    elif mutation == "chart vertex":
+        aff["charts"][0][1].append([["i", "7"], ["0", "0"]])
+    elif mutation == "chern":
+        aff["chern"].append(["nosuch", ["1", "0"]])
+    return raw
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["cohomology", "--sheaf", "R", "--degree", "1"], ["moduli"], ["monodromy"]],
+)
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        "marking",
+        "A 1x1",
+        "A 2x3",
+        "A ragged",
+        "t of length 3",
+        "transition edge",
+        "transition face",
+        "chart face",
+        "chart vertex",
+        "chern",
+    ],
+)
+def test_bad_cell_reference_or_matrix_shape_in_affine_is_usage(tmp_path, capsys, argv, mutation):
+    path = tmp_path / "mutated.json"
+    path.write_text(serialize.dumps(_mutate_flat_torus(mutation)))
+    with pytest.raises(serialize.DocumentError):
+        serialize.load_path(str(path))
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["check"], ["cohomology", "--degree", "1"]])
+@pytest.mark.parametrize("part", ["stalks", "restrictions"])
+def test_sheaf_naming_an_unknown_cell_is_usage(tmp_path, capsys, argv, part):
+    from torusbase.complexes import complex_from_polygons
+    from torusbase.sheaves import constant_sheaf
+
+    X = complex_from_polygons({"f": ["a", "b", "c"]})
+    raw = serialize.encode_document(complex=X, sheaf=constant_sheaf(X, 1))
+    if part == "stalks":
+        raw["sheaf"]["stalks"].append(["nosuch", 1, []])
+    else:
+        raw["sheaf"]["restrictions"].append(["a", "nosuch", [["1"]]])
+    path = tmp_path / "unknown_cell.json"
+    path.write_text(serialize.dumps(raw))
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "nosuch" in err
+
+
+def test_boundary_word_on_an_unknown_cell_is_a_violation(tmp_path, capsys):
+    raw = serialize.encode_document(complex=flat_torus_surface().base)
+    raw["complex"]["boundary_words"][0][0] = "nosuch"
+    path = tmp_path / "word.json"
+    path.write_text(serialize.dumps(raw))
+    assert main(["check", str(path)]) == 1
+    assert "complex: boundary word on non-2-cell nosuch" in capsys.readouterr().out

@@ -1,11 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from test_complexes import circle, grid_torus, klein_grid, octa_sphere, point, rp2_complex
 
 from torusbase.complexes import product
-from torusbase.exact import AbelianGroup, eye, intmat
+from torusbase.errors import ValidationReport as SheafReport
+from torusbase.exact import AbelianGroup, eye, fracmat, intmat
 from torusbase.sheaves import (
     CellularSheaf,
     CohomologyClass,
@@ -352,3 +354,166 @@ def test_orbit_enumeration_gcd():
 
     assert all(math.gcd(a, b) == 2 for a, b in orbit)
     assert (2, 0) in orbit
+
+
+# ---------------------------------------------------------------------------
+# validate_sheaf against its reference.  The functions below are the check
+# validate_sheaf made before it compared the squares over one denominator
+# per block: Fraction or int object-array products of the restrictions,
+# compared entry by entry.  Kept verbatim as the reference.
+
+
+def _respects_moduli(M, src_stalk, dst_stalk):
+    for i in range(src_stalk.rank):
+        m = src_stalk.order(i)
+        if not m:
+            continue
+        for r in range(dst_stalk.rank):
+            d = dst_stalk.order(r)
+            v = M[r, i] * m
+            if d == 0:
+                if v != 0:
+                    return False
+            elif v % d != 0:
+                return False
+    return True
+
+
+def _validate_sheaf_reference(F):
+    """Shape consistency and codim-2 commutativity of restrictions."""
+    bad = []
+    X = F.base
+    for (face, cof), M in F.restrictions.items():
+        if X.incidence.get((cof, face)) is None:
+            bad.append("restriction on non-covering pair (%s, %s)" % (face, cof))
+            continue
+        if M.shape != (F.rank(cof), F.rank(face)):
+            bad.append(
+                "restriction (%s, %s) has shape %s, expected (%d, %d)"
+                % (face, cof, M.shape, F.rank(cof), F.rank(face))
+            )
+            continue
+        if not _respects_moduli(M, F.stalk(face), F.stalk(cof)):
+            bad.append("restriction (%s, %s) ignores stalk torsion" % (face, cof))
+    if bad:
+        return SheafReport(bad)
+    for rho in X.cells:
+        if X.dim(rho) < 2:
+            continue
+        # collect composite maps sigma -> rho through every intermediate tau
+        composites = {}
+        for tau, _ in X.faces_of(rho):
+            R2 = F.restriction(tau, rho)
+            for sigma, _ in X.faces_of(tau):
+                comp = R2.dot(F.restriction(sigma, tau))
+                composites.setdefault(sigma, []).append((tau, comp))
+        for sigma, pairs in composites.items():
+            base_tau, base = pairs[0]
+            for tau, comp in pairs[1:]:
+                diff = comp - base
+                if not _diff_in_moduli(F.stalk(rho), diff):
+                    bad.append(
+                        "restrictions around (%s <= %s) do not commute (via %s vs %s)"
+                        % (sigma, rho, base_tau, tau)
+                    )
+                    break
+    return SheafReport(bad)
+
+
+def _diff_in_moduli(dst_stalk, diff):
+    for r in range(diff.shape[0]):
+        d = dst_stalk.order(r)
+        for c in range(diff.shape[1]):
+            v = diff[r, c]
+            if d == 0:
+                if v != 0:
+                    return False
+            elif v % d != 0:
+                return False
+    return True
+
+
+def _unimodular(rng, upper=False):
+    """A seeded matrix of GL(2, Z) and its inverse; upper triangular if asked."""
+    U = eye(2)
+    for _ in range(3):
+        s = rng.randint(-2, 2)
+        step = intmat([[1, s], [0, 1]] if upper or rng.random() < 0.5 else [[1, 0], [s, 1]])
+        U = U.dot(step)
+    if rng.random() < 0.5:
+        U = U.dot(intmat([[-1, 0], [0, 1]]))
+    d = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
+    Ui = intmat([[U[1, 1] * d, -U[0, 1] * d], [-U[1, 0] * d, U[0, 0] * d]])
+    return U, Ui
+
+
+def _rational_invertible(rng):
+    """A seeded invertible 2x2 matrix over Q with small denominators, and its inverse."""
+    while True:
+        g = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)]
+        d = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        if d:
+            break
+    gi = [[g[1][1] / d, -g[0][1] / d], [-g[1][0] / d, g[0][0] / d]]
+    return fracmat(g), fracmat(gi)
+
+
+def _gauge_sheaf(X, ring, moduli, gauges, rng, perturb):
+    """R(s <= t) = g_t g_s^-1, a sheaf isomorphic to the constant one, then
+    perturbed: perturb(rng, M) may change the block M in place."""
+    stalks = {c: Stalk(2, moduli) for c in X.cells}
+    restrictions = {}
+    for (cof, face) in X.incidence:
+        M = gauges[cof][0].dot(gauges[face][1])
+        perturb(rng, M)
+        restrictions[(face, cof)] = M
+    return CellularSheaf(X, ring, stalks, restrictions)
+
+
+def _sometimes(p, change):
+    def perturb(rng, M):
+        if rng.random() < p:
+            i, j = rng.randrange(2), rng.randrange(2)
+            M[i, j] = M[i, j] + change(rng, i, j)
+
+    return perturb
+
+
+def _reports(F):
+    return str(validate_sheaf(F)), str(_validate_sheaf_reference(F))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_sheaf_matches_reference_over_Q(seed):
+    rng = random.Random("Q:%d" % seed)
+    X = grid_torus(3, 3 + seed % 2)
+    gauges = {c: _rational_invertible(rng) for c in X.cells}
+    outcomes = set()
+    for p in (0, 0.02, 0.1, 0.3):
+        F = _gauge_sheaf(X, "Q", (), gauges, rng, _sometimes(p, lambda rng, i, j: Fraction(1, 3)))
+        got, want = _reports(F)
+        assert got == want
+        outcomes.add(got == "valid")
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_sheaf_matches_reference_over_Z_with_torsion(m, seed):
+    rng = random.Random("Z/%d:%d" % (m, seed))
+    X = grid_torus(3, 3 + seed % 2)
+    # stalks Z/m + Z/m take any integer block; stalks Z/m + Z need the lower
+    # left entry 0, which upper triangular gauges keep
+    for moduli, upper in (((m, m), False), ((m, 0), True)):
+        gauges = {c: _unimodular(rng, upper) for c in X.cells}
+        outcomes = set()
+        for p in (0, 0.05, 0.3):
+            for change in (
+                lambda rng, i, j: m * rng.randint(-2, 2),
+                lambda rng, i, j: rng.randint(-m, m),
+            ):
+                F = _gauge_sheaf(X, "Z", moduli, gauges, rng, _sometimes(p, change))
+                got, want = _reports(F)
+                assert got == want
+                outcomes.add(got == "valid")
+        assert outcomes == {True, False}
