@@ -132,45 +132,9 @@ class AffineSurface:
         return len(self.focus_focus_vertices())
 
 
-def vertex_fan(X, v):
-    """Faces and crossed edges around v; cyclic for interior, a fan otherwise.
-
-    Returns (faces, edges, closed).  For a closed star edges[i] joins faces[i]
-    and faces[i+1 mod m]; otherwise edges has one fewer entry than faces.
-    """
-    star_edges = [e for e, _ in X.cofaces_of(v) if X.dim(e) == 1]
-    boundary = [e for e in star_edges if len(X.cofaces_of(e)) == 1]
-    if not boundary:
-        faces, edges = vertex_star_cycle(X, v)
-        return faces, edges, True
-    # start at a boundary edge and walk across interior edges
-    start = sorted(boundary, key=str)[0]
-    f = X.cofaces_of(start)[0][0]
-    faces = [f]
-    edges = []
-    prev = start
-    while True:
-        nxt = [
-            e2
-            for e2, _ in X.faces_of(f)
-            if e2 != prev and any(w == v for w, _ in X.faces_of(e2))
-        ]
-        if len(nxt) != 1:
-            raise AffineError("vertex %s has a non-disk star" % (v,))
-        e = nxt[0]
-        if len(X.cofaces_of(e)) == 1:
-            break
-        g = next(h for h, _ in X.cofaces_of(e) if h != f)
-        edges.append(e)
-        faces.append(g)
-        prev = e
-        f = g
-    return faces, edges, False
-
-
 def star_transports(S, v):
     """Affine transports from the first star face's frame to every star face."""
-    faces, edges, closed = vertex_fan(S.base, v)
+    faces, edges, closed = vertex_star_cycle(S.base, v)
     T = [affine_identity()]
     for i, e in enumerate(edges if not closed else edges[:-1]):
         m, other = S.crossing(e, faces[i])

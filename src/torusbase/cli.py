@@ -2,8 +2,8 @@
 
 Verbs: check, cohomology, monodromy, delzant, glue, moduli, catalog.
 Exit codes: 0 success, 1 validation or obstruction failure, 2 usage or
-parse errors.  A library error that reaches main prints one error line: a
-DocumentError exits 2, any other TorusbaseError exits 1.
+parse errors.  Every error is raised to main, which alone prints the one
+"error:" line: a DocumentError exits 2, any other TorusbaseError exits 1.
 """
 
 import argparse
@@ -22,6 +22,7 @@ from .catalog import CatalogError, build, catalog_names, verify
 from .complexes import validate
 from .errors import TorusbaseError
 from .polytopes import PolytopeError, delzant_check
+from .serialize import DocumentError
 from .sheaves import cohomology, constant_sheaf, validate_sheaf
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -38,8 +39,7 @@ def _load(path):
     try:
         return serialize.load_path(path)
     except FileNotFoundError:
-        print("error: no such file: %s" % path, file=sys.stderr)
-        raise SystemExit(USAGE)
+        raise DocumentError("no such file: %s" % path) from None
 
 
 def cmd_check(args):
@@ -76,45 +76,40 @@ def cmd_check(args):
     return OK if not problems else FAIL
 
 
-def _checked_affine(S):
-    """S once validate_affine passes; otherwise one error line and exit 1."""
-    rep = validate_affine(S)
+def _require_valid(what, rep):
+    """Raise one TorusbaseError (exit 1) naming every violation rep lists."""
     if not rep.valid:
-        reason = "; ".join(str(rep).splitlines())
-        print("error: affine structure invalid: %s" % reason, file=sys.stderr)
-        raise SystemExit(FAIL)
-    return S
+        reason = "; ".join(line for v in rep.violations for line in str(v).splitlines())
+        raise TorusbaseError("%s invalid: %s" % (what, reason))
 
 
 def _named_sheaf(args, doc):
     name = args.sheaf
     if name == "document":
         if doc.sheaf is None:
-            print("error: document has no sheaf section", file=sys.stderr)
-            raise SystemExit(USAGE)
+            raise DocumentError("document has no sheaf section")
         return doc.sheaf
     if name == "R":
         if doc.affine is None:
-            print("error: deriving the monodromy sheaf needs an affine section", file=sys.stderr)
-            raise SystemExit(USAGE)
-        return build_R_sheaf(_checked_affine(doc.affine))
+            raise DocumentError("deriving the monodromy sheaf needs an affine section")
+        _require_valid("affine structure", validate_affine(doc.affine))
+        return build_R_sheaf(doc.affine)
     if name == "Z" or name.startswith("Z^"):
         rank = 1
         if name.startswith("Z^"):
             if not name[2:].isdecimal():
-                print("error: bad sheaf rank in %r (use Z^k with k >= 0)" % name, file=sys.stderr)
-                raise SystemExit(USAGE)
+                raise DocumentError("bad sheaf rank in %r (use Z^k with k >= 0)" % name)
             rank = int(name[2:])
         if doc.complex is None:
-            print("error: constant sheaf needs a complex section", file=sys.stderr)
-            raise SystemExit(USAGE)
+            raise DocumentError("constant sheaf needs a complex section")
         return constant_sheaf(doc.complex, rank)
-    print("error: unknown sheaf %r (use document, R, Z, or Z^k)" % name, file=sys.stderr)
-    raise SystemExit(USAGE)
+    raise DocumentError("unknown sheaf %r (use document, R, Z, or Z^k)" % name)
 
 
 def cmd_cohomology(args):
     doc = _load(args.file)
+    if doc.complex is not None:
+        _require_valid("complex", validate(doc.complex))
     F = _named_sheaf(args, doc)
     res = cohomology(F, args.degree)
     payload = {"degree": args.degree, "group": str(res.group)}
@@ -137,9 +132,9 @@ def cmd_cohomology(args):
 def cmd_monodromy(args):
     doc = _load(args.file)
     if doc.affine is None:
-        print("error: monodromy needs an affine section", file=sys.stderr)
-        raise SystemExit(USAGE)
-    rep = monodromy_rep(_checked_affine(doc.affine))
+        raise DocumentError("monodromy needs an affine section")
+    _require_valid("affine structure", validate_affine(doc.affine))
+    rep = monodromy_rep(doc.affine)
     lines = []
     payload = {"basepoint": str(rep.basepoint), "loops": []}
     for loop, M in zip(rep.loops, rep.images):
@@ -162,8 +157,7 @@ def cmd_monodromy(args):
 def cmd_delzant(args):
     doc = _load(args.file)
     if doc.polytope is None:
-        print("error: delzant needs a polytope section", file=sys.stderr)
-        raise SystemExit(USAGE)
+        raise DocumentError("delzant needs a polytope section")
     rep = delzant_check(doc.polytope)
     payload = {"ok": rep.ok}
     if not rep.ok:
@@ -176,9 +170,9 @@ def cmd_delzant(args):
 def cmd_moduli(args):
     doc = _load(args.file)
     if doc.affine is None:
-        print("error: moduli needs an affine section", file=sys.stderr)
-        raise SystemExit(USAGE)
-    dim, rank = lagrangian_moduli(_checked_affine(doc.affine))
+        raise DocumentError("moduli needs an affine section")
+    _require_valid("affine structure", validate_affine(doc.affine))
+    dim, rank = lagrangian_moduli(doc.affine)
     if (dim, rank) == (0, 0):
         shape = "0"
     elif dim == rank:
@@ -193,12 +187,13 @@ def cmd_moduli(args):
 def cmd_glue(args):
     doc = _load(args.file)
     if doc.complex is None or doc.sheaf is None:
-        print("error: glue needs complex and sheaf sections in both files", file=sys.stderr)
-        raise SystemExit(USAGE)
+        raise DocumentError("glue needs complex and sheaf sections in both files")
     other = _load(args.other)
     if other.complex is None or other.sheaf is None:
-        print("error: glue needs complex and sheaf sections in both files", file=sys.stderr)
-        raise SystemExit(USAGE)
+        raise DocumentError("glue needs complex and sheaf sections in both files")
+    for d in (doc, other):
+        _require_valid("complex", validate(d.complex))
+        _require_valid("sheaf", validate_sheaf(d.sheaf))
     from .sheaves import subcomplex
     from .surgery import GluingSpec, glue
     from .exact import eye
@@ -242,8 +237,7 @@ def cmd_catalog(args):
     try:
         entry = build(args.name)
     except CatalogError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return USAGE
+        raise DocumentError(str(err)) from None
     lines = ["%s (%s)" % (entry.name, entry.kind)]
     payload = {"name": entry.name, "kind": entry.kind, "notes": entry.notes}
     if entry.notes:
@@ -345,11 +339,9 @@ def main(argv=None):
         return USAGE
     try:
         return args.fn(args)
-    except SystemExit as err:
-        return err.code if isinstance(err.code, int) else USAGE
     except TorusbaseError as err:
         print("error: %s" % err, file=sys.stderr)
-        return USAGE if isinstance(err, serialize.DocumentError) else FAIL
+        return USAGE if isinstance(err, DocumentError) else FAIL
 
 
 if __name__ == "__main__":

@@ -617,16 +617,22 @@ def interior_vertices(X):
 
 
 def vertex_star_cycle(X, v):
-    """Faces and edges around an interior vertex in cyclic order."""
-    edges = sorted((e for e, _ in X.cofaces_of(v) if X.dim(e) == 1), key=str)
-    e0 = edges[0]
-    faces_cycle = []
-    edges_cycle = []
-    f = X.cofaces_of(e0)[0][0]
-    e = e0
+    """Faces and crossed edges around v: a cycle if v is interior, else a fan.
+
+    Returns (faces, edges, closed).  The walk starts at the first boundary
+    edge at v in key=str order, else at the first star edge, and enters that
+    edge's first coface; faces[0] is the face whose frame is v's frame in
+    the monodromy sheaf.  For a closed star edges[i] joins faces[i] and
+    faces[i+1 mod m]; for a fan edges has one entry fewer than faces.
+    """
+    star = sorted((e for e, _ in X.cofaces_of(v) if X.dim(e) == 1), key=str)
+    boundary = [e for e in star if len(X.cofaces_of(e)) == 1]
+    closed = not boundary
+    start = e = (boundary or star)[0]
+    faces, edges = [X.cofaces_of(start)[0][0]], []
     while True:
-        faces_cycle.append(f)
-        # next edge of f at v, different from e
+        f = faces[-1]
+        # next edge of f at v, different from the one we came in by
         candidates = [
             e2
             for e2, _ in X.faces_of(f)
@@ -635,16 +641,17 @@ def vertex_star_cycle(X, v):
         if len(candidates) != 1:
             raise NotASurfaceError("vertex %s has a non-disk star at face %s" % (v, f))
         e = candidates[0]
-        edges_cycle.append(e)
+        if not closed and len(X.cofaces_of(e)) == 1:
+            return faces, edges, False
+        edges.append(e)
         nxt = [g for g, _ in X.cofaces_of(e) if g != f]
         if len(nxt) != 1:
             raise NotASurfaceError("edge %s is not interior" % (e,))
-        f = nxt[0]
-        if f == faces_cycle[0] and e == e0:
-            break
-        if len(faces_cycle) > len(X.cells):
+        if closed and nxt[0] == faces[0] and e == start:
+            return faces, edges, True
+        faces.append(nxt[0])
+        if len(faces) > len(X.cells):
             raise NotASurfaceError("star walk at %s does not close" % (v,))
-    return faces_cycle, edges_cycle
 
 
 def _dual_tree(X, base_face):
@@ -699,7 +706,7 @@ def dual_loops(X, base_face):
         edges = pe + [e] + pge[::-1]
         loops.append(FaceLoop(faces=faces, edges=edges, kind="cycle", about=e))
     for v in interior_vertices(X):
-        fc, ec = vertex_star_cycle(X, v)
+        fc, ec, _ = vertex_star_cycle(X, v)
         pf, pe = _tree_path(tree, base_face, fc[0])
         # out along the tree, once around the star, back along the tree
         faces = pf[:-1] + fc + [fc[0]] + pf[:-1][::-1]

@@ -155,6 +155,8 @@ def decode_sheaf(doc, base):
     stalks = {}
     for item in doc["stalks"]:
         c, rank = _dec_ref(item[0], base, "a sheaf stalk"), int(item[1])
+        if rank < 0:
+            raise DocumentError("the stalk at %r has negative rank %d" % (c, rank))
         moduli = tuple(_dec_int(m) for m in item[2]) if len(item) > 2 else ()
         stalks[c] = Stalk(rank, moduli)
     restrictions = {}

@@ -647,17 +647,20 @@ def subcomplex(X, cells):
     """Full subcomplex on the given cell set (must be closed under faces)."""
     from .complexes import CellComplex
 
-    cells = set(cells)
+    keep = set(cells)
+    # in the parent's cell order, so nothing here depends on hashing
+    cells = {c: d for c, d in X.cells.items() if c in keep}
+    if len(cells) != len(keep):
+        raise SheafError("cell set names a cell outside the complex")
     for c in cells:
         for f, _ in X.faces_of(c):
             if f not in cells:
                 raise SheafError("cell set is not closed under faces at %s" % (c,))
-    sub = CellComplex(
-        cells={c: X.dim(c) for c in cells},
+    return CellComplex(
+        cells=cells,
         incidence={(a, b): v for (a, b), v in X.incidence.items() if a in cells and b in cells},
         boundary_words={f: w for f, w in X.boundary_words.items() if f in cells},
     )
-    return sub
 
 
 def restrict_sheaf(F, sub):

@@ -21,12 +21,12 @@ from .affine import (
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
 from .errors import TorusbaseError
-from .exact import PresentedGroup, stack_rows, unimodular_inverse, zeros, zerovec
+from .exact import PresentedGroup, QuotientSpace, eye, stack_rows, unimodular_inverse, zerovec
 from .sheaves import (
     CellularSheaf,
     cohomology,
     constant_sheaf,
-    restrict_sheaf,
+    induced_map,
     restriction_on_cohomology,
 )
 
@@ -153,6 +153,31 @@ class ObstructionReport:
         return "%s%s -> %s" % (head, tail, verdict)
 
 
+def _overlap_quotient(F1, F2, overlap, cell_map, inverse_isos):
+    """H^2(F1 on the overlap) and its quotient by the images of both pieces.
+
+    F2's 2-cochains reach the overlap through cell_map and inverse_isos (per
+    overlap 2-cell c, F2's stalk at cell_map[c] -> F1's stalk at c).  The
+    quotient is a PresentedGroup over Z, a QuotientSpace over Q.
+    """
+    f1, G = restriction_on_cohomology(F1, overlap, 2)
+    h_over = f1.target
+    off2, _ = F2.offsets(2)
+    offo, n_o = G.offsets(2)
+
+    def pull_to_overlap(vec2):
+        out = zerovec(n_o, G.ring)
+        for c, J in inverse_isos.items():
+            d = cell_map[c]
+            out[offo[c]:offo[c] + G.rank(c)] = J.dot(vec2[off2[d]:off2[d] + F2.rank(d)])
+        return out
+
+    f2 = induced_map(cohomology(F2, 2), h_over, pull_to_overlap)
+    parts = [m for m in (f1.image_rows(), f2.image_rows()) if m.shape[0]]
+    quotient = PresentedGroup if G.ring == "Z" else QuotientSpace
+    return h_over, quotient(h_over.presentation.n, stack_rows(*parts) if parts else None)
+
+
 def gluing_obstruction(spec, class1, class2, rational_difference=None):
     """Obstruction to matching the supplied restricted classes over the overlap.
 
@@ -166,69 +191,15 @@ def gluing_obstruction(spec, class1, class2, rational_difference=None):
     bad = spec.validate()
     if bad:
         raise SurgeryError("invalid gluing: %s" % "; ".join(map(str, bad)))
-    over1 = spec.overlap1
-    G1 = restrict_sheaf(spec.sheaf1, over1)
-    h_over = cohomology(G1, 2)
-    f1, _ = restriction_on_cohomology(spec.sheaf1, over1, 2)
-    # route the second piece through the overlap identification
-    G2 = restrict_sheaf(spec.sheaf2, spec.overlap2)
-    h2_full = cohomology(spec.sheaf2, 2)
-    off2, _ = spec.sheaf2.offsets(2)
-    offo, n_o = G1.offsets(2)
-    iso_inv = {c: unimodular_inverse(spec.stalk_isos[c]) for c in over1.cells if over1.dim(c) == 2}
-
-    def pull_to_overlap1(vec2):
-        out = zerovec(n_o, G1.ring)
-        for c in over1.cells_of_dim(2):
-            d = spec.cell_map[c]
-            i = offo[c]
-            j = off2[d]
-            vals = vec2[j:j + spec.sheaf2.rank(d)]
-            out[i:i + G1.rank(c)] = iso_inv[c].dot(vals)
-        return out
-
-    from .sheaves import induced_map
-
-    f2 = induced_map(h2_full, h_over, pull_to_overlap1)
-    rel_rows = h_over.presentation.relations
-    im_rows = [f1.matrix[:, j] for j in range(f1.matrix.shape[1])]
-    im_rows += [f2.matrix[:, j] for j in range(f2.matrix.shape[1])]
-    n = h_over.presentation.n
-    rows = zeros(len(im_rows), n)
-    for i, r in enumerate(im_rows):
-        rows[i] = r
-    if rel_rows.shape[0]:
-        rows = stack_rows(rows, rel_rows) if rows.shape[0] else rel_rows
-    Q = PresentedGroup(n, rows)
-    delta = class2.cocycle - class1.cocycle
-    coords = Q.reduce(h_over.to_presentation_coords(delta))
-
+    over = spec.overlap1
+    inverses = {c: unimodular_inverse(spec.stalk_isos[c]) for c in over.cells_of_dim(2)}
+    h_over, Q = _overlap_quotient(spec.sheaf1, spec.sheaf2, over, spec.cell_map, inverses)
+    coords = Q.reduce(h_over.to_presentation_coords(class2.cocycle - class1.cocycle))
     # rational comparison with constant coefficients on the complexes; the
     # symplectic difference class is a separate input when available
-    CQo = constant_sheaf(over1, 1, "Q")
-    hq = cohomology(CQo, 2)
-    g1, _ = restriction_on_cohomology(constant_sheaf(spec.complex1, 1, "Q"), over1, 2)
-    FQ2 = constant_sheaf(spec.complex2, 1, "Q")
-    hq2_full = cohomology(FQ2, 2)
-    offq2, _ = FQ2.offsets(2)
-    offo_q, _ = CQo.offsets(2)
-
-    def pull_q(vec2):
-        out = zerovec(CQo.cochain_rank(2), "Q")
-        for c in over1.cells_of_dim(2):
-            d = spec.cell_map[c]
-            out[offo_q[c]] = vec2[offq2[d]]
-        return out
-
-    g2 = induced_map(hq2_full, hq, pull_q)
-    qrows = [g1.matrix[:, j] for j in range(g1.matrix.shape[1])]
-    qrows += [g2.matrix[:, j] for j in range(g2.matrix.shape[1])]
-    from .exact import QuotientSpace
-
-    mat = zeros(len(qrows), hq.presentation.n, "Q")
-    for i, r in enumerate(qrows):
-        mat[i] = r
-    QQ = QuotientSpace(hq.presentation.n, mat)
+    FQ1, FQ2 = (constant_sheaf(X, 1, "Q") for X in (spec.complex1, spec.complex2))
+    ones = {c: eye(1) for c in over.cells_of_dim(2)}
+    hq, QQ = _overlap_quotient(FQ1, FQ2, over, spec.cell_map, ones)
     if rational_difference is not None:
         qcoords = QQ.reduce(hq.to_presentation_coords(rational_difference))
     else:

@@ -448,3 +448,76 @@ def test_boundary_word_on_an_unknown_cell_is_a_violation(tmp_path, capsys):
     path.write_text(serialize.dumps(raw))
     assert main(["check", str(path)]) == 1
     assert "complex: boundary word on non-2-cell nosuch" in capsys.readouterr().out
+
+
+def _export(tmp_path, name):
+    """The path and the parsed JSON of a catalog entry's export."""
+    path = tmp_path / "export.json"
+    assert main(["catalog", name, "--export", str(path)]) == 0
+    return path, json.loads(path.read_text())
+
+
+def _export_with_bad_incidence(tmp_path, name, face):
+    """An export of a catalog entry whose first incidence entry names, as its
+    face, the coface itself (no covering pair) or a cell the complex lacks."""
+    path, raw = _export(tmp_path, name)
+    entry = raw["complex"]["incidence"][0]
+    entry[1] = entry[0] if face == "itself" else "nosuch"
+    path.write_text(serialize.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, sheaf, degree",
+    [
+        ("klein_affine", "Z", 1),
+        ("cp2_triangle", "Z", 1),
+        ("torus_morse_graph", "Z", 0),
+        ("twisted_product_base", "document", 1),
+        ("rp2_12ff", "Z^2", 1),
+    ],
+)
+@pytest.mark.parametrize("face", ["itself", "unknown"])
+def test_cohomology_on_an_invalid_complex_exits_one(tmp_path, capsys, name, sheaf, degree, face):
+    path = _export_with_bad_incidence(tmp_path, name, face)
+    capsys.readouterr()
+    assert main(["check", path]) == 1
+    violation = capsys.readouterr().out.splitlines()[0].replace("complex: ", "", 1)
+    argv = ["cohomology", path, "--sheaf", sheaf, "--degree", str(degree)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("error: complex invalid: ")
+    assert violation in err
+
+
+@pytest.mark.parametrize("face", ["itself", "unknown"])
+def test_glue_on_an_invalid_complex_exits_one(tmp_path, capsys, face):
+    path = _export_with_bad_incidence(tmp_path, "twisted_product_base", face)
+    capsys.readouterr()
+    assert main(["glue", path, path]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("error: complex invalid: ")
+
+
+def test_glue_on_an_invalid_sheaf_exits_one(tmp_path, capsys):
+    path, raw = _export(tmp_path, "torus_morse_graph")
+    raw["sheaf"]["restrictions"][0][2] = []
+    path.write_text(serialize.dumps(raw))
+    capsys.readouterr()
+    assert main(["glue", str(path), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("error: sheaf invalid: ")
+
+
+def test_negative_stalk_rank_is_usage(tmp_path, capsys):
+    path, raw = _export(tmp_path, "torus_morse_graph")
+    raw["sheaf"]["stalks"][0][1] = -1
+    path.write_text(serialize.dumps(raw))
+    capsys.readouterr()
+    assert main(["cohomology", str(path), "--degree", "0"]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "negative rank" in err

@@ -402,3 +402,110 @@ def test_boundary_traversal_deeper_than_the_recursion_limit(monkeypatch):
     assert len(seen) == len(X.cells_of_dim(2))
     cotree = Counter(e for e, _, _, kind in em if kind == "cotree")
     assert set(cotree.values()) == {2}
+
+
+# The two star walks as they stood before they became one
+# complexes.vertex_star_cycle: the reference for the walk, every frame of
+# the monodromy sheaf hangs on its start rule.
+
+
+def reference_vertex_star_cycle(X, v):
+    """Faces and edges around an interior vertex in cyclic order."""
+    edges = sorted((e for e, _ in X.cofaces_of(v) if X.dim(e) == 1), key=str)
+    e0 = edges[0]
+    faces_cycle = []
+    edges_cycle = []
+    f = X.cofaces_of(e0)[0][0]
+    e = e0
+    while True:
+        faces_cycle.append(f)
+        # next edge of f at v, different from e
+        candidates = [
+            e2
+            for e2, _ in X.faces_of(f)
+            if e2 != e and any(w == v for w, _ in X.faces_of(e2))
+        ]
+        if len(candidates) != 1:
+            raise NotASurfaceError("vertex %s has a non-disk star at face %s" % (v, f))
+        e = candidates[0]
+        edges_cycle.append(e)
+        nxt = [g for g, _ in X.cofaces_of(e) if g != f]
+        if len(nxt) != 1:
+            raise NotASurfaceError("edge %s is not interior" % (e,))
+        f = nxt[0]
+        if f == faces_cycle[0] and e == e0:
+            break
+        if len(faces_cycle) > len(X.cells):
+            raise NotASurfaceError("star walk at %s does not close" % (v,))
+    return faces_cycle, edges_cycle
+
+
+def reference_vertex_fan(X, v):
+    """Faces and crossed edges around v; cyclic for interior, a fan otherwise.
+
+    Returns (faces, edges, closed).  For a closed star edges[i] joins faces[i]
+    and faces[i+1 mod m]; otherwise edges has one fewer entry than faces.
+    """
+    from torusbase.affine import AffineError
+
+    star_edges = [e for e, _ in X.cofaces_of(v) if X.dim(e) == 1]
+    boundary = [e for e in star_edges if len(X.cofaces_of(e)) == 1]
+    if not boundary:
+        faces, edges = reference_vertex_star_cycle(X, v)
+        return faces, edges, True
+    # start at a boundary edge and walk across interior edges
+    start = sorted(boundary, key=str)[0]
+    f = X.cofaces_of(start)[0][0]
+    faces = [f]
+    edges = []
+    prev = start
+    while True:
+        nxt = [
+            e2
+            for e2, _ in X.faces_of(f)
+            if e2 != prev and any(w == v for w, _ in X.faces_of(e2))
+        ]
+        if len(nxt) != 1:
+            raise AffineError("vertex %s has a non-disk star" % (v,))
+        e = nxt[0]
+        if len(X.cofaces_of(e)) == 1:
+            break
+        g = next(h for h, _ in X.cofaces_of(e) if h != f)
+        edges.append(e)
+        faces.append(g)
+        prev = e
+        f = g
+    return faces, edges, False
+
+
+FAN, CLOSED = False, True
+
+
+@pytest.mark.parametrize(
+    "name, kinds",
+    [
+        ("cp2_triangle", {FAN}),
+        ("ff_disk:1", {FAN, CLOSED}),
+        ("ff_disk:2", {FAN, CLOSED}),
+        ("ff_disk:3", {FAN, CLOSED}),
+        ("flat_torus:1", {CLOSED}),
+        ("flat_torus:2", {CLOSED}),
+        ("flat_torus:3", {CLOSED}),
+        ("klein_affine", {CLOSED}),
+        ("kodaira_thurston", {CLOSED}),
+        ("sphere_24ff", {CLOSED}),
+        ("cut_triangle_surface", {FAN, CLOSED}),
+    ],
+)
+def test_star_walk_matches_the_reference_walks(name, kinds):
+    from torusbase.catalog import build, cut_triangle_surface
+    from torusbase.complexes import vertex_star_cycle
+
+    S = cut_triangle_surface() if name == "cut_triangle_surface" else build(name).payload
+    X = S.base
+    seen = set()
+    for v in X.cells_of_dim(0):
+        walk = vertex_star_cycle(X, v)
+        assert walk == reference_vertex_fan(X, v)
+        seen.add(walk[2])
+    assert seen == kinds

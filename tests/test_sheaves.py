@@ -517,3 +517,39 @@ def test_validate_sheaf_matches_reference_over_Z_with_torsion(m, seed):
                 assert got == want
                 outcomes.add(got == "valid")
         assert outcomes == {True, False}
+
+
+SUBCOMPLEX_ORDER_SCRIPT = """
+from torusbase.catalog import fake_base_space
+from torusbase.sheaves import CellularSheaf, restrict_sheaf, validate_sheaf
+
+spec = fake_base_space()["spec"]
+G = restrict_sheaf(spec.sheaf1, spec.overlap1)
+rank = {c: i + 1 for i, c in enumerate(sorted(G.base.cells, key=str))}
+# scale each vertex-to-edge restriction by its own factor: no square commutes
+bad = {
+    (s, t): rank[t] * M if G.base.dim(s) == 0 else M for (s, t), M in G.restrictions.items()
+}
+print(list(spec.overlap1.cells))
+print(validate_sheaf(CellularSheaf(G.base, G.ring, G.stalks, bad)))
+"""
+
+
+def test_subcomplex_order_does_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import torusbase
+
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(torusbase.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", SUBCOMPLEX_ORDER_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(run.stdout)
+    assert "do not commute" in outputs[0], outputs[0][:300]
+    assert outputs[0] == outputs[1]

@@ -282,3 +282,33 @@ def test_realizability_report_builds_the_monodromy_sheaf_once(monkeypatch):
     rep = realizability_report_2d(flat_torus_surface())
     assert rep.details["moduli (dim, lattice rank)"] == (1, 1)
     assert len(calls) == 1
+
+
+def test_obstruction_rational_part_on_a_ball_glued_to_itself():
+    # a 3-ball (triangle x interval) glued to itself along its boundary
+    # sphere gives S^3: H^2(overlap) = Z survives both pieces, over Z and Q
+    from fractions import Fraction
+
+    from torusbase.complexes import CellComplex, product
+
+    seg = CellComplex(cells={"p": 0, "q": 0, "s": 1}, incidence={("s", "p"): -1, ("s", "q"): 1})
+    B, _ = product(triangle("f", ["a", "b", "c"]), seg)
+    sphere = [c for c in B.cells if B.dim(c) <= 2]
+    F = constant_sheaf(B, 1)
+    spec = identity_spec(B, F, B, F, sphere)
+    G = restrict_sheaf(F, spec.overlap1)
+    first = spec.overlap1.cells_of_dim(2)[0]
+    zero = class_from_components(G, 2, {})
+    one = class_from_components(G, 2, {first: [1]})
+    GQ = restrict_sheaf(constant_sheaf(B, 1, "Q"), spec.overlap1)
+    difference = GQ.zero_cochain(2)
+    difference[0] = Fraction(1, 2)
+    rep = gluing_obstruction(spec, zero, one, difference)
+    assert str(rep.group) == "Z"
+    assert rep.coordinates == (-1,)
+    assert rep.rational_dimension == 1
+    assert rep.rational_coordinates == (Fraction(-1, 2),)
+    assert str(rep) == (
+        "obstruction group Z, element (-1,); rational part dim 1, element ('-1/2',) -> obstructed"
+    )
+    assert gluing_obstruction(spec, zero, zero).rational_coordinates == (Fraction(0),)
