@@ -1,17 +1,26 @@
 """Exact linear algebra over Z and Q.
 
-Matrices and vectors come in and go out as numpy arrays of dtype=object
-holding python ints (arbitrary precision) or fractions.Fraction.  There are
-two eliminations, both on sparse rows.  snf, a Smith form loop with a
-written pivot rule (see snf), fixes the Z coordinates of PresentedGroup and
-solves LinearSystem over Z; the rule, not the storage, fixes its D, U and V,
-so those coordinates did not move when the loop left dense arrays.
-Everything else (hnf, kernel, the lattice functions, rref, q_rank, q_kernel,
-LinearSystem over Q, QuotientSpace, EchelonBasis) runs one sparse echelon
-loop, _echelon, on rows kept as {column: entry} dicts, touching only nonzero
-entries: it gives the row Hermite normal form over Z and the reduced row
-echelon form over Q.  Row convention: matrices act on column vectors;
-relation subgroups/subspaces are given by rows.
+Inside this module a matrix is a list of sparse rows, {column: entry} dicts
+holding no zeros, with a width: python ints (arbitrary precision) over Z,
+fractions.Fraction over Q.  numpy object arrays appear at the public
+boundary: a function that takes or returns a matrix or a vector takes or
+returns a numpy array of dtype=object and converts it once, on the way in or
+out.  Two callers still compute on such a result: kernel slices the dense
+transform of hnf, and LinearSystem solves over Z with the dense U and V of
+snf.  PresentedGroup and QuotientSpace also take their relations as sparse
+rows, which is how sheaves.CohomologyResult hands them over.
+
+There are two eliminations, both on sparse rows.  _smith, the Smith form
+loop behind snf, follows a written pivot rule (see snf) that fixes the Z
+coordinates of PresentedGroup and the Z solves of LinearSystem; the rule,
+not the storage, fixes its D, U and V, so those coordinates did not move
+when the loop left dense arrays.  Everything else (hnf, kernel, the lattice
+functions, rref, q_rank, q_kernel, LinearSystem over Q, QuotientSpace,
+EchelonBasis, the inverse of the Smith transform) runs one echelon loop,
+_echelon, touching only nonzero entries: it gives the row Hermite normal
+form over Z and the reduced row echelon form over Q.  Row convention:
+matrices act on column vectors; relation subgroups/subspaces are given by
+rows.
 
 Coordinates.  A basis in echelon form (EchelonBasis: the HNF rows of a
 lattice over Z, the kernel vectors of an RREF over Q) gives the coefficients
@@ -22,6 +31,7 @@ mapped through the Smith transform of PresentedGroup; over Q they are the
 entries at the non-pivot columns after QuotientSpace reduces them.
 """
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,7 +121,7 @@ def hnf(M):
     The rows of U past the rank span the left kernel of M.
     """
     m, n = M.shape
-    pivot_rows, null_rows = _echelon_with_transform(M, "Z")
+    pivot_rows, null_rows = _echelon_with_transform(_sparse_rows(M, "Z"), n, "Z")
     rows = list(pivot_rows.values()) + null_rows
     return _dense(rows, (m, n)), _dense(rows, (m, m), first=n)
 
@@ -156,12 +166,21 @@ def snf(M):
     pivot is made positive.  This rule fixes D, U and V, and with them the
     Z coordinates of PresentedGroup.
 
-    The loop keeps D as sparse rows with an index from each column to the
-    rows that hold it, U as sparse rows and V as sparse columns; the dense
-    matrices are built at the end.
+    The loop is _smith, on sparse rows; the dense matrices are built from
+    its result.
     """
     m, n = M.shape
-    D = _sparse_rows(M, "Z")
+    D, U, V = _smith(_sparse_rows(M, "Z"), n)
+    return SmithDecomposition(D=_dense(D, (m, n)), U=_dense(U, (m, m)), V=_dense(V, (n, n)).T)
+
+
+def _smith(D, n):
+    """The loop of snf, with its pivot rule, on the sparse rows D of width n.
+
+    D is reduced in place, with an index from each column to the rows that
+    hold it.  Returns (D, U, V): D and U as sparse rows, V as sparse columns.
+    """
+    m = len(D)
     holders = [set() for _ in range(n)]
     for i, row in enumerate(D):
         for j in row:
@@ -249,7 +268,7 @@ def snf(M):
             D[t] = {c: -v for c, v in D[t].items()}
             U[t] = {c: -v for c, v in U[t].items()}
         t += 1
-    return SmithDecomposition(D=_dense(D, (m, n)), U=_dense(U, (m, m)), V=_dense(V, (n, n)).T)
+    return D, U, V
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +320,8 @@ def kernel(M):
     integer solutions of Mx = 0.
     """
     H, U = hnf(M.T)
-    rank = sum(1 for r in H if any(x != 0 for x in r))
+    # the zero rows of H come last, so bisection finds the rank
+    rank = bisect.bisect_left(range(H.shape[0]), True, key=lambda i: not any(H[i]))
     return U[rank:].T.copy()
 
 
@@ -318,7 +338,7 @@ class LinearSystem:
             self.rank = self.dec.rank
             return
         m, n = M.shape
-        self._rows, null = _echelon_with_transform(M, "Q")
+        self._rows, null = _echelon_with_transform(_sparse_rows(M, "Q"), n, "Q")
         self.rank = len(self._rows)
         # E by columns, its rows numbered pivot rows first, then the rows
         # whose M part vanished (they span the left kernel of M)
@@ -459,6 +479,17 @@ def _echelon(rows, width, ring):
     """
     pivot_rows = {}
     null_rows = []
+    # holders[c]: the pivot rows that held an entry at column c < width when
+    # they were last written, an index like snf's; an entry that cancels
+    # leaves a stale holder, which the membership tests below skip.  A pivot
+    # row holds no entry left of its pivot.
+    holders = {}
+
+    def hold(o, cols):
+        for c in cols:
+            if c < width:
+                holders.setdefault(c, set()).add(o)
+
     for row in sorted(rows, key=len):
         row = dict(row)
         todo = [c for c in row if c < width]
@@ -483,6 +514,7 @@ def _echelon(rows, width, ring):
                 g, a, b = _xgcd(f, d)
                 pivot_rows[p] = {c: a * v for c, v in row.items()}
                 _axpy(pivot_rows[p], b, piv)
+                hold(p, pivot_rows[p])
                 row = {c: d // g * v for c, v in row.items()}
                 _axpy(row, -(f // g), piv)
             elif not _reduce(row, p, piv, ring):
@@ -493,26 +525,36 @@ def _echelon(rows, width, ring):
         if lead is None:
             null_rows.append(row)
             continue
-        for other in pivot_rows.values():
-            if lead in other:
-                _reduce(other, lead, row, ring)
+        for o in list(holders.get(lead, ())):
+            other = pivot_rows[o]
+            if lead in other and _reduce(other, lead, row, ring):
+                hold(o, (c for c in row if c in other))
         pivot_rows[lead] = row
+        hold(lead, row)
     order = sorted(pivot_rows)
     if ring == "Z":
-        for i, p in enumerate(order):
-            for other in (pivot_rows[o] for o in order[:i]):
-                if p in other:
-                    _reduce(other, p, pivot_rows[p], ring)
+        for p in order:
+            piv = pivot_rows[p]
+            for o in holders[p]:
+                other = pivot_rows[o]
+                if o != p and p in other and _reduce(other, p, piv, ring):
+                    hold(o, (c for c in piv if c > p and c in other))
     return {p: pivot_rows[p] for p in order}, null_rows
 
 
-def _echelon_with_transform(M, ring):
-    """_echelon of [M | I]: the identity columns record the row transform."""
-    n = M.shape[1]
-    rows = _sparse_rows(M, ring)
+def _echelon_with_transform(rows, width, ring):
+    """_echelon of [rows | I]: the identity columns record the row transform."""
+    one = 1 if ring == "Z" else _ONE
+    return _echelon([{**row, width + i: one} for i, row in enumerate(rows)], width, ring)
+
+
+def _transpose(rows, width):
+    """The sparse rows of the transpose of a matrix given by sparse rows of the given width."""
+    cols = [{} for _ in range(width)]
     for i, row in enumerate(rows):
-        row[n + i] = 1 if ring == "Z" else _ONE
-    return _echelon(rows, n, ring)
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
 
 
 def _kernel_rows(pivot_rows, n):
@@ -534,12 +576,19 @@ def _substitute(x, pivot_rows):
     at its pivot.  Row p is taken out x[p] / d times, rows in order.  Over Q
     every d is 1.  Over Z a division that leaves a remainder means x is not
     in the row lattice; the result is then None, else the multiples {p: f}.
+
+    Only the pivots x reaches are visited, from a heap, in increasing order:
+    those it holds at the start and those a row taken out brings in.
     """
     coef = {}
-    for p, row in pivot_rows.items():
+    todo = [p for p in x if p in pivot_rows]
+    heapq.heapify(todo)
+    while todo:
+        p = heapq.heappop(todo)
         f = x.get(p)
         if f is None:
-            continue
+            continue  # taken out already, or a column met twice
+        row = pivot_rows[p]
         d = row[p]
         if d != 1:
             f, r = divmod(f, d)
@@ -547,6 +596,9 @@ def _substitute(x, pivot_rows):
                 return None
         _axpy(x, -f, row)
         coef[p] = f
+        for c in row:
+            if c > p and c in x and c in pivot_rows:
+                heapq.heappush(todo, c)
     return coef
 
 
@@ -600,15 +652,22 @@ def stack_rows(*mats):
 
 def preimage_lattice(M, target_rows):
     """Rows spanning {x in Z^n : M x lies in the row lattice of target_rows}."""
-    m, n = M.shape
-    k = target_rows.shape[0]
-    if k == 0:
-        return lattice_hnf(kernel(M).T)
-    A = zeros(m, n + k)
-    A[:, :n] = M
-    A[:, n:] = -target_rows.T
-    K = kernel(A)
-    return lattice_hnf(K[:n].T)
+    n = M.shape[1]
+    rows = _preimage_rows(_sparse_rows(M, "Z"), n, _sparse_rows(target_rows, "Z"))
+    pivot_rows, _ = _echelon(rows, n, "Z")
+    return _dense(pivot_rows.values(), (len(pivot_rows), n))
+
+
+def _preimage_rows(rows, n, target):
+    """Sparse rows spanning {x in Z^n : M x lies in the row lattice of target},
+    for M given by its sparse rows: the first n coordinates of a kernel basis
+    of [M | -target^T], which kernel computes on the dense matrix."""
+    A = [dict(row) for row in rows]
+    for j, t in enumerate(target):
+        for i, v in t.items():
+            A[i][n + j] = -v
+    K = kernel(_dense(A, (len(A), n + len(target))))
+    return _sparse_rows(K[:n].T, "Z")
 
 
 # ---------------------------------------------------------------------------
@@ -619,27 +678,28 @@ class PresentedGroup:
     """Z^n modulo the lattice spanned by the given relation rows.
 
     Provides canonical coordinates: reduce() maps a vector to a tuple that is
-    equal for two vectors iff they represent the same element.
+    equal for two vectors iff they represent the same element.  The relations
+    are an integer matrix or sparse rows {column: entry}.
     """
 
     def __init__(self, n, relations=None):
         self.n = n
-        if relations is None or relations.shape[0] == 0:
-            relations = zeros(0, n)
-        if relations.shape[1] != n:
-            raise ValueError("relation width mismatch")
-        self.relations = lattice_hnf(relations)
-        dec = snf(self.relations.T) if self.relations.shape[0] else None
-        if dec is None:
-            self._T = eye(n)
-            self._orders = [0] * n
-        else:
-            # columns of relations.T span the relation lattice; z = U x puts
-            # the lattice into diagonal form
-            self._T = dec.U
-            diag = dec.diagonal
-            self._orders = [diag[i] if i < len(diag) else 0 for i in range(n)]
+        if isinstance(relations, np.ndarray):
+            if relations.shape[0] and relations.shape[1] != n:
+                raise ValueError("relation width mismatch")
+            relations = _sparse_rows(relations, "Z")
+        self._hnf = list(_echelon(relations or [], n, "Z")[0].values())
+        # the columns of the HNF rows span the relation lattice; z = T x puts
+        # the lattice into diagonal form
+        r = len(self._hnf)
+        D, self._T, _ = _smith(_transpose(self._hnf, n), r)
+        self._orders = [D[i].get(i, 0) if i < r else 0 for i in range(n)]
         self._Tinv = None
+
+    @property
+    def relations(self):
+        """The Hermite normal form rows of the relation lattice, zero rows dropped."""
+        return _dense(self._hnf, (len(self._hnf), self.n))
 
     @property
     def group(self):
@@ -649,27 +709,29 @@ class PresentedGroup:
 
     def reduce(self, x):
         """Canonical coordinate tuple of the class of x."""
-        z = self._T.dot(x)
+        if len(x) != self.n:
+            raise ValueError("dimension mismatch: len(x) != n")
+        x = list(x)
         out = []
-        for zi, d in zip(z, self._orders):
+        for row, d in zip(self._T, self._orders):
             if d == 1:
                 continue
-            out.append(int(zi % d) if d > 1 else int(zi))
+            z = sum(v * x[j] for j, v in row.items())
+            out.append(int(z % d) if d > 1 else int(z))
         return tuple(out)
 
     def coordinate_orders(self):
         return tuple(d for d in self._orders if d != 1)
 
     def generators(self):
-        """Ambient vectors mapping to the canonical coordinate unit classes."""
+        """Ambient vectors mapping to the canonical coordinate unit classes:
+        the columns of T^-1, read off the echelon form [I | T^-1] of [T | I]."""
+        n = self.n
         if self._Tinv is None:
-            self._Tinv = unimodular_inverse(self._T)
-        gens = []
-        for i, d in enumerate(self._orders):
-            if d == 1:
-                continue
-            gens.append(self._Tinv[:, i].copy())
-        return gens
+            inverse, _ = _echelon_with_transform(self._T, n, "Z")
+            self._Tinv = [{c - n: v for c, v in row.items() if c >= n} for row in inverse.values()]
+        units = [i for i, d in enumerate(self._orders) if d != 1]
+        return [intvec([row.get(i, 0) for row in self._Tinv]) for i in units]
 
     def is_zero(self, x):
         return all(c == 0 for c in self.reduce(x))
@@ -680,13 +742,15 @@ class QuotientSpace:
 
     The coordinates of a vector are its entries at the non-pivot columns
     after reduction by the unique reduced row echelon form of the relations,
-    pivots taken leftmost first.
+    pivots taken leftmost first.  The relations are a matrix or sparse rows
+    {column: Fraction}.
     """
 
     def __init__(self, n, relations=None):
         self.n = n
-        rows = _sparse_rows(relations, "Q") if relations is not None else []
-        self._rows = _echelon(rows, n, "Q")[0]
+        if isinstance(relations, np.ndarray):
+            relations = _sparse_rows(relations, "Q")
+        self._rows = _echelon(relations or [], n, "Q")[0]
         self._free = [j for j in range(n) if j not in self._rows]
 
     @property
@@ -733,6 +797,7 @@ class EchelonBasis:
         self.n = n
         self.ring = ring
         self._rows = pivot_rows
+        self._index = {p: i for i, p in enumerate(pivot_rows)}
 
     @classmethod
     def lattice(cls, M):
@@ -758,12 +823,18 @@ class EchelonBasis:
     def coefficients(self, x):
         """The coefficient vector of x, or None when x is not in the span
         (over Z: not in the lattice the vectors span)."""
-        x = {j: v for j, v in enumerate(x) if v != 0}
+        coef = self._coefficients({j: v for j, v in enumerate(x) if v != 0})
+        if coef is None:
+            return None
+        out = zerovec(len(self._rows), self.ring)
+        for i, f in coef.items():
+            out[i] += f
+        return out
+
+    def _coefficients(self, x):
+        """The coefficients {i: f} of the sparse vector x, which is used up,
+        or None when x is not in the span."""
         coef = _substitute(x, self._rows)
         if coef is None or x:
             return None
-        out = zerovec(len(self._rows), self.ring)
-        for i, p in enumerate(self._rows):
-            if p in coef:
-                out[i] += coef[p]
-        return out
+        return {self._index[p]: f for p, f in coef.items()}

@@ -11,6 +11,7 @@ mod-n coefficient sheaves and their Bockstein connecting maps.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -22,6 +23,11 @@ from .exact import (
     LinearSystem,
     PresentedGroup,
     QuotientSpace,
+    _dense,
+    _echelon,
+    _kernel_rows,
+    _preimage_rows,
+    _transpose,
     eye,
     fracmat,
     intmat,
@@ -69,6 +75,7 @@ class CellularSheaf:
             raise SheafError("stalks over Q carry no torsion moduli")
         self.restrictions = dict(restrictions)
         self._offsets = {}
+        self._diff_rows = {}
         self._diff = {}
 
     def stalk(self, cell):
@@ -116,19 +123,35 @@ class CellularSheaf:
             )
         return R
 
+    def _differential_rows(self, k):
+        """d_k as sparse rows {column: entry}, one per coordinate of C^{k+1},
+        assembled from the restriction blocks and cached.  The entries are
+        ints over Z and Fractions over Q.  Do not modify them."""
+        if k not in self._diff_rows:
+            off_k, _ = self.offsets(k)
+            off_k1, n_k1 = self.offsets(k + 1)
+            conv = int if self.ring == "Z" else Fraction
+            rows = [{} for _ in range(n_k1)]
+            for tau in self.cochain_cells(k + 1):
+                i = off_k1[tau]
+                for sigma, sign in self.base.faces_of(tau):
+                    # each (sigma, tau) block has columns of its own
+                    j = off_k[sigma]
+                    for r, line in enumerate(self._block(sigma, tau).tolist()):
+                        row = rows[i + r]
+                        for c, v in enumerate(line):
+                            x = sign * v
+                            if x != 0:
+                                row[j + c] = conv(x)
+            self._diff_rows[k] = rows
+        return self._diff_rows[k]
+
     def differential(self, k):
-        if k in self._diff:
-            return self._diff[k]
-        off_k, n_k = self.offsets(k)
-        off_k1, n_k1 = self.offsets(k + 1)
-        D = zeros(n_k1, n_k, self.ring)
-        for tau in self.cochain_cells(k + 1):
-            for sigma, sign in self.base.faces_of(tau):
-                R = self._block(sigma, tau)
-                i, j = off_k1[tau], off_k[sigma]
-                D[i:i + self.rank(tau), j:j + self.rank(sigma)] += sign * R
-        self._diff[k] = D
-        return D
+        """d_k as a dense matrix: the view of _differential_rows(k), cached."""
+        if k not in self._diff:
+            shape = (self.cochain_rank(k + 1), self.cochain_rank(k))
+            self._diff[k] = _dense(self._differential_rows(k), shape, self.ring)
+        return self._diff[k]
 
     def coboundary(self, k, vec):
         """d applied to a k-cochain, one restriction block at a time.
@@ -151,22 +174,19 @@ class CellularSheaf:
 
     def moduli_rows(self, k):
         """Rows spanning the torsion lattice of C^k (Z sheaves only)."""
-        off, n = self.offsets(k)
+        rows = self._torsion_rows(k)
+        return _dense(rows, (len(rows), self.cochain_rank(k)))
+
+    def _torsion_rows(self, k):
+        """moduli_rows(k) as new sparse rows, one {column: order} per torsion generator."""
+        off, _ = self.offsets(k)
         rows = []
         for c in self.cochain_cells(k):
             st = self.stalk(c)
             for i in range(st.rank):
-                m = st.order(i)
-                if m:
-                    row = zerovec(n)
-                    row[off[c] + i] = m
-                    rows.append(row)
-        if not rows:
-            return zeros(0, n)
-        out = zeros(len(rows), n)
-        for i, r in enumerate(rows):
-            out[i] = r
-        return out
+                if st.order(i):
+                    rows.append({off[c] + i: st.order(i)})
+        return rows
 
     def is_cocycle(self, k, vec):
         return lattice_member(self.moduli_rows(k + 1), self.coboundary(k, vec))
@@ -289,30 +309,41 @@ class CohomologyResult:
     The coefficients of a cocycle in it are read by back-substitution; the
     coefficients of the coboundaries (and of the stalk torsion) are the
     relations of the presentation, which fixes the canonical coordinates.
+
+    d, the coboundaries and the torsion are read as sparse rows, and the
+    relations go to the presentation as sparse rows.  The one dense matrix is
+    the kernel of [d | -torsion^T] over Z (see exact._preimage_rows).
     """
 
     def __init__(self, sheaf, degree):
         self.sheaf = sheaf
         self.degree = degree
         F, k = sheaf, degree
-        D = F.differential(k)
+        n = F.cochain_rank(k)
+        d = F._differential_rows(k)
         if F.ring == "Z":
-            self._cocycles = EchelonBasis.lattice(preimage_lattice(D, F.moduli_rows(k + 1)))
+            pivot_rows, _ = _echelon(_preimage_rows(d, n, F._torsion_rows(k + 1)), n, "Z")
             quotient = PresentedGroup
         else:
-            self._cocycles = EchelonBasis.kernel(D)
+            pivot_rows = _kernel_rows(_echelon(d, n, "Q")[0], n)
             quotient = QuotientSpace
-        self._basis = self._cocycles.matrix()  # columns are the cocycle basis
-        z = len(self._cocycles)
-        # the relations: the coboundaries and the stalk torsion of C^k
-        gens = list(F.differential(k - 1).T) + list(F.moduli_rows(k)) if z else []
-        rel = zeros(len(gens), z, F.ring)
-        for i, g in enumerate(gens):
-            coef = self._cocycles.coefficients(g)
-            if coef is None:
-                raise SheafError("coboundary lies outside the cocycle lattice")
-            rel[i] = coef
-        self._pg = quotient(z, rel)
+        self._cocycles = EchelonBasis(n, pivot_rows, F.ring)
+        # the relations: the coboundaries (the columns of d_{k-1}) and the
+        # stalk torsion of C^k, in the cocycle basis
+        rel = []
+        if pivot_rows:
+            coboundaries = _transpose(F._differential_rows(k - 1), F.cochain_rank(k - 1))
+            for g in coboundaries + F._torsion_rows(k):
+                coef = self._cocycles._coefficients(g)
+                if coef is None:
+                    raise SheafError("coboundary lies outside the cocycle lattice")
+                rel.append(coef)
+        self._pg = quotient(len(pivot_rows), rel)
+
+    @cached_property
+    def _basis(self):
+        """The cocycle basis as the columns of a dense matrix, built on first use."""
+        return self._cocycles.matrix()
 
     @property
     def group(self):
@@ -333,9 +364,17 @@ class CohomologyResult:
         return coef
 
     def generator_cocycles(self):
+        """The cocycles of the canonical generators: each generator's
+        presentation coordinates applied to the sparse cocycle basis."""
+        rows = list(self._cocycles._rows.values())
         gens = []
         for g in self._pg.generators():
-            gens.append(self._basis.dot(g))
+            v = self.sheaf.zero_cochain(self.degree)
+            for row, f in zip(rows, g):
+                if f:
+                    for c, e in row.items():
+                        v[c] += f * e
+            gens.append(v)
         return gens
 
 

@@ -49,13 +49,21 @@ class GluingSpec:
     stalk_isos: dict  # overlap1 cell -> matrix stalk1(c) -> stalk2(map c)
 
     def validate(self):
+        return self._checked()[0]
+
+    def _checked(self):
+        """(violations, inverses): one pass over the overlap that checks the
+        spec and inverts each stalk iso, inverses[c] mapping the second
+        piece's stalk at cell_map[c] back to the first's.  The inverses are
+        complete only when there is no violation."""
         bad = []
+        inverses = {}
         if set(self.cell_map) != set(self.overlap1.cells):
             bad.append("cell map does not cover the overlap")
-            return bad
+            return bad, inverses
         if set(self.cell_map.values()) != set(self.overlap2.cells):
             bad.append("cell map is not onto the second overlap")
-            return bad
+            return bad, inverses
         for c, d in self.cell_map.items():
             if self.overlap1.dim(c) != self.overlap2.dim(d):
                 bad.append("cell map changes dimension at %s" % (c,))
@@ -72,11 +80,11 @@ class GluingSpec:
                 bad.append("stalk iso at %s has the wrong shape" % (c,))
                 continue
             try:
-                unimodular_inverse(J)
+                inverses[c] = unimodular_inverse(J)
             except ValueError:
                 bad.append("stalk iso at %s is not invertible over Z" % (c,))
         if bad:
-            return bad
+            return bad, inverses
         for (cof, face), v in self.overlap1.incidence.items():
             left = self.stalk_isos[cof].dot(self.sheaf1.restriction(face, cof))
             right = self.sheaf2.restriction(
@@ -84,7 +92,7 @@ class GluingSpec:
             ).dot(self.stalk_isos[face])
             if not all(x == 0 for x in (left - right).flat):
                 bad.append("stalk isos break restriction at (%s, %s)" % (face, cof))
-        return bad
+        return bad, inverses
 
 
 def glue(spec):
@@ -94,7 +102,7 @@ def glue(spec):
     identified onto the first piece's copy, so restriction to either tag
     recovers the input.
     """
-    bad = spec.validate()
+    bad, inverses = spec._checked()
     if bad:
         raise SurgeryError("invalid gluing: %s" % "; ".join(map(str, bad)))
     D = disjoint_union(spec.complex1, spec.complex2, "A", "B")
@@ -105,9 +113,8 @@ def glue(spec):
     to2 = {}  # overlap2 cell -> iso stalk1 -> stalk2
     to1 = {}  # overlap2 cell -> iso stalk2 -> stalk1
     for c in spec.overlap1.cells:
-        J = spec.stalk_isos[c]
-        to2[spec.cell_map[c]] = J
-        to1[spec.cell_map[c]] = unimodular_inverse(J)
+        to2[spec.cell_map[c]] = spec.stalk_isos[c]
+        to1[spec.cell_map[c]] = inverses[c]
     for c in spec.complex1.cells:
         stalks[relabel[("A", c)]] = spec.sheaf1.stalk(c)
     for c in spec.complex2.cells:
@@ -188,12 +195,12 @@ def gluing_obstruction(spec, class1, class2, rational_difference=None):
     with constant rational coefficients, applied to rational_difference when
     one is supplied.
     """
-    bad = spec.validate()
+    bad, inverses = spec._checked()
     if bad:
         raise SurgeryError("invalid gluing: %s" % "; ".join(map(str, bad)))
     over = spec.overlap1
-    inverses = {c: unimodular_inverse(spec.stalk_isos[c]) for c in over.cells_of_dim(2)}
-    h_over, Q = _overlap_quotient(spec.sheaf1, spec.sheaf2, over, spec.cell_map, inverses)
+    inverses2 = {c: inverses[c] for c in over.cells_of_dim(2)}
+    h_over, Q = _overlap_quotient(spec.sheaf1, spec.sheaf2, over, spec.cell_map, inverses2)
     coords = Q.reduce(h_over.to_presentation_coords(class2.cocycle - class1.cocycle))
     # rational comparison with constant coefficients on the complexes; the
     # symplectic difference class is a separate input when available

@@ -176,3 +176,60 @@ def test_rational_stalks_carry_no_torsion():
     with pytest.raises(SheafError):
         CellularSheaf(X, "Q", {c: Stalk(1, (2,)) for c in X.cells}, {})
     CellularSheaf(X, "Q", {c: Stalk(1, (0,)) for c in X.cells}, {})
+
+
+# ---------------------------------------------------------------------------
+# The differential is assembled as sparse rows straight from the restriction
+# blocks, and differential(k) is their dense view.  The dense blockwise loop
+# it replaced is kept here, verbatim, as the reference.
+
+
+def reference_differential(F, k):
+    off_k, n_k = F.offsets(k)
+    off_k1, n_k1 = F.offsets(k + 1)
+    D = zeros(n_k1, n_k, F.ring)
+    for tau in F.cochain_cells(k + 1):
+        for sigma, sign in F.base.faces_of(tau):
+            R = F._block(sigma, tau)
+            i, j = off_k1[tau], off_k[sigma]
+            D[i:i + F.rank(tau), j:j + F.rank(sigma)] += sign * R
+    return D
+
+
+def _glued_sheaf():
+    from torusbase.surgery import glue
+
+    return glue(build("fake_base_space").payload["spec"])[1]
+
+
+def _assert_same_differentials(F):
+    for k in range(-1, F.base.dimension + 1):
+        got, want = F.differential(k), reference_differential(F, k)
+        assert got.shape == want.shape
+        assert all(type(a) is type(b) and a == b for a, b in zip(got.flat, want.flat))
+        assert [{j: v for j, v in enumerate(r) if v != 0} for r in want.tolist()] == F._differential_rows(k)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_differential_rows_match_the_dense_blockwise_loop(name):
+    for label, F in _sheaves(name):
+        _assert_same_differentials(F)
+
+
+def test_differential_rows_of_the_glued_sheaf():
+    _assert_same_differentials(_glued_sheaf())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_generator_cocycles_match_the_dense_basis_product(name):
+    # generator_cocycles reads the sparse cocycle basis; the dense basis
+    # product it replaced must give the same entries, of the same types
+    for label, F in _sheaves(name):
+        for k in range(F.base.dimension + 1):
+            h = cohomology(F, k)
+            got = h.generator_cocycles()
+            want = [h._basis.dot(g) for g in h.presentation.generators()]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert len(a) == len(b)
+                assert all(type(x) is type(y) and x == y for x, y in zip(a, b))

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -29,6 +30,17 @@ from torusbase.exact import (
     solve,
     stack_rows,
     unimodular_inverse,
+)
+from torusbase.exact import (
+    _axpy,
+    _dense,
+    _echelon,
+    _echelon_with_transform,
+    _kernel_rows,
+    _reduce,
+    _sparse_rows,
+    _substitute,
+    _xgcd,
 )
 
 
@@ -520,3 +532,156 @@ def test_snf_diagonal_matches_sympy():
         S = smith_normal_form(Matrix(M.tolist()), domain=ZZ) if M.size else None
         theirs = [abs(int(S[i, i])) for i in range(min(M.shape))] if S is not None else []
         assert snf(M).diagonal == theirs
+
+
+# ---------------------------------------------------------------------------
+# Back-substitution and the echelon loop visit only what they must:
+# _substitute walks a heap of the pivots the vector reaches, and _echelon
+# keeps an index from each column to the pivot rows holding it, instead of
+# scanning every pivot row when a row is inserted and in the last Z pass.
+# The loops they replaced are kept here, verbatim, as the references.
+
+
+def reference_substitute(x, pivot_rows):
+    coef = {}
+    for p, row in pivot_rows.items():
+        f = x.get(p)
+        if f is None:
+            continue
+        d = row[p]
+        if d != 1:
+            f, r = divmod(f, d)
+            if r:
+                return None
+        _axpy(x, -f, row)
+        coef[p] = f
+    return coef
+
+
+def reference_echelon(rows, width, ring):
+    pivot_rows = {}
+    null_rows = []
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        todo = [c for c in row if c < width]
+        heapq.heapify(todo)
+        lead = None
+        while todo:
+            p = heapq.heappop(todo)
+            f = row.get(p)
+            if f is None:
+                continue  # cancelled, or a column met twice
+            piv = pivot_rows.get(p)
+            if piv is None:
+                if lead is None:
+                    lead = p
+                    if ring == "Q" and f != 1:
+                        row = {c: v / f for c, v in row.items()}
+                    elif ring == "Z" and f < 0:
+                        row = {c: -v for c, v in row.items()}
+                continue
+            d = piv[p]
+            if lead is None and ring == "Z" and f % d:
+                g, a, b = _xgcd(f, d)
+                pivot_rows[p] = {c: a * v for c, v in row.items()}
+                _axpy(pivot_rows[p], b, piv)
+                row = {c: d // g * v for c, v in row.items()}
+                _axpy(row, -(f // g), piv)
+            elif not _reduce(row, p, piv, ring):
+                continue  # already in range
+            for c in piv:
+                if p < c < width:
+                    heapq.heappush(todo, c)
+        if lead is None:
+            null_rows.append(row)
+            continue
+        for other in pivot_rows.values():
+            if lead in other:
+                _reduce(other, lead, row, ring)
+        pivot_rows[lead] = row
+    order = sorted(pivot_rows)
+    if ring == "Z":
+        for i, p in enumerate(order):
+            for other in (pivot_rows[o] for o in order[:i]):
+                if p in other:
+                    _reduce(other, p, pivot_rows[p], ring)
+    return {p: pivot_rows[p] for p in order}, null_rows
+
+
+def test_indexed_echelon_matches_the_scanning_loop():
+    for M in sparse_cases() + smith_cases():
+        m, n = M.shape
+        for ring in ("Z", "Q"):
+            rows = _sparse_rows(M, ring)
+            one = 1 if ring == "Z" else Fraction(1)
+            with_transform = [{**row, n + i: one} for i, row in enumerate(rows)]
+            for given in (rows, with_transform):
+                got, want = _echelon(given, n, ring), reference_echelon(given, n, ring)
+                assert list(got[0].items()) == list(want[0].items())
+                assert got[1] == want[1]
+            assert _echelon_with_transform(rows, n, ring) == reference_echelon(with_transform, n, ring)
+
+
+def _probes(rng, pivot_rows, n, ring):
+    """Combinations of the rows (members), shifted by a unit vector or scaled
+    by a half (over Z mostly non-members), and random vectors."""
+    num = (lambda a: a) if ring == "Z" else Fraction
+    rows = list(pivot_rows.values())
+    out = []
+    for _ in range(6):
+        x = {}
+        for row in rows:
+            _axpy(x, num(rng.randint(-3, 3)), {c: v for c, v in row.items() if c < n})
+        out.append(x)
+        y = dict(x)
+        _axpy(y, num(1), {rng.randrange(n): num(1)})
+        out.append(y)
+        out.append({j: num(rng.randint(-4, 4)) for j in range(n) if rng.random() < 0.4})
+        if ring == "Q":
+            out.append({c: v / 2 for c, v in x.items()})
+    return out
+
+
+def test_heap_substitute_matches_the_sequential_loop():
+    rng = random.Random(59)
+    seen_none = seen_member = 0
+    for M in sparse_cases():
+        m, n = M.shape
+        if not n:
+            continue
+        bases = [
+            ("Z", _echelon(_sparse_rows(M, "Z"), n, "Z")[0]),
+            ("Q", _echelon(_sparse_rows(M, "Q"), n, "Q")[0]),
+            ("Q", _kernel_rows(_echelon(_sparse_rows(M, "Q"), n, "Q")[0], n)),
+        ]
+        for ring, pivot_rows in bases:
+            for x in _probes(rng, pivot_rows, n, ring):
+                a, b = dict(x), dict(x)
+                got, want = _substitute(a, pivot_rows), reference_substitute(b, pivot_rows)
+                assert got == want and (got is None or list(got) == list(want))
+                if got is not None:
+                    assert a == b
+                    seen_member += not a
+                seen_none += got is None
+    assert seen_none > 100 and seen_member > 100
+
+
+def test_presented_group_generators_are_the_columns_of_the_inverse_transform():
+    rng = random.Random(61)
+    cases = smith_cases() + [random_sparse_int(rng, rng.randint(0, 8), rng.randint(1, 8)) for _ in range(80)]
+    for M in cases:
+        n = M.shape[1]
+        G = PresentedGroup(n, M)
+        T = _dense(G._T, (n, n))
+        # the transform of the relation lattice is the one snf gives its HNF
+        want = snf(G.relations.T).U if G.relations.shape[0] else eye(n)
+        assert_same_entries(T, want)
+        Tinv = unimodular_inverse(T)
+        units = [i for i, d in enumerate(G._orders) if d != 1]
+        gens = G.generators()
+        assert len(gens) == len(units)
+        for g, i in zip(gens, units):
+            assert all(type(a) is int and a == b for a, b in zip(g, Tinv[:, i]))
+        # relations given as sparse rows present the same group the same way
+        S = PresentedGroup(n, _sparse_rows(M, "Z"))
+        assert (S._T, S._orders) == (G._T, G._orders)
