@@ -5,6 +5,12 @@ edges are pairs (A, t) in GL(2,Z) x Q^2 mapping from_face coordinates to
 to_face coordinates.  Action coordinates transform by A, so covectors (the
 stalks of the monodromy sheaf) transform by the inverse transpose; that
 convention is fixed here and used everywhere.
+
+All affine arithmetic runs on transports ((a, b, c, d), (x, y)), the map
+p -> [[a, b], [c, d]] p + (x, y), with Python ints and a translation of ints
+when integral, else Fractions.  affine_compose, affine_inverse,
+affine_identity, dual_matrix, fixed_covector, star_transports, vertex_wheel
+and AffineSurface.crossing only convert to and from numpy (A, t) pairs.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +29,6 @@ from .exact import (
     intmat,
     intvec,
     inv2,
-    kernel,
-    lattice_hnf,
     mat_eq,
     q_rank,
     zeros,
@@ -75,21 +79,90 @@ class EdgeTransition:
     t: np.ndarray  # length 2 over Q
 
 
+def _num(x):
+    """An int or Fraction as an int when integral, else the Fraction itself."""
+    return x if type(x) is int else (x.numerator if x.denominator == 1 else x)
+
+
+def _point(p):
+    """A chart position or translation as a pair of exact numbers."""
+    return _num(Fraction(p[0])), _num(Fraction(p[1]))
+
+
+def _lin(A):
+    """A 2x2 matrix as the linear part (a, b, c, d) of a transport."""
+    return tuple(int(x) for x in A.flat)
+
+
+def _transport(A, t):
+    return _lin(A), _point(t)
+
+
+def _arrays(m):
+    """A transport as the (A, t) pair of the public names: ints, Fractions."""
+    (a, b, c, d), t = m
+    return intmat([[a, b], [c, d]]), fracvec(t)
+
+
+_IDENTITY = ((1, 0, 0, 1), (0, 0))
+
+
+def _lin_mul(L2, L1):
+    a, b, c, d = L2
+    e, f, g, h = L1
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _lin_inverse(L):
+    a, b, c, d = L
+    det = a * d - b * c
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return d * det, -b * det, -c * det, a * det
+
+
+def _dual(L):
+    """Covector pushforward of a linear part: its inverse transpose."""
+    a, b, c, d = _lin_inverse(L)
+    return a, c, b, d
+
+
+def _apply(m, p):
+    (a, b, c, d), (x, y) = m
+    return _num(a * p[0] + b * p[1] + x), _num(c * p[0] + d * p[1] + y)
+
+
+def _compose(m2, m1):
+    """m2 after m1."""
+    return _lin_mul(m2[0], m1[0]), _apply(m2, m1[1])
+
+
+def _inverse(m):
+    L = _lin_inverse(m[0])
+    return L, tuple(-x for x in _apply((L, (0, 0)), m[1]))
+
+
+def _crossing(S, edge, from_face):
+    """(transport, face reached) for crossing edge out of from_face."""
+    tr = S.transitions[edge]
+    if tr.from_face == from_face:
+        return _transport(tr.A, tr.t), tr.to_face
+    if tr.to_face == from_face:
+        return _inverse(_transport(tr.A, tr.t)), tr.from_face
+    raise AffineError("face %s is not a side of edge %s" % (from_face, edge))
+
+
 def affine_compose(m2, m1):
     """(B, s) after (A, t): x -> B(Ax + t) + s."""
-    B, s = m2
-    A, t = m1
-    return B.dot(A), B.dot(t) + s
+    return _arrays(_compose(_transport(*m2), _transport(*m1)))
 
 
 def affine_inverse(m):
-    A, t = m
-    Ai = inv2(A)
-    return Ai, -Ai.dot(t)
+    return _arrays(_inverse(_transport(*m)))
 
 
 def affine_identity():
-    return eye(2), fracvec([0, 0])
+    return _arrays(_IDENTITY)
 
 
 def affine_eq(m1, m2):
@@ -98,7 +171,8 @@ def affine_eq(m1, m2):
 
 def dual_matrix(A):
     """Covector pushforward: inverse transpose."""
-    return inv2(A).T.copy()
+    a, b, c, d = _dual(_lin(A))
+    return intmat([[a, b], [c, d]])
 
 
 @dataclass
@@ -117,13 +191,8 @@ class AffineSurface:
 
     def crossing(self, edge, from_face):
         """Affine map for crossing edge out of from_face."""
-        tr = self.transitions[edge]
-        m = (tr.A, tr.t)
-        if tr.from_face == from_face:
-            return m, tr.to_face
-        if tr.to_face == from_face:
-            return affine_inverse(m), tr.from_face
-        raise AffineError("face %s is not a side of edge %s" % (from_face, edge))
+        m, other = _crossing(self, edge, from_face)
+        return _arrays(m), other
 
     def focus_focus_vertices(self):
         return [c for c in self.base.cells_of_dim(0) if self.mark(c).kind == "focus_focus"]
@@ -134,29 +203,31 @@ class AffineSurface:
 
 def star_transports(S, v):
     """Affine transports from the first star face's frame to every star face."""
-    faces, edges, closed = vertex_star_cycle(S.base, v)
-    T = [affine_identity()]
-    for i, e in enumerate(edges if not closed else edges[:-1]):
-        m, other = S.crossing(e, faces[i])
-        if other != faces[i + 1]:
-            raise AffineError("star walk mismatch at %s" % (v,))
-        T.append(affine_compose(m, T[i]))
-    return faces, edges, closed, T
+    faces, edges, closed, T, _ = _star_walk(S, v)
+    return faces, edges, closed, [_arrays(m) for m in T]
 
 
 def vertex_wheel(S, v):
     """Total affine holonomy around an interior vertex, or None on boundary."""
-    return _close_wheel(S, v, *star_transports(S, v))
+    wheel = _star_walk(S, v)[4]
+    return None if wheel is None else _arrays(wheel)
 
 
-def _close_wheel(S, v, faces, edges, closed, T):
-    """vertex_wheel from the transports of a star walk already made."""
+def _star_walk(S, v):
+    """star_transports and the wheel of v (None on the boundary), as transports."""
+    faces, edges, closed = vertex_star_cycle(S.base, v)
+    T = [_IDENTITY]
+    for i, e in enumerate(edges if not closed else edges[:-1]):
+        m, other = _crossing(S, e, faces[i])
+        if other != faces[i + 1]:
+            raise AffineError("star walk mismatch at %s" % (v,))
+        T.append(_compose(m, T[i]))
     if not closed:
-        return None
-    m, other = S.crossing(edges[-1], faces[-1])
+        return faces, edges, closed, T, None
+    m, other = _crossing(S, edges[-1], faces[-1])
     if other != faces[0]:
         raise AffineError("star walk does not close at %s" % (v,))
-    return affine_compose(m, T[-1])
+    return faces, edges, closed, T, _compose(m, T[-1])
 
 
 def unipotent_power(W):
@@ -165,11 +236,14 @@ def unipotent_power(W):
     det W = 1 and trace 2 give det(W - I) = 0, so the Smith form of W - I is
     diag(k, 0) with k the gcd of its entries (0 when W is the identity).
     """
-    if W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0] != 1:
+    return _unipotent_power(_lin(W))
+
+
+def _unipotent_power(L):
+    a, b, c, d = L
+    if a * d - b * c != 1 or a + d != 2:
         return None
-    if W[0, 0] + W[1, 1] != 2:
-        return None
-    return gcd(*(int(x) for x in (W - eye(2)).flat))
+    return gcd(a - 1, b, c, d - 1)
 
 
 def validate_affine(S):
@@ -210,11 +284,11 @@ def validate_affine(S):
             if d not in (1, -1):
                 bad.append("transition of %s is not unimodular" % (e,))
             if tr.from_face in S.charts and tr.to_face in S.charts:
+                m = _transport(tr.A, tr.t)
                 for u, _ in X.faces_of(e):
                     src = S.charts[tr.from_face][u]
                     dst = S.charts[tr.to_face][u]
-                    img = tr.A.dot(fracvec(src)) + tr.t
-                    if not all(a == b for a, b in zip(img, fracvec(dst))):
+                    if _apply(m, _point(src)) != _point(dst):
                         bad.append(
                             "transition of %s moves vertex %s off its chart" % (e, u)
                         )
@@ -237,14 +311,13 @@ def validate_affine(S):
             bad.append("elliptic_vertex mark on non-vertex %s" % (cell,))
     for v in X.cells_of_dim(0):
         mark = S.mark(v)
-        faces, edges, closed, T = star_transports(S, v)
-        wheel = _close_wheel(S, v, faces, edges, closed, T)
+        faces, _, _, _, wheel = _star_walk(S, v)
         if wheel is None:
             if mark.kind == "focus_focus":
                 bad.append("focus-focus mark on boundary vertex %s" % (v,))
             continue
         if mark.kind == "focus_focus":
-            k = unipotent_power(wheel[0])
+            k = _unipotent_power(wheel[0])
             if k != mark.k or k == 0:
                 bad.append(
                     "vertex %s wheel is not conjugate to the %d-fold standard unipotent"
@@ -252,20 +325,18 @@ def validate_affine(S):
                 )
                 continue
             if faces[0] in S.charts:
-                pos = fracvec(S.charts[faces[0]][v])
-                img = wheel[0].dot(pos) + wheel[1]
-                if not all(a == b for a, b in zip(img, pos)):
+                pos = _point(S.charts[faces[0]][v])
+                if _apply(wheel, pos) != pos:
                     bad.append("wheel at focus-focus vertex %s does not fix it" % (v,))
             else:
-                # without a chart, a fixed point must at least exist over Q
-                W = wheel[0] - eye(2)
-                from .exact import solve
-
-                if solve(-W, wheel[1], "Q") is None:
+                # without a chart, a fixed point must at least exist over Q:
+                # with W - I of rank 1, t lies in the span of a nonzero column
+                (a, b, c, d), (x, y) = wheel
+                p, q = (a - 1, c) if (a != 1 or c) else (b, d - 1)
+                if p * y != q * x:
                     bad.append("wheel at focus-focus vertex %s has no fixed point" % (v,))
-        else:
-            if not affine_eq(wheel, affine_identity()):
-                bad.append("wheel at %s vertex %s is not the identity" % (mark.kind, v))
+        elif wheel != _IDENTITY:
+            bad.append("wheel at %s vertex %s is not the identity" % (mark.kind, v))
     return ValidationReport(bad)
 
 
@@ -279,22 +350,6 @@ class MonodromyRep:
     loops: list
     images: list  # GL(2,Z) matrices, one per loop
 
-    def vertex_images(self):
-        return {
-            l.about: M for l, M in zip(self.loops, self.images) if l.kind == "vertex"
-        }
-
-
-def loop_holonomy(S, loop):
-    """Affine holonomy of a face loop, in the frame of its first face."""
-    m = affine_identity()
-    for i, e in enumerate(loop.edges):
-        step, other = S.crossing(e, loop.faces[i])
-        if other != loop.faces[i + 1]:
-            raise AffineError("loop does not follow edge %s" % (e,))
-        m = affine_compose(step, m)
-    return m
-
 
 def monodromy_rep(S, basepoint=None):
     """Holonomy of generating face loops; images recorded up to conjugation."""
@@ -302,7 +357,17 @@ def monodromy_rep(S, basepoint=None):
     if basepoint is None:
         basepoint = X.cells_of_dim(2)[0]
     loops = dual_loops(X, basepoint)
-    images = [loop_holonomy(S, l)[0] for l in loops]
+    lin = {e: _lin(tr.A) for e, tr in S.transitions.items()}
+    images = []
+    for l in loops:
+        L = _IDENTITY[0]
+        for i, e in enumerate(l.edges):
+            tr, sides = S.transitions[e], (l.faces[i], l.faces[i + 1])
+            if (tr.from_face, tr.to_face) not in (sides, sides[::-1]):
+                raise AffineError("loop does not follow edge %s" % (e,))
+            L = _lin_mul(lin[e] if tr.from_face == sides[0] else _lin_inverse(lin[e]), L)
+        a, b, c, d = L
+        images.append(intmat([[a, b], [c, d]]))
     return MonodromyRep(basepoint=basepoint, loops=loops, images=images)
 
 
@@ -325,29 +390,29 @@ def boundary_word_holonomy(S, basepoint=None):
         basepoint = X.cells_of_dim(2)[0]
     walk = boundary_traversal(X, basepoint, record_tree=True)
     tree, _ = _dual_tree(X, basepoint)
-    transport = {basepoint: affine_identity()}
+    transport = {basepoint: _IDENTITY}
 
     def T(face):
         if face not in transport:
             parent, e = tree[face]
-            step, other = S.crossing(e, parent)
+            step, other = _crossing(S, e, parent)
             if other != face:
                 raise AffineError("tree walk mismatch at %s" % (e,))
-            transport[face] = affine_compose(step, T(parent))
+            transport[face] = _compose(step, T(parent))
         return transport[face]
 
-    total = affine_identity()
+    total = _IDENTITY
     for e, f, g, kind in walk:
         if g is None:
             raise AffineError("boundary word holonomy requires a closed surface")
         if kind == "tree":
             continue
-        step, other = S.crossing(e, f)
+        step, other = _crossing(S, e, f)
         if other != g:
             raise AffineError("walk mismatch at %s" % (e,))
-        based = affine_compose(affine_inverse(T(g)), affine_compose(step, T(f)))
-        total = affine_compose(based, total)
-    return total
+        based = _compose(_inverse(T(g)), _compose(step, T(f)))
+        total = _compose(based, total)
+    return _arrays(total)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +439,22 @@ def _edge_frame_owner(S, e):
 def fixed_covector(W):
     """Primitive covector fixed by the dual of the wheel linear part W.
 
-    The fixed covectors form the lattice ker (W - I)^T; when it has rank 1
-    its generator is taken to be its HNF row, whose first nonzero entry is
-    positive.
+    The fixed covectors form the lattice ker (W - I)^T, orthogonal to the
+    columns of W - I; when it has rank 1 its generator is taken to be its HNF
+    row: the primitive covector whose first nonzero entry is positive.
     """
-    L = lattice_hnf(kernel((W - eye(2)).T).T)
-    if L.shape[0] != 1:
+    xi = _fixed_covector(_lin(W))
+    return None if xi is None else intvec(xi)
+
+
+def _fixed_covector(L):
+    a, b, c, d = L
+    a, d = a - 1, d - 1
+    if a * d != b * c or not (a or b or c or d):
         return None
-    return L[0].copy()
+    p, q = (a, c) if (a or c) else (b, d)
+    g = gcd(p, q) if q > 0 or (q == 0 and p < 0) else -gcd(p, q)
+    return q // g, -p // g
 
 
 class _MonodromySheaf(CellularSheaf):
@@ -426,23 +499,19 @@ def build_R_sheaf(S):
             restrictions[(e, tr.to_face)] = dual_matrix(tr.A)
             shifts[(e, tr.to_face)] = tr.t
     for v in X.cells_of_dim(0):
-        faces, edges, closed, T = star_transports(S, v)
+        faces, _, _, T, wheel = _star_walk(S, v)
+        xi = None
         if S.mark(v).kind == "focus_focus":
-            wheel = _close_wheel(S, v, faces, edges, closed, T)
-            xi = None if wheel is None else fixed_covector(wheel[0])
+            xi = None if wheel is None else _fixed_covector(wheel[0])
             if xi is None:
                 raise AffineError("no fixed covector at focus-focus vertex %s" % (v,))
-            stalks[v] = Stalk(1)
-            incl = zeros(2, 1)
-            incl[0, 0], incl[1, 0] = xi[0], xi[1]
-        else:
-            stalks[v] = Stalk(2)
-            incl = eye(2)
-        duals = [dual_matrix(m[0]) for m in T]
+        stalks[v] = Stalk(2 if xi is None else 1)
         star_edges = [e for e, _ in X.cofaces_of(v) if X.dim(e) == 1]
         for e in star_edges:
             idx = faces.index(_edge_frame_owner(S, e))
-            restrictions[(v, e)] = duals[idx].dot(incl)
+            a, b, c, d = _dual(T[idx][0])
+            rows = [[a, b], [c, d]] if xi is None else [[a * xi[0] + b * xi[1]], [c * xi[0] + d * xi[1]]]
+            restrictions[(v, e)] = _qmat(rows)
             shifts[(v, e)] = T[idx][1]
     F = _MonodromySheaf(X, stalks, restrictions, shifts)
     rep = validate_sheaf(F)
@@ -467,7 +536,7 @@ def _twist(M, t, frac):
 
 
 def _qmat(rows):
-    """Object array of the given rows of Fractions, which it does not copy."""
+    """Object array of the given rows of numbers, which it does not copy."""
     out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
     out[:, :] = rows
     return out
@@ -523,13 +592,6 @@ def _build_I_sheaf(R):
         i=SheafMap(QQ, I, iblocks), p=SheafMap(I, RQ, pblocks)
     )
     return I, ses
-
-
-def rationalize_R_class(S, ses, cls):
-    """View an integral monodromy-sheaf class inside the rational model."""
-    RQ = ses.p.target
-    vec = np.array([Fraction(x) for x in cls.cocycle], dtype=object)
-    return CohomologyClass(RQ, cls.degree, vec)
 
 
 def dhat(S, cls, ses=None, target=None):
@@ -639,22 +701,22 @@ def rechart(S, maps):
     chart positions are conjugated accordingly.
     """
 
+    core = {f: _transport(U, c) for f, (U, c) in maps.items()}
+
     def get(face):
-        return maps.get(face, affine_identity())
+        return core.get(face, _IDENTITY)
 
     charts = {}
     for f, ch in S.charts.items():
-        U, c = get(f)
-        charts[f] = {v: tuple(U.dot(fracvec(p)) + c) for v, p in ch.items()}
+        charts[f] = {v: tuple(map(Fraction, _apply(get(f), _point(p)))) for v, p in ch.items()}
     transitions = {}
     for e, tr in S.transitions.items():
-        m = affine_compose(get(tr.to_face), affine_compose((tr.A, tr.t), affine_inverse(get(tr.from_face))))
-        transitions[e] = EdgeTransition(tr.from_face, tr.to_face, m[0], m[1])
+        m = _compose(get(tr.to_face), _compose(_transport(tr.A, tr.t), _inverse(get(tr.from_face))))
+        transitions[e] = EdgeTransition(tr.from_face, tr.to_face, *_arrays(m))
     chern = {}
     for f, val in S.chern_cocycle.items():
-        U, _ = get(f)
-        vec = dual_matrix(U).dot(intvec([val[0], val[1]]))
-        chern[f] = (int(vec[0]), int(vec[1]))
+        a, b, c, d = _dual(get(f)[0])
+        chern[f] = (a * int(val[0]) + b * int(val[1]), c * int(val[0]) + d * int(val[1]))
     return AffineSurface(
         base=S.base,
         charts=charts,

@@ -12,9 +12,11 @@ from .affine import (
     AffineSurface,
     EdgeTransition,
     SingularityMark,
+    _dual,
+    _lin_inverse,
+    _lin_mul,
+    _star_walk,
     build_R_sheaf,
-    dual_matrix,
-    star_transports,
 )
 from .complexes import (
     CellComplex,
@@ -546,13 +548,10 @@ def twisted_product_base():
 
 def _covector_frame_transport(S, v, face_from, face_to):
     """Dual transport within the star of a regular vertex between two frames."""
-    faces, edges, closed, T = star_transports(S, v)
-    ia, ib = faces.index(face_from), faces.index(face_to)
-    Da = dual_matrix(T[ia][0])
-    Db = dual_matrix(T[ib][0])
-    from .exact import inv2
-
-    return Db.dot(inv2(Da))
+    faces, _, _, T, _ = _star_walk(S, v)
+    La, Lb = T[faces.index(face_from)][0], T[faces.index(face_to)][0]
+    a, b, c, d = _dual(_lin_mul(Lb, _lin_inverse(La)))
+    return intmat([[a, b], [c, d]])
 
 
 def _klein_projection(cell):
@@ -640,8 +639,8 @@ def fake_base_space():
         _, kc, gc = cell
         kcell_target = _klein_shift(kc)
         if kc[0] == "v":
-            faces_a, _, _, _ = star_transports(Kb, kc)
-            faces_b, _, _, _ = star_transports(Kb, kcell_target)
+            faces_a, _, _, _, _ = _star_walk(Kb, kc)
+            faces_b, _, _, _, _ = _star_walk(Kb, kcell_target)
             ref_img = _klein_shift(faces_a[0])
             JK = _covector_frame_transport(Kb, kcell_target, ref_img, faces_b[0])
         else:
@@ -675,8 +674,8 @@ def fake_base_space():
         if kc[0] == "v":
             # the O+ stalk at q sits in the reference frame of kc's star in
             # the double cover; express the O- frame there
-            faces_a, _, _, _ = star_transports(Kb, kc)
-            faces_b, _, _, _ = star_transports(K2, _klein_projection(kc))
+            faces_a, _, _, _, _ = _star_walk(Kb, kc)
+            faces_b, _, _, _, _ = _star_walk(K2, _klein_projection(kc))
             ref_img = _klein_projection(faces_a[0])
             JK = _covector_frame_transport(K2, _klein_projection(kc), ref_img, faces_b[0])
             JK = unimodular_inverse(JK)

@@ -47,13 +47,16 @@ class SheafError(TorusbaseError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stalk:
     rank: int
     moduli: tuple = ()  # per-generator orders, padded with 0 = free
 
     def order(self, i):
         return self.moduli[i] if i < len(self.moduli) else 0
+
+
+_ZERO_STALK = Stalk(0)
 
 
 def _as_stalk(s):
@@ -79,7 +82,7 @@ class CellularSheaf:
         self._diff = {}
 
     def stalk(self, cell):
-        return self.stalks.get(cell, Stalk(0))
+        return self.stalks.get(cell, _ZERO_STALK)
 
     def rank(self, cell):
         return self.stalk(cell).rank
@@ -154,22 +157,15 @@ class CellularSheaf:
         return self._diff[k]
 
     def coboundary(self, k, vec):
-        """d applied to a k-cochain, one restriction block at a time.
-
-        Equal to differential(k).dot(vec), but cells where vec vanishes are
-        skipped and the dense differential is never built.
-        """
-        off_k, _ = self.offsets(k)
-        off_k1, _ = self.offsets(k + 1)
+        """d applied to a k-cochain: the rows of _differential_rows(k) on the
+        nonzero entries of vec.  Equal to differential(k).dot(vec), but the
+        dense differential is never built."""
+        x = {j: v for j, v in enumerate(vec) if v != 0}
         out = self.zero_cochain(k + 1)
-        for sigma in self.cochain_cells(k):
-            j = off_k[sigma]
-            x = vec[j:j + self.rank(sigma)]
-            if all(v == 0 for v in x):
-                continue
-            for tau, sign in self.base.cofaces_of(sigma):
-                i = off_k1[tau]
-                out[i:i + self.rank(tau)] += sign * self._block(sigma, tau).dot(x)
+        for i, row in enumerate(self._differential_rows(k)):
+            terms = [v * x[j] for j, v in row.items() if j in x]
+            if terms:
+                out[i] = sum(terms)
         return out
 
     def moduli_rows(self, k):

@@ -10,9 +10,11 @@ from torusbase.affine import (
     SingularityMark,
     _edge_frame_owner,
     affine_area,
+    affine_compose,
     affine_disjoint_union,
     affine_eq,
     affine_identity,
+    affine_inverse,
     boundary_word_holonomy,
     build_I_sheaf,
     build_R_sheaf,
@@ -522,3 +524,395 @@ def test_I_sheaf_matches_reference_after_half_integer_recharting(surface):
         I = _assert_I_matches_reference(S2)
         halves |= any(x.denominator == 2 for M in I.restrictions.values() for x in M.flat)
     assert halves
+
+
+# ---------------------------------------------------------------------------
+# The transports against their reference construction.  The functions below
+# are the numpy object-array bodies the affine layer used before it ran on
+# tuples of Python ints: affine maps as (A, t) arrays composed with .dot,
+# the star walk, the wheel, loop holonomy, the HNF fixed covector, the
+# boundary word holonomy and rechart.  Kept verbatim as the reference, with
+# their names prefixed by _old_.
+
+
+def _old_affine_compose(m2, m1):
+    """(B, s) after (A, t): x -> B(Ax + t) + s."""
+    B, s = m2
+    A, t = m1
+    return B.dot(A), B.dot(t) + s
+
+
+def _old_affine_inverse(m):
+    from torusbase.exact import inv2
+
+    A, t = m
+    Ai = inv2(A)
+    return Ai, -Ai.dot(t)
+
+
+def _old_affine_identity():
+    return eye(2), fracvec([0, 0])
+
+
+def _old_dual_matrix(A):
+    """Covector pushforward: inverse transpose."""
+    from torusbase.exact import inv2
+
+    return inv2(A).T.copy()
+
+
+def _old_crossing(S, edge, from_face):
+    """Affine map for crossing edge out of from_face."""
+    tr = S.transitions[edge]
+    m = (tr.A, tr.t)
+    if tr.from_face == from_face:
+        return m, tr.to_face
+    if tr.to_face == from_face:
+        return _old_affine_inverse(m), tr.from_face
+    raise AffineError("face %s is not a side of edge %s" % (from_face, edge))
+
+
+def _old_star_transports(S, v):
+    """Affine transports from the first star face's frame to every star face."""
+    from torusbase.complexes import vertex_star_cycle
+
+    faces, edges, closed = vertex_star_cycle(S.base, v)
+    T = [_old_affine_identity()]
+    for i, e in enumerate(edges if not closed else edges[:-1]):
+        m, other = _old_crossing(S, e, faces[i])
+        if other != faces[i + 1]:
+            raise AffineError("star walk mismatch at %s" % (v,))
+        T.append(_old_affine_compose(m, T[i]))
+    return faces, edges, closed, T
+
+
+def _old_vertex_wheel(S, v):
+    """Total affine holonomy around an interior vertex, or None on boundary."""
+    return _old_close_wheel(S, v, *_old_star_transports(S, v))
+
+
+def _old_close_wheel(S, v, faces, edges, closed, T):
+    """vertex_wheel from the transports of a star walk already made."""
+    if not closed:
+        return None
+    m, other = _old_crossing(S, edges[-1], faces[-1])
+    if other != faces[0]:
+        raise AffineError("star walk does not close at %s" % (v,))
+    return _old_affine_compose(m, T[-1])
+
+
+def _old_loop_holonomy(S, loop):
+    """Affine holonomy of a face loop, in the frame of its first face."""
+    m = _old_affine_identity()
+    for i, e in enumerate(loop.edges):
+        step, other = _old_crossing(S, e, loop.faces[i])
+        if other != loop.faces[i + 1]:
+            raise AffineError("loop does not follow edge %s" % (e,))
+        m = _old_affine_compose(step, m)
+    return m
+
+
+def _old_fixed_covector(W):
+    """Primitive covector fixed by the dual of the wheel linear part W.
+
+    The fixed covectors form the lattice ker (W - I)^T; when it has rank 1
+    its generator is taken to be its HNF row, whose first nonzero entry is
+    positive.
+    """
+    from torusbase.exact import kernel, lattice_hnf
+
+    L = lattice_hnf(kernel((W - eye(2)).T).T)
+    if L.shape[0] != 1:
+        return None
+    return L[0].copy()
+
+
+def _old_boundary_word_holonomy(S, basepoint=None):
+    """Global relator of the monodromy presentation, as a holonomy product."""
+    from torusbase.complexes import _dual_tree, boundary_traversal
+
+    X = S.base
+    if basepoint is None:
+        basepoint = X.cells_of_dim(2)[0]
+    walk = boundary_traversal(X, basepoint, record_tree=True)
+    tree, _ = _dual_tree(X, basepoint)
+    transport = {basepoint: _old_affine_identity()}
+
+    def T(face):
+        if face not in transport:
+            parent, e = tree[face]
+            step, other = _old_crossing(S, e, parent)
+            if other != face:
+                raise AffineError("tree walk mismatch at %s" % (e,))
+            transport[face] = _old_affine_compose(step, T(parent))
+        return transport[face]
+
+    total = _old_affine_identity()
+    for e, f, g, kind in walk:
+        if g is None:
+            raise AffineError("boundary word holonomy requires a closed surface")
+        if kind == "tree":
+            continue
+        step, other = _old_crossing(S, e, f)
+        if other != g:
+            raise AffineError("walk mismatch at %s" % (e,))
+        based = _old_affine_compose(
+            _old_affine_inverse(T(g)), _old_affine_compose(step, T(f))
+        )
+        total = _old_affine_compose(based, total)
+    return total
+
+
+def _old_rechart(S, maps):
+    """Apply a unimodular affine change of frame to some faces."""
+    from torusbase.exact import intvec
+
+    def get(face):
+        return maps.get(face, _old_affine_identity())
+
+    charts = {}
+    for f, ch in S.charts.items():
+        U, c = get(f)
+        charts[f] = {v: tuple(U.dot(fracvec(p)) + c) for v, p in ch.items()}
+    transitions = {}
+    for e, tr in S.transitions.items():
+        m = _old_affine_compose(
+            get(tr.to_face),
+            _old_affine_compose((tr.A, tr.t), _old_affine_inverse(get(tr.from_face))),
+        )
+        transitions[e] = EdgeTransition(tr.from_face, tr.to_face, m[0], m[1])
+    chern = {}
+    for f, val in S.chern_cocycle.items():
+        U, _ = get(f)
+        vec = _old_dual_matrix(U).dot(intvec([val[0], val[1]]))
+        chern[f] = (int(vec[0]), int(vec[1]))
+    return AffineSurface(
+        base=S.base,
+        charts=charts,
+        transitions=transitions,
+        markings=S.markings,
+        chern_cocycle=chern,
+    )
+
+
+def _typed(x):
+    """Nested lists of (type name, value) pairs: equal only when the values
+    and their types are equal, so an int for a Fraction is a difference."""
+    if isinstance(x, tuple):
+        return tuple(_typed(y) for y in x)
+    if hasattr(x, "tolist"):
+        x = x.tolist()
+    if isinstance(x, list):
+        return [_typed(y) for y in x]
+    return (type(x).__name__, x)
+
+
+def _half_integer_maps(S, rng):
+    maps = {}
+    for f in S.base.cells_of_dim(2):
+        U = eye(2)
+        U[0, 1] = rng.randint(-2, 2)
+        if rng.random() < 0.5:
+            U = U.T
+        c = fracvec([Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 2)])
+        maps[f] = (U, c)
+    return maps
+
+
+def _transport_surfaces():
+    """(id, make) for the catalog's affine entries, flat_torus:1..3 at
+    sizes 3..5, ff_disk:1..3 and seeded half-integer rechartings."""
+    from torusbase.catalog import build
+
+    out = [(n, lambda n=n: build(n).payload) for n in _affine_catalog_entries()]
+    out += [
+        ("flat_torus:%d/%d" % (m, n), lambda m=m, n=n: flat_torus_surface(m, size=n))
+        for m in (1, 2, 3)
+        for n in (3, 4, 5)
+    ]
+    out += [("ff_disk:%d" % k, lambda k=k: ff_disk_surface(k)) for k in (1, 2, 3)]
+    for name, surface in (
+        ("ff_disk:2", lambda: ff_disk_surface(2)),
+        ("flat_torus:2/3", lambda: flat_torus_surface(2, size=3)),
+        ("klein_affine", klein_affine_surface),
+    ):
+        for seed in (1, 2):
+            out.append((
+                "%s recharted %d" % (name, seed),
+                lambda s=surface, seed=seed: _old_rechart(s(), _half_integer_maps(s(), random.Random(seed))),
+            ))
+    return out
+
+
+_TRANSPORT_SURFACES = _transport_surfaces()
+
+
+@pytest.mark.parametrize(
+    "surface", [b for _, b in _TRANSPORT_SURFACES], ids=[i for i, _ in _TRANSPORT_SURFACES]
+)
+def test_transports_match_reference(surface):
+    S = surface()
+    assert validate_affine(S).valid
+    for v in S.base.cells_of_dim(0):
+        got, ref = star_transports(S, v), _old_star_transports(S, v)
+        assert got[:3] == ref[:3]
+        assert _typed(tuple(got[3])) == _typed(tuple(ref[3])), v
+        wheel, ref_wheel = vertex_wheel(S, v), _old_vertex_wheel(S, v)
+        assert (wheel is None) == (ref_wheel is None)
+        if wheel is None:
+            continue
+        assert _typed(wheel) == _typed(ref_wheel), v
+        xi, ref_xi = fixed_covector(wheel[0]), _old_fixed_covector(ref_wheel[0])
+        assert (xi is None) == (ref_xi is None)
+        if xi is not None:
+            assert _typed(xi) == _typed(ref_xi), v
+    for e in S.transitions:
+        for face in (S.transitions[e].from_face, S.transitions[e].to_face):
+            (m, other), (ref_m, ref_other) = S.crossing(e, face), _old_crossing(S, e, face)
+            assert other == ref_other
+            assert _typed(m) == _typed(ref_m)
+            assert _typed(dual_matrix(m[0])) == _typed(_old_dual_matrix(ref_m[0]))
+    rep = monodromy_rep(S)
+    assert _typed(rep.images) == _typed([_old_loop_holonomy(S, l)[0] for l in rep.loops])
+    try:
+        ref = _old_boundary_word_holonomy(S)
+    except AffineError as exc:
+        with pytest.raises(AffineError, match=str(exc)):
+            boundary_word_holonomy(S)
+    else:
+        assert _typed(boundary_word_holonomy(S)) == _typed(ref)
+
+
+def test_public_affine_maps_match_reference():
+    rng = random.Random(61)
+    for _ in range(50):
+        ms = []
+        for _ in range(2):
+            U = eye(2)
+            for _ in range(3):
+                s = rng.randint(-3, 3)
+                U = U.dot(intmat([[1, s], [0, 1]] if rng.random() < 0.5 else [[0, 1], [1, 0]]))
+            t = fracvec([Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(2)])
+            ms.append((U, t))
+        assert _typed(affine_compose(*ms)) == _typed(_old_affine_compose(*ms))
+        assert _typed(affine_inverse(ms[0])) == _typed(_old_affine_inverse(ms[0]))
+        assert _typed(dual_matrix(ms[0][0])) == _typed(_old_dual_matrix(ms[0][0]))
+    assert _typed(affine_identity()) == _typed(_old_affine_identity())
+    with pytest.raises(ValueError):
+        affine_inverse((intmat([[2, 0], [0, 1]]), fracvec([0, 0])))
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [lambda: ff_disk_surface(2), lambda: flat_torus_surface(2, size=3), klein_affine_surface],
+    ids=["ff_disk:2", "flat_torus:2", "klein_affine"],
+)
+def test_rechart_matches_reference(surface):
+    rng = random.Random(53)
+    S = surface()
+    S.chern_cocycle = {f: (rng.randint(-3, 3), rng.randint(-3, 3)) for f in S.base.cells_of_dim(2)}
+    for _ in range(3):
+        maps = _half_integer_maps(S, rng)
+        got, ref = rechart(S, maps), _old_rechart(S, maps)
+        assert _typed(got.charts) == _typed(ref.charts)
+        assert list(got.transitions) == list(ref.transitions)
+        for e, tr in got.transitions.items():
+            r = ref.transitions[e]
+            assert (tr.from_face, tr.to_face) == (r.from_face, r.to_face)
+            assert _typed((tr.A, tr.t)) == _typed((r.A, r.t)), e
+        assert got.chern_cocycle == ref.chern_cocycle
+        assert all(type(x) is int for v in got.chern_cocycle.values() for x in v)
+        S = got
+    assert any(x.denominator == 2 for tr in S.transitions.values() for x in tr.t)
+
+
+def test_fixed_covector_matches_hnf_reference():
+    from torusbase.exact import inv2
+
+    rng = random.Random(67)
+    for _ in range(100):
+        k = rng.randint(-6, 6)
+        P = eye(2)
+        for _ in range(4):
+            s = rng.randint(-3, 3)
+            P = P.dot(intmat([[1, s], [0, 1]] if rng.random() < 0.5 else [[1, 0], [s, 1]]))
+        if rng.random() < 0.5:
+            P = P.dot(intmat([[0, 1], [1, 0]]))
+        W = P.dot(intmat([[1, k], [0, 1]])).dot(inv2(P))
+        xi, ref = fixed_covector(W), _old_fixed_covector(W)
+        assert (xi is None) == (ref is None) == (k == 0)
+        if xi is not None:
+            assert _typed(xi) == _typed(ref), W.tolist()
+    others = [
+        [[1, 0], [0, 1]],
+        [[2, 1], [1, 1]],
+        [[-1, 0], [0, 1]],
+        [[1, 0], [0, -1]],
+        [[-1, 1], [0, -1]],
+        [[0, -1], [1, 0]],
+        [[1, 0], [3, -1]],
+        [[-1, 0], [0, -1]],
+        [[0, 1], [1, 0]],
+    ]
+    for rows in others:
+        W = intmat(rows)
+        xi, ref = fixed_covector(W), _old_fixed_covector(W)
+        assert (xi is None) == (ref is None), rows
+        if xi is not None:
+            assert _typed(xi) == _typed(ref), rows
+    assert fixed_covector(eye(2)) is None
+
+
+def chartless_ff_disk(t, A):
+    """ff_disk:1 without charts; its shear transition gets A and translation t."""
+    S = ff_disk_surface(1)
+    transitions = dict(S.transitions)
+    e0 = next(e for e, tr in S.transitions.items() if tr.A[0, 1] != 0)
+    tr = transitions[e0]
+    transitions[e0] = EdgeTransition(tr.from_face, tr.to_face, intmat(A), fracvec(t))
+    return AffineSurface(base=S.base, charts={}, transitions=transitions, markings=S.markings)
+
+
+# the standard shear, whose W - I has the column (1, 0), and a conjugate of
+# it whose W - I has the column (-1, -1)
+_SHEAR = [[1, 1], [0, 1]]
+_CONJUGATE_SHEAR = [[0, 1], [-1, 2]]
+
+
+@pytest.mark.parametrize(
+    "t, A",
+    [
+        ((0, 0), _SHEAR),
+        ((1, 0), _SHEAR),
+        ((Fraction(-5, 2), 0), _SHEAR),
+        ((1, 1), _CONJUGATE_SHEAR),
+        ((Fraction(-3, 2), Fraction(-3, 2)), _CONJUGATE_SHEAR),
+    ],
+)
+def test_chartless_focus_focus_with_fixed_point(t, A):
+    from torusbase.exact import solve
+
+    S = chartless_ff_disk(t, A)
+    W, s = vertex_wheel(S, "c")
+    assert solve(eye(2) - W, s, "Q") is not None
+    assert validate_affine(S).valid
+
+
+@pytest.mark.parametrize(
+    "t, A",
+    [
+        ((0, 1), _SHEAR),
+        ((3, Fraction(1, 2)), _SHEAR),
+        ((1, -1), _CONJUGATE_SHEAR),
+        ((0, Fraction(1, 3)), _CONJUGATE_SHEAR),
+    ],
+)
+def test_chartless_focus_focus_without_fixed_point(t, A):
+    from torusbase.exact import solve
+
+    S = chartless_ff_disk(t, A)
+    W, s = vertex_wheel(S, "c")
+    assert solve(eye(2) - W, s, "Q") is None
+    rep = validate_affine(S)
+    assert not rep.valid
+    assert rep.violations == ["wheel at focus-focus vertex c has no fixed point"]

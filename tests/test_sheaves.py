@@ -553,3 +553,109 @@ def test_subcomplex_order_does_not_depend_on_the_hash_seed():
         outputs.append(run.stdout)
     assert "do not commute" in outputs[0], outputs[0][:300]
     assert outputs[0] == outputs[1]
+
+
+def test_missing_stalk_is_one_shared_zero_stalk():
+    X = grid_torus()
+    F = CellularSheaf(X, "Z", {c: Stalk(1) for c in X.cells_of_dim(2)}, {})
+    v = X.cells_of_dim(0)[0]
+    assert v not in F.stalks
+    assert F.rank(v) == 0
+    assert F.stalk(v) is F.stalk(X.cells_of_dim(1)[0])
+    assert F.stalk(v) == Stalk(0)
+    with pytest.raises(AttributeError):
+        F.stalk(v).rank = 1
+
+
+# ---------------------------------------------------------------------------
+# The coboundary against its reference: the block-by-block loop it ran
+# before it read the cached sparse rows of d.  Kept verbatim, as a function
+# of the sheaf.
+
+
+def _old_coboundary(self, k, vec):
+    """d applied to a k-cochain, one restriction block at a time.
+
+    Equal to differential(k).dot(vec), but cells where vec vanishes are
+    skipped and the dense differential is never built.
+    """
+    off_k, _ = self.offsets(k)
+    off_k1, _ = self.offsets(k + 1)
+    out = self.zero_cochain(k + 1)
+    for sigma in self.cochain_cells(k):
+        j = off_k[sigma]
+        x = vec[j:j + self.rank(sigma)]
+        if all(v == 0 for v in x):
+            continue
+        for tau, sign in self.base.cofaces_of(sigma):
+            i = off_k1[tau]
+            out[i:i + self.rank(tau)] += sign * self._block(sigma, tau).dot(x)
+    return out
+
+
+def _catalog_sheaves():
+    """(label, make) for every sheaf the catalog yields: R and I of the
+    affine entries, each entry's own sheaf, the glued sheaf of the gluing
+    entry, and constant Z, Z/2 and Q on every base."""
+    from torusbase.affine import build_I_sheaf, build_R_sheaf
+    from torusbase.catalog import build, catalog_names
+    from torusbase.surgery import glue
+
+    def constants(name, base):
+        return [
+            ("%s Z" % name, lambda: constant_sheaf(base(), 1)),
+            ("%s Z/2" % name, lambda: constant_sheaf(base(), 1, "Z", moduli=(2,))),
+            ("%s Q" % name, lambda: constant_sheaf(base(), 1, "Q")),
+        ]
+
+    out = []
+    for name in catalog_names():
+        kind = build(name).kind
+        if kind == "affine":
+            out += [
+                ("%s R" % name, lambda n=name: build_R_sheaf(build(n).payload)),
+                ("%s I" % name, lambda n=name: build_I_sheaf(build(n).payload)[0]),
+            ]
+            out += constants(name, lambda n=name: build(n).payload.base)
+        elif kind == "complex":
+            out += constants(name, lambda n=name: build(n).payload)
+        elif kind == "sheaf":
+            out.append(("%s sheaf" % name, lambda n=name: build(n).payload[1]))
+            out += constants(name, lambda n=name: build(n).payload[0])
+        else:
+            out.append(("%s glued" % name, lambda n=name: glue(build(n).payload["spec"])[1]))
+            out += constants(name, lambda n=name: build(n).payload["piece_minus"][0])
+    return out
+
+
+_CATALOG_SHEAVES = _catalog_sheaves()
+
+
+@pytest.mark.parametrize(
+    "sheaf", [b for _, b in _CATALOG_SHEAVES], ids=[i for i, _ in _CATALOG_SHEAVES]
+)
+def test_coboundary_matches_block_reference(sheaf):
+    F = sheaf()
+    rng = random.Random(71)
+    for k in range(F.base.dimension + 1):
+        for trial in range(4):
+            vec = F.zero_cochain(k)
+            for c in F.cochain_cells(k):
+                if trial and rng.random() < 0.5:
+                    continue  # leave whole cells zero, as a class often does
+                off, _ = F.offsets(k)
+                for i in range(off[c], off[c] + F.rank(c)):
+                    x = rng.randint(-3, 3)
+                    vec[i] = x if F.ring == "Z" else Fraction(x, rng.choice([1, 2, 3]))
+            got, ref = F.coboundary(k, vec), _old_coboundary(F, k, vec)
+            assert [(type(x), x) for x in got] == [(type(x), x) for x in ref], (k, trial)
+
+
+def test_coboundary_rejects_a_restriction_of_the_wrong_shape():
+    X = grid_torus()
+    F = constant_sheaf(X, 1)
+    key = next(iter(F.restrictions))
+    F.restrictions[key] = eye(2)
+    with pytest.raises(SheafError):
+        k = X.dim(key[0])
+        F.coboundary(k, F.zero_cochain(k))
