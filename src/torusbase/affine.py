@@ -31,7 +31,6 @@ from .exact import (
     inv2,
     mat_eq,
     q_rank,
-    zeros,
 )
 from .sheaves import (
     CellularSheaf,
@@ -185,9 +184,6 @@ class AffineSurface:
 
     def mark(self, cell):
         return self.markings.get(cell, REGULAR)
-
-    def position(self, face, vertex):
-        return self.charts[face][vertex]
 
     def crossing(self, edge, from_face):
         """Affine map for crossing edge out of from_face."""
@@ -577,17 +573,11 @@ def _build_I_sheaf(R):
     if not rep.valid:
         raise AffineError("affine-function sheaf invalid: %s" % rep)
     QQ = constant_sheaf(X, 1, "Q")
-    iblocks = {}
-    pblocks = {}
+    # i embeds the constants, p projects onto the covectors
+    iblocks, pblocks = {}, {}
     for c in X.cells:
-        r = R.rank(c)
-        ib = zeros(1 + r, 1, "Q")
-        ib[0, 0] = Fraction(1)
-        pb = zeros(r, 1 + r, "Q")
-        for i in range(r):
-            pb[i, 1 + i] = Fraction(1)
-        iblocks[c] = ib
-        pblocks[c] = pb
+        e = eye(1 + R.rank(c), "Q")
+        iblocks[c], pblocks[c] = e[:, :1].copy(), e[1:].copy()
     ses = ShortExactSequence(
         i=SheafMap(QQ, I, iblocks), p=SheafMap(I, RQ, pblocks)
     )

@@ -5,10 +5,12 @@ holding no zeros, with a width: python ints (arbitrary precision) over Z,
 fractions.Fraction over Q.  numpy object arrays appear at the public
 boundary: a function that takes or returns a matrix or a vector takes or
 returns a numpy array of dtype=object and converts it once, on the way in or
-out.  Two callers still compute on such a result: kernel slices the dense
-transform of hnf, and LinearSystem solves over Z with the dense U and V of
-snf.  PresentedGroup and QuotientSpace also take their relations as sparse
-rows, which is how sheaves.CohomologyResult hands them over.
+out.  kernel still computes on such a result: it slices the dense transform
+of hnf.  LinearSystem solves over Z with the dense U and V of snf; nothing in
+the library calls it, and the tests keep it as the Smith-form reference
+solve for cohomology coordinates and connecting maps.  PresentedGroup and
+QuotientSpace also take their relations as sparse rows, which is how
+sheaves.CohomologyResult hands them over.
 
 There are two eliminations, both on sparse rows.  _smith, the Smith form
 loop behind snf, follows a written pivot rule (see snf) that fixes the Z
@@ -555,6 +557,16 @@ def _transpose(rows, width):
         for j, v in row.items():
             cols[j][i] = v
     return cols
+
+
+def _apply(rows, x):
+    """The matrix of the sparse rows times the sparse vector x, as a sparse vector."""
+    out = {}
+    for i, row in enumerate(rows):
+        s = sum(v * x[j] for j, v in row.items() if j in x)
+        if s:
+            out[i] = s
+    return out
 
 
 def _kernel_rows(pivot_rows, n):

@@ -7,6 +7,13 @@ fixed once and used everywhere.
 Stalks over Z may carry torsion: a stalk is rank many generators where
 generator i has order moduli[i] (0 meaning infinite).  This is needed for
 mod-n coefficient sheaves and their Bockstein connecting maps.
+
+Sheaf maps, exact sequences and connecting maps run on sparse rows, as
+cohomology does.  Lattices are compared through their Hermite normal form
+rows, which are unique.  A connecting map lifts through each cochain map by
+back-substitution (SheafMap._lifter): its representative may depend on the
+lift, its canonical coordinates do not.  Squares of stalk maps commute
+modulo the torsion of the target stalk.
 """
 
 from dataclasses import dataclass
@@ -20,23 +27,21 @@ from .complexes import _infer_signs
 from .errors import TorusbaseError, ValidationReport
 from .exact import (
     EchelonBasis,
-    LinearSystem,
     PresentedGroup,
     QuotientSpace,
+    _apply,
+    _axpy,
     _dense,
     _echelon,
+    _echelon_with_transform,
     _kernel_rows,
     _preimage_rows,
+    _sparse_rows,
+    _substitute,
     _transpose,
     eye,
-    fracmat,
     intmat,
-    lattice_eq,
-    lattice_hnf,
-    lattice_member,
-    preimage_lattice,
     q_rank,
-    stack_rows,
     unimodular_inverse,
     zerovec,
     zeros,
@@ -162,10 +167,8 @@ class CellularSheaf:
         dense differential is never built."""
         x = {j: v for j, v in enumerate(vec) if v != 0}
         out = self.zero_cochain(k + 1)
-        for i, row in enumerate(self._differential_rows(k)):
-            terms = [v * x[j] for j, v in row.items() if j in x]
-            if terms:
-                out[i] = sum(terms)
+        for i, v in _apply(self._differential_rows(k), x).items():
+            out[i] = v
         return out
 
     def moduli_rows(self, k):
@@ -176,16 +179,19 @@ class CellularSheaf:
     def _torsion_rows(self, k):
         """moduli_rows(k) as new sparse rows, one {column: order} per torsion generator."""
         off, _ = self.offsets(k)
-        rows = []
-        for c in self.cochain_cells(k):
-            st = self.stalk(c)
-            for i in range(st.rank):
-                if st.order(i):
-                    rows.append({off[c] + i: st.order(i)})
-        return rows
+        cells = self.cochain_cells(k)
+        return [r for c in cells for r in _stalk_torsion_rows(self.stalk(c), off[c])]
 
     def is_cocycle(self, k, vec):
-        return lattice_member(self.moduli_rows(k + 1), self.coboundary(k, vec))
+        """Whether each entry of d(vec) is a multiple of its torsion order (0 if free)."""
+        orders = {j: m for row in self._torsion_rows(k + 1) for j, m in row.items()}
+        dx = self.coboundary(k, vec)
+        return all(v % orders[j] == 0 if j in orders else v == 0 for j, v in enumerate(dx))
+
+
+def _stalk_torsion_rows(stalk, offset=0):
+    """One sparse row {offset + i: order} per torsion generator i of the stalk."""
+    return [{offset + i: stalk.order(i)} for i in range(stalk.rank) if stalk.order(i)]
 
 
 def constant_sheaf(base, rank=1, ring="Z", moduli=()):
@@ -198,19 +204,9 @@ def constant_sheaf(base, rank=1, ring="Z", moduli=()):
 
 
 def _respects_moduli(M, src_stalk, dst_stalk):
-    for i in range(src_stalk.rank):
-        m = src_stalk.order(i)
-        if not m:
-            continue
-        for r in range(dst_stalk.rank):
-            d = dst_stalk.order(r)
-            v = M[r, i] * m
-            if d == 0:
-                if v != 0:
-                    return False
-            elif v % d != 0:
-                return False
-    return True
+    """Whether M kills each torsion generator of src_stalk times its order."""
+    orders = [(i, src_stalk.order(i)) for i in range(src_stalk.rank)]
+    return all(_diff_in_moduli(dst_stalk, M[:, i:i + 1] * m) for i, m in orders if m)
 
 
 def validate_sheaf(F):
@@ -436,6 +432,7 @@ class SheafMap:
         self.source = source
         self.target = target
         self.blocks = dict(blocks)
+        self._rows = {}
 
     def block(self, cell):
         B = self.blocks.get(cell)
@@ -461,15 +458,54 @@ class SheafMap:
                 bad.append("map does not commute with restriction (%s, %s)" % (face, cof))
         return ValidationReport(bad)
 
+    def _cochain_rows(self, k):
+        """The cochain map in degree k as sparse rows (ints over Z, Fractions
+        over Q), assembled from the blocks and cached.  Do not modify them."""
+        if k not in self._rows:
+            soff, _ = self.source.offsets(k)
+            toff, tn = self.target.offsets(k)
+            conv = int if self.source.ring == "Z" else Fraction
+            rows = [{} for _ in range(tn)]
+            for cell in self.source.cochain_cells(k):
+                i, j = toff[cell], soff[cell]
+                for r, line in enumerate(self.block(cell).tolist()):
+                    rows[i + r].update((j + c, conv(v)) for c, v in enumerate(line) if v != 0)
+            self._rows[k] = rows
+        return self._rows[k]
+
+    def _lifter(self, k):
+        """(lift, kernel) for the cochain map M in degree k modulo the target's
+        torsion, from one echelon form with transform of M's columns and the
+        torsion rows.  lift(x) is one _substitute of the sparse x, which leaves
+        minus the combination in the transform columns: at M's columns, a y
+        with M y = x modulo torsion.  An entry left below the width, or a
+        remainder over Z, means there is none: None.  The null rows'
+        transforms, cut to M's columns, span the kernel lattice."""
+        rows, n = self._cochain_rows(k), self.source.cochain_rank(k)
+        width = len(rows)
+        gens = _transpose(rows, n) + self.target._torsion_rows(k)
+        pivots, null = _echelon_with_transform(gens, width, self.source.ring)
+
+        def cut(x, sign):
+            return {c - width: sign * v for c, v in x.items() if c < width + n}
+
+        def lift(x):
+            if _substitute(x, pivots) is None or any(c < width for c in x):
+                return None
+            return cut(x, -1)
+
+        return lift, [cut(row, 1) for row in null]
+
     def cochain_matrix(self, k):
-        soff, sn = self.source.offsets(k)
-        toff, tn = self.target.offsets(k)
-        M = zeros(tn, sn, self.source.ring)
-        for cell in self.source.cochain_cells(k):
-            B = self.block(cell)
-            i, j = toff[cell], soff[cell]
-            M[i:i + B.shape[0], j:j + B.shape[1]] = M[i:i + B.shape[0], j:j + B.shape[1]] + B
-        return M
+        """The cochain map in degree k as a dense matrix: the view of _cochain_rows(k)."""
+        shape = (self.target.cochain_rank(k), self.source.cochain_rank(k))
+        return _dense(self._cochain_rows(k), shape, self.source.ring)
+
+
+def _same_lattice(a, b, n):
+    """Whether the sparse rows a and b span the same lattice in Z^n: the HNF is
+    unique, so its rows {pivot: row} are compared."""
+    return _echelon(a, n, "Z")[0] == _echelon(b, n, "Z")[0]
 
 
 @dataclass
@@ -497,66 +533,37 @@ class ShortExactSequence:
             bad.append("maps do not compose")
         if bad:
             return ValidationReport(bad)
-        ring = self.A.ring
         for cell in self.B.base.cells:
-            iB = self.i.block(cell)
-            pB = self.p.block(cell)
-            comp = pB.dot(iB)
-            if ring == "Q":
-                if any(x != 0 for x in comp.flat):
-                    bad.append("p after i is nonzero at %s" % (cell,))
-                    continue
-                if q_rank(iB) != self.A.rank(cell):
-                    bad.append("i is not injective at %s" % (cell,))
-                if q_rank(pB) != self.C.rank(cell):
-                    bad.append("p is not surjective at %s" % (cell,))
-                if q_rank(iB) + q_rank(pB) != self.B.rank(cell):
+            iB, pB = self.i.block(cell), self.p.block(cell)
+            if not _diff_in_moduli(self.C.stalk(cell), pB.dot(iB)):
+                bad.append("p after i is nonzero at %s" % (cell,))
+            elif self.A.ring == "Z":
+                if not self._exact_at(cell):
                     bad.append("sequence is not exact at %s" % (cell,))
             else:
-                if not _diff_in_moduli(self.C.stalk(cell), comp):
-                    bad.append("p after i is nonzero at %s" % (cell,))
-                    continue
-                if not self._exact_at(cell):
+                ri, rp = q_rank(iB), q_rank(pB)
+                if ri != self.A.rank(cell):
+                    bad.append("i is not injective at %s" % (cell,))
+                if rp != self.C.rank(cell):
+                    bad.append("p is not surjective at %s" % (cell,))
+                if ri + rp != self.B.rank(cell):
                     bad.append("sequence is not exact at %s" % (cell,))
         return ValidationReport(bad)
 
     def _exact_at(self, cell):
-        # kernel of (B -> C) equals image of (A -> B), as subgroups of the
-        # ambient generator lattice of the B stalk
-        A, B, C = self.A.stalk(cell), self.B.stalk(cell), self.C.stalk(cell)
-        iB = self.i.block(cell)
-        pB = self.p.block(cell)
-        LB = _stalk_moduli_rows(B)
-        LC = _stalk_moduli_rows(C)
-        LA = _stalk_moduli_rows(A)
-        ker = preimage_lattice(pB, LC)
-        im_rows = [iB[:, j] for j in range(iB.shape[1])] + [LB[i] for i in range(LB.shape[0])]
-        im = zeros(len(im_rows), B.rank)
-        for i, r in enumerate(im_rows):
-            im[i] = r
-        if not lattice_eq(ker, lattice_hnf(im)):
-            return False
-        # injectivity of i: preimage of LB under i equals LA
-        pre = preimage_lattice(iB, LB)
-        if not lattice_eq(pre, lattice_hnf(LA) if LA.shape[0] else LA):
-            return False
-        # surjectivity of p: image of p plus torsion covers the C lattice
-        sur_rows = [pB[:, j] for j in range(pB.shape[1])] + [LC[i] for i in range(LC.shape[0])]
-        if C.rank:
-            sur = zeros(len(sur_rows), C.rank)
-            for i, r in enumerate(sur_rows):
-                sur[i] = r
-            if not lattice_eq(lattice_hnf(sur), eye(C.rank)):
-                return False
-        return True
-
-
-def _stalk_moduli_rows(stalk):
-    rows = [i for i in range(stalk.rank) if stalk.order(i)]
-    out = zeros(len(rows), stalk.rank)
-    for r, i in enumerate(rows):
-        out[r, i] = stalk.order(i)
-    return out
+        """Exactness of the stalks at cell over Z, as lattices of the ambient
+        generators: ker p = im i + torsion of B, i^-1(torsion of B) = torsion
+        of A, and im p + torsion of C = C."""
+        A, B, C = (F.stalk(cell) for F in (self.A, self.B, self.C))
+        iB = _sparse_rows(self.i.block(cell), "Z")
+        pB = _sparse_rows(self.p.block(cell), "Z")
+        LA, LB, LC = (_stalk_torsion_rows(s) for s in (A, B, C))
+        units = [{j: 1} for j in range(C.rank)]
+        return (
+            _same_lattice(_preimage_rows(pB, B.rank, LC), _transpose(iB, A.rank) + LB, B.rank)
+            and _same_lattice(_preimage_rows(iB, A.rank, LB), LA, A.rank)
+            and _same_lattice(_transpose(pB, B.rank) + LC, units, C.rank)
+        )
 
 
 @dataclass
@@ -568,21 +575,18 @@ class InducedMap:
     matrix: np.ndarray  # presentation coords of target per source generator
 
     def image_rows(self):
-        """Rows spanning image + target relations in the target presentation."""
-        cols = [self.matrix[:, j] for j in range(self.matrix.shape[1])]
-        n = self.target.presentation.n
-        rel = self.target.presentation.relations if self.source.sheaf.ring == "Z" else None
-        rows = zeros(len(cols), n, self.source.sheaf.ring)
-        for i, c in enumerate(cols):
-            rows[i] = c
-        if rel is not None and rel.shape[0]:
-            rows = stack_rows(rows, rel) if rows.shape[0] else rel
-        return rows
+        """Sparse rows spanning the image in the target presentation: the
+        columns of matrix, then over Z the target's relations (its HNF rows,
+        the presentation's own dicts: do not modify them)."""
+        ring = self.source.sheaf.ring
+        rows = _sparse_rows(self.matrix.T, ring)
+        return rows + self.target.presentation._hnf if ring == "Z" else rows
 
     def is_surjective(self):
         if self.source.sheaf.ring == "Q":
             return image_dimension(self) == self.target.presentation.dimension
-        return lattice_eq(lattice_hnf(self.image_rows()), eye(self.target.presentation.n))
+        n = self.target.presentation.n
+        return _same_lattice(self.image_rows(), [{j: 1} for j in range(n)], n)
 
 
 def induced_map(source_result, target_result, cochain_map):
@@ -599,11 +603,11 @@ def induced_map(source_result, target_result, cochain_map):
 
 def image_dimension(f):
     """Dimension (Q) or rank (Z, modulo torsion) of the image of an InducedMap."""
-    cols = [f.target.presentation.reduce(f.matrix[:, j]) for j in range(f.matrix.shape[1])]
-    free = [i for i, d in enumerate(f.target.presentation.coordinate_orders()) if d == 0]
-    if not cols or not free:
-        return 0
-    return q_rank(fracmat([[c[i] for i in free] for c in cols]))
+    P = f.target.presentation
+    free = [i for i, d in enumerate(P.coordinate_orders()) if d == 0]
+    cols = [P.reduce(f.matrix[:, j]) for j in range(f.matrix.shape[1])]
+    rows = [{r: Fraction(c[i]) for r, i in enumerate(free) if c[i]} for c in cols]
+    return len(_echelon(rows, len(free), "Q")[0])
 
 
 def rank_exact_at(f, g):
@@ -617,61 +621,48 @@ def torsion_exact_at(f, g):
     """Exactness im f = ker g over Z, torsion included (presentation lattices)."""
     if f.target is not g.source:
         raise SheafError("maps are not composable at the middle group")
-    im = lattice_hnf(f.image_rows())
-    ker = preimage_lattice(g.matrix, g.target.presentation.relations)
-    return lattice_eq(im, ker)
+    n = g.source.presentation.n
+    ker = _preimage_rows(_sparse_rows(g.matrix, "Z"), n, g.target.presentation._hnf)
+    return _same_lattice(f.image_rows(), ker, n)
 
 
 def connecting_map(ses, k, rng=None, check=True):
-    """Connecting homomorphism H^k(C) -> H^{k+1}(A) by the zig-zag.
-
-    When rng is given, cellwise lifts are randomized by kernel elements; the
-    induced map on cohomology is independent of these choices.
+    """Connecting homomorphism H^k(C) -> H^{k+1}(A) by the zig-zag: a cocycle
+    c lifts to b with p b = c modulo the torsion of C, and d b to a with
+    i a = d b modulo the torsion of B.  When rng is given, b moves by seeded
+    kernel vectors of the first lift; the induced map does not depend on it.
     """
     if check:
         rep = ses.validate()
         if not rep.valid:
             raise SheafError("sequence is not exact: %s" % rep)
     A, B, C = ses.A, ses.B, ses.C
-    ring = A.ring
-    hC = cohomology(C, k)
-    hA = cohomology(A, k + 1)
-
-    p_k = ses.p.cochain_matrix(k)
-    i_k1 = ses.i.cochain_matrix(k + 1)
-    sys_p = LinearSystem(_augment(p_k, C.moduli_rows(k)))
-    sys_i = LinearSystem(_augment(i_k1, B.moduli_rows(k + 1)))
-    nB = B.cochain_rank(k)
-    nA = A.cochain_rank(k + 1)
+    lift_p, kernel = ses.p._lifter(k)
+    lift_i, _ = ses.i._lifter(k + 1)
 
     def delta(c_vec):
-        sol = sys_p.solve(c_vec, ring)
-        if sol is None:
+        b = lift_p({j: v for j, v in enumerate(c_vec) if v != 0})
+        if b is None:
             raise SheafError("cannot lift cocycle through p")
-        b = sol[:nB]
         if rng is not None:
-            K = sys_p.kernel_columns()
-            for j in range(K.shape[1]):
-                b = b + rng.randint(-2, 2) * K[:nB, j]
-        dbv = B.coboundary(k, b)
-        sol2 = sys_i.solve(dbv, ring)
-        if sol2 is None:
+            for t in kernel:
+                _axpy(b, rng.randint(-2, 2), t)
+        a = lift_i(_apply(B._differential_rows(k), b))
+        if a is None:
             raise SheafError("d of the lift does not come from the subsheaf")
-        return sol2[:nA]
+        out = A.zero_cochain(k + 1)
+        for j, v in a.items():
+            out[j] = v
+        return out
 
-    return induced_map(hC, hA, delta)
+    return induced_map(cohomology(C, k), cohomology(A, k + 1), delta)
 
 
 def _augment(M, extra_rows_as_cols):
-    """Columns of M plus torsion relation columns, for solving mod torsion."""
+    """Columns of M plus torsion relation columns, for solving mod torsion
+    with exact.LinearSystem, the reference solve of the connecting map."""
     L = extra_rows_as_cols
-    if L.shape[0] == 0:
-        return M
-    out = zeros(M.shape[0], M.shape[1] + L.shape[0])
-    out[:, :M.shape[1]] = M
-    for i in range(L.shape[0]):
-        out[:, M.shape[1] + i] = L[i]
-    return out
+    return np.hstack([M, L.T]) if L.shape[0] else M
 
 
 # ---------------------------------------------------------------------------
@@ -709,19 +700,10 @@ def restrict_sheaf(F, sub):
 def restriction_on_cohomology(F, sub, k):
     """Induced map H^k(base) -> H^k(sub) for a full subcomplex."""
     G = restrict_sheaf(F, sub)
-    hX = cohomology(F, k)
-    hS = cohomology(G, k)
-    offX, _ = F.offsets(k)
-    offS, nS = G.offsets(k)
-
-    def project(vec):
-        out = zerovec(nS, F.ring)
-        for c in G.cochain_cells(k):
-            i, j = offS[c], offX[c]
-            out[i:i + G.rank(c)] = vec[j:j + F.rank(c)]
-        return out
-
-    return induced_map(hX, hS, project), G
+    off, _ = F.offsets(k)
+    # the coordinates of F's k-cochains that sit on the subcomplex, in G's order
+    keep = [off[c] + r for c in G.cochain_cells(k) for r in range(G.rank(c))]
+    return induced_map(cohomology(F, k), cohomology(G, k), lambda vec: vec[keep]), G
 
 
 # ---------------------------------------------------------------------------
@@ -778,14 +760,21 @@ class SheafAutomorphism:
                 bad.append("cell map breaks incidence at (%s, %s)" % (cof, face))
         if bad:
             return ValidationReport(bad)
-        for (cof, face) in X.incidence:
-            J_f = self.stalk_isos[face]
-            J_c = self.stalk_isos[cof]
-            left = self.sheaf.restriction(self.cell_map[face], self.cell_map[cof]).dot(J_f)
-            right = J_c.dot(self.sheaf.restriction(face, cof))
-            if not all(x == 0 for x in (left - right).flat):
-                bad.append("stalk isos break restriction at (%s, %s)" % (face, cof))
-        return ValidationReport(bad)
+        F = self.sheaf
+        return ValidationReport(_iso_violations(X, F, F, self.cell_map, self.stalk_isos))
+
+
+def _iso_violations(X, F1, F2, cell_map, isos):
+    """The squares J R1(face <= cof) = R2(cell_map face <= cell_map cof) J over
+    the covering pairs of X, with isos[c] from F1 at c to F2 at cell_map[c],
+    that fail modulo the torsion of F2's stalk, as SheafMap.validate checks."""
+    bad = []
+    for (cof, face) in X.incidence:
+        left = isos[cof].dot(F1.restriction(face, cof))
+        right = F2.restriction(cell_map[face], cell_map[cof]).dot(isos[face])
+        if not _diff_in_moduli(F2.stalk(cell_map[cof]), left - right):
+            bad.append("stalk isos break restriction at (%s, %s)" % (face, cof))
+    return bad
 
 
 def automorphism_action(aut, cls):

@@ -21,9 +21,10 @@ from .affine import (
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
 from .errors import TorusbaseError
-from .exact import PresentedGroup, QuotientSpace, eye, stack_rows, unimodular_inverse, zerovec
+from .exact import PresentedGroup, QuotientSpace, eye, unimodular_inverse, zerovec
 from .sheaves import (
     CellularSheaf,
+    _iso_violations,
     cohomology,
     constant_sheaf,
     induced_map,
@@ -85,13 +86,8 @@ class GluingSpec:
                 bad.append("stalk iso at %s is not invertible over Z" % (c,))
         if bad:
             return bad, inverses
-        for (cof, face), v in self.overlap1.incidence.items():
-            left = self.stalk_isos[cof].dot(self.sheaf1.restriction(face, cof))
-            right = self.sheaf2.restriction(
-                self.cell_map[face], self.cell_map[cof]
-            ).dot(self.stalk_isos[face])
-            if not all(x == 0 for x in (left - right).flat):
-                bad.append("stalk isos break restriction at (%s, %s)" % (face, cof))
+        isos = self.stalk_isos
+        bad = _iso_violations(self.overlap1, self.sheaf1, self.sheaf2, self.cell_map, isos)
         return bad, inverses
 
 
@@ -180,9 +176,8 @@ def _overlap_quotient(F1, F2, overlap, cell_map, inverse_isos):
         return out
 
     f2 = induced_map(cohomology(F2, 2), h_over, pull_to_overlap)
-    parts = [m for m in (f1.image_rows(), f2.image_rows()) if m.shape[0]]
     quotient = PresentedGroup if G.ring == "Z" else QuotientSpace
-    return h_over, quotient(h_over.presentation.n, stack_rows(*parts) if parts else None)
+    return h_over, quotient(h_over.presentation.n, f1.image_rows() + f2.image_rows())
 
 
 def gluing_obstruction(spec, class1, class2, rational_difference=None):

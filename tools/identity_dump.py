@@ -24,6 +24,18 @@ the fixed covector at every focus-focus vertex, the boundary word holonomy,
 the validation report and the dhat image of every H^1 generator.  Matrices
 and vectors print with repr, so an int where a Fraction was (or the reverse)
 shows as a difference.
+
+The maps section covers the sequence 0 -> Q -> I -> R_Q -> 0 of every affine
+entry, and a mod-2 and a mod-3 Bockstein sequence and a split sequence on the
+base complex of every catalog entry (both pieces of ``fake_base_space``).  For
+each it prints the validation report, the canonical coordinates of every
+column of every connecting map (also with seeded randomized lifts), the
+image dimension and surjectivity of every map of the long exact sequence,
+rank and (over Z) torsion exactness at every group of it, and is_cocycle of
+seeded vectors.  Then the restriction maps on cohomology into the overlaps
+of ``fake_base_space`` and the report of its gluing spec.  Raw connecting-map
+matrices are not printed: they hold the coefficients of a representative,
+which may move with the lift; the canonical coordinates may not.
 """
 
 import os
@@ -55,8 +67,21 @@ from torusbase.catalog import (  # noqa: E402
     klein_affine_surface,
 )
 from torusbase.errors import TorusbaseError  # noqa: E402
-from torusbase.exact import eye, fracvec  # noqa: E402
-from torusbase.sheaves import CohomologyClass, cohomology, constant_sheaf  # noqa: E402
+from torusbase.exact import eye, fracvec, intmat  # noqa: E402
+from torusbase.sheaves import (  # noqa: E402
+    CohomologyClass,
+    InducedMap,
+    SheafMap,
+    ShortExactSequence,
+    cohomology,
+    connecting_map,
+    constant_sheaf,
+    image_dimension,
+    induced_map,
+    rank_exact_at,
+    restriction_on_cohomology,
+    torsion_exact_at,
+)
 from torusbase.surgery import (  # noqa: E402
     chern_class_coordinates,
     glue,
@@ -212,12 +237,132 @@ def dump_affine(label, S, out):
         out.append("dhat %s -> %r" % (fmt(g), coords))
 
 
+def bockstein(X, m):
+    """0 -> Z -m-> Z -> Z/m -> 0 on the complex X."""
+    A, B = constant_sheaf(X, 1), constant_sheaf(X, 1)
+    C = constant_sheaf(X, 1, "Z", moduli=(m,))
+    i = SheafMap(A, B, {c: intmat([[m]]) for c in X.cells})
+    p = SheafMap(B, C, {c: intmat([[1]]) for c in X.cells})
+    return ShortExactSequence(i=i, p=p)
+
+
+def split(X):
+    """0 -> Z -> Z^2 -> Z -> 0 on the complex X, first summand in."""
+    A, B, C = constant_sheaf(X, 1), constant_sheaf(X, 2), constant_sheaf(X, 1)
+    i = SheafMap(A, B, {c: intmat([[1], [0]]) for c in X.cells})
+    p = SheafMap(B, C, {c: intmat([[0, 1]]) for c in X.cells})
+    return ShortExactSequence(i=i, p=p)
+
+
+def map_sequences():
+    for name in catalog_names():
+        entry = build(name)
+        if entry.kind == "affine":
+            yield "%s I" % name, build_I_sheaf(entry.payload)[1]
+            bases = [("", entry.payload.base)]
+        elif entry.kind == "complex":
+            bases = [("", entry.payload)]
+        elif entry.kind == "sheaf":
+            bases = [("", entry.payload[0])]
+        else:
+            pieces = ("piece_minus", "piece_plus")
+            bases = [(" " + piece, entry.payload[piece][0]) for piece in pieces]
+        for piece, X in bases:
+            yield "%s%s mod 2" % (name, piece), bockstein(X, 2)
+            yield "%s%s mod 3" % (name, piece), bockstein(X, 3)
+            yield "%s%s split" % (name, piece), split(X)
+
+
+def columns(f):
+    """The canonical coordinates of every column of an induced map."""
+    P = f.target.presentation
+    return [tuple(str(x) for x in P.reduce(f.matrix[:, j])) for j in range(f.matrix.shape[1])]
+
+
+def dump_map(label, f, out):
+    out.append("  %s dim %d onto %s" % (label, image_dimension(f), f.is_surjective()))
+    out.extend("    col %s" % (c,) for c in columns(f))
+
+
+def dump_sequence(label, ses, seed, out):
+    out.append("== maps %s" % label)
+    out.append("validate %s" % (ses.validate(),))
+    A, B, C = ses.A, ses.B, ses.C
+    top = B.base.dimension
+    results = {}
+
+    def res(F, k):
+        if (id(F), k) not in results:
+            results[(id(F), k)] = cohomology(F, k)
+        return results[(id(F), k)]
+
+    def cochain_map(f, k):
+        """v -> M v for the cochain matrix M of f, through M's nonzero entries."""
+        M = f.cochain_matrix(k)
+        rows = [[(j, x) for j, x in enumerate(r) if x != 0] for r in M.tolist()]
+
+        def apply(v):
+            out = f.target.zero_cochain(k)
+            for i, row in enumerate(rows):
+                if row:
+                    out[i] = sum(x * v[j] for j, x in row)
+            return out
+
+        return apply
+
+    rng = random.Random(seed)
+    les = []
+    for k in range(top + 1):
+        les.append(("i%d" % k, induced_map(res(A, k), res(B, k), cochain_map(ses.i, k))))
+        les.append(("p%d" % k, induced_map(res(B, k), res(C, k), cochain_map(ses.p, k))))
+        if k < top:
+            delta = connecting_map(ses, k, check=False)
+            for s in range(2):
+                moved = connecting_map(ses, k, rng=random.Random(seed + s), check=False)
+                out.append("  delta%d lift %d %s" % (k, s, columns(moved) == columns(delta)))
+            les.append(("delta%d" % k, InducedMap(res(C, k), res(A, k + 1), delta.matrix)))
+    for name, f in les:
+        dump_map(name, f, out)
+    for (nf, f), (ng, g) in zip(les, les[1:]):
+        exact = [rank_exact_at(f, g)]
+        if A.ring == "Z":
+            exact.append(torsion_exact_at(f, g))
+        out.append("  exact at %s|%s %s" % (nf, ng, exact))
+    for F, tag in ((A, "A"), (B, "B"), (C, "C")):
+        for k in range(top + 1):
+            gens = res(F, k).generator_cocycles()
+            flags = []
+            for trial in range(4):
+                v = F.zero_cochain(k)
+                for g in gens:
+                    v = v + rng.randint(-2, 2) * g
+                if trial % 2:
+                    for j in range(len(v)):
+                        if rng.random() < 0.3:
+                            v[j] = v[j] + rng.randint(-1, 1)
+                flags.append(F.is_cocycle(k, v))
+            out.append("  cocycle %s%d %s" % (tag, k, flags))
+
+
+def dump_overlaps(out):
+    spec = build("fake_base_space").payload["spec"]
+    out.append("== maps fake_base_space overlaps")
+    out.append("spec %s" % (spec.validate(),))
+    for F, sub, tag in ((spec.sheaf1, spec.overlap1, "1"), (spec.sheaf2, spec.overlap2, "2")):
+        for k in range(sub.dimension + 1):
+            f, _ = restriction_on_cohomology(F, sub, k)
+            dump_map("restrict%s H^%d" % (tag, k), f, out)
+
+
 def main():
     out = []
     for name in catalog_names():
         dump_entry(name, out)
     for label, S in affine_surfaces():
         dump_affine(label, S, out)
+    for n, (label, ses) in enumerate(map_sequences()):
+        dump_sequence(label, ses, 500 + n, out)
+    dump_overlaps(out)
     sys.stdout.write("\n".join(out) + "\n")
 
 
