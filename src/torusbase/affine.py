@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .complexes import boundary_traversal, dual_loops, vertex_star_cycle
+from .complexes import boundary_traversal, cell_key, dual_loops, vertex_star_cycle
 from .errors import TorusbaseError, ValidationReport
 from .exact import (
     PresentedGroup,
@@ -263,7 +263,7 @@ def validate_affine(S):
         verts = {w for e, _ in X.faces_of(f) for w, _ in X.faces_of(e)}
         missing = verts - set(ch)
         if missing:
-            bad.append("chart of %s misses vertices %s" % (f, sorted(missing, key=str)))
+            bad.append("chart of %s misses vertices %s" % (f, sorted(missing, key=cell_key)))
     if bad:
         return ValidationReport(bad)
     for e in X.cells_of_dim(1):

@@ -22,6 +22,7 @@ from .complexes import (
     CellComplex,
     Seg,
     complex_from_polygons,
+    edge_between,
     identify_cells,
     product,
     quotient_by_free_involution,
@@ -78,11 +79,6 @@ def grid_torus_complex(m=3, n=3):
     return complex_from_polygons(polys)
 
 
-def _edge_between(a, b):
-    lo, hi = (a, b) if str(a) <= str(b) else (b, a)
-    return ("e", lo, hi)
-
-
 def flat_torus_surface(m_chern=0, size=3):
     """Unit-square torus from a size x size grid; Chern coordinate m.
 
@@ -107,11 +103,11 @@ def flat_torus_surface(m_chern=0, size=3):
     for i in range(n):
         for j in range(n):
             # vertical edge between f(i-1, j) and f(i, j)
-            e = _edge_between(("v", i, j), ("v", i, (j + 1) % n))
+            e = edge_between(("v", i, j), ("v", i, (j + 1) % n))
             t = fracvec([-1, 0]) if i == 0 else fracvec([0, 0])
             transitions[e] = EdgeTransition(("f", (i - 1) % n, j), ("f", i, j), I, t)
             # horizontal edge between f(i, j-1) and f(i, j)
-            e = _edge_between(("v", i, j), ("v", (i + 1) % n, j))
+            e = edge_between(("v", i, j), ("v", (i + 1) % n, j))
             t = fracvec([0, -1]) if j == 0 else fracvec([0, 0])
             transitions[e] = EdgeTransition(("f", i, (j - 1) % n), ("f", i, j), I, t)
     chern = {}
@@ -238,9 +234,9 @@ def ff_disk_surface(k=1):
     A = intmat([[1, k], [0, 1]])
     transitions = {}
     for i in (1, 2, 3):
-        e = _edge_between("c", ("b", i))
+        e = edge_between("c", ("b", i))
         transitions[e] = EdgeTransition(("t", i - 1), ("t", i), I, fracvec([0, 0]))
-    e0 = _edge_between("c", ("b", 0))
+    e0 = edge_between("c", ("b", 0))
     transitions[e0] = EdgeTransition(("t", 3), ("t", 0), A, fracvec([0, 0]))
     markings = {"c": SingularityMark("focus_focus", k)}
     return AffineSurface(base=X, charts=charts, transitions=transitions, markings=markings)
@@ -573,20 +569,17 @@ def _klein_shift(cell, m=6, by=3):
     raise CatalogError("unexpected Klein cell %r" % (cell,))
 
 
-def quotient_sheaf(F, Zq, orbit, mapping, stalk_isos):
+def quotient_sheaf(F, Zq, mapping, stalk_isos):
     """Descend an involution-equivariant sheaf to the quotient complex.
 
     mapping is the free involution on the base, stalk_isos[c] maps the stalk
-    at c to the stalk at mapping[c].  Quotient cells keep the stalk of their
-    representative.
+    at c to the stalk at mapping[c].  A quotient cell ("q", rep), named by
+    the first member of its orbit, keeps the stalk of rep.
     """
-    rep_of = {}
-    for c in F.base.cells:
-        rep_of[orbit[c]] = min(c, mapping[c], key=str)
-    stalks = {q: F.stalk(rep_of[q]) for q in Zq.cells}
+    stalks = {q: F.stalk(q[1]) for q in Zq.cells}
     restrictions = {}
     for (qcof, qface) in Zq.incidence:
-        rc, rf = rep_of[qcof], rep_of[qface]
+        rc, rf = qcof[1], qface[1]
         if any(t == rf for t, _ in F.base.faces_of(rc)):
             R = F.restriction(rf, rc)
         else:
@@ -651,7 +644,7 @@ def fake_base_space():
         for i in range(rg):
             J[2 + i, 2 + i] = 1
         isos[cell] = J
-    Fp = quotient_sheaf(Fp0, Xp, orbit, mapping, isos)
+    Fp = quotient_sheaf(Fp0, Xp, mapping, isos)
 
     # overlaps: K2 x {h} inside O-, and (Kb x {h})/sigma inside O+
     sub_m_cells = {("x", kc, "h") for kc in K2.base.cells}
@@ -659,16 +652,13 @@ def fake_base_space():
     sub_m = subcomplex(Xm, sub_m_cells)
     sub_p = subcomplex(Xp, sub_p_cells)
 
-    rep_of = {}
-    for c in Xp0.cells:
-        rep_of[orbit[c]] = min(c, mapping[c], key=str)
     # identification from the O- overlap to the O+ overlap, with stalk isos
     cell_map = {}
     over_isos = {}
     from .exact import unimodular_inverse
 
     for q in sub_p_cells:
-        _, kc, _ = rep_of[q]
+        _, kc, _ = q[1]
         src = ("x", _klein_projection(kc), "h")
         cell_map[src] = q
         if kc[0] == "v":

@@ -19,7 +19,7 @@ from .affine import (
     validate_affine,
 )
 from .catalog import CatalogError, build, catalog_names, verify
-from .complexes import validate
+from .complexes import cell_key, validate
 from .errors import TorusbaseError
 from .polytopes import PolytopeError, delzant_check
 from .serialize import DocumentError
@@ -198,7 +198,7 @@ def cmd_glue(args):
     from .surgery import GluingSpec, glue
     from .exact import eye
 
-    shared = sorted(set(doc.complex.cells) & set(other.complex.cells), key=str)
+    shared = sorted(set(doc.complex.cells) & set(other.complex.cells), key=cell_key)
     over1 = subcomplex(doc.complex, shared)
     over2 = subcomplex(other.complex, shared)
     isos = {c: eye(doc.sheaf.rank(c)) for c in shared}

@@ -2,8 +2,12 @@
 
 A complex is stored as cell ids with dimensions, signed incidence numbers for
 covering pairs (coface, face), and optional cyclic boundary words on 2-cells.
-Cells of each dimension are ordered by sorted id; every matrix-valued
-computation elsewhere relies on that ordering.
+One cell order, ``cell_key``, is fixed when a complex is built, and
+``cells_of_dim``, ``faces_of`` and ``cofaces_of`` list cells in it, so no
+result depends on the order of a document's lists.  Cochains follow it, the
+star walk enters the first coface of its start edge, a co-tree loop crosses
+from its edge's first coface, and a quotient cell is named by the first
+member of its orbit.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +24,19 @@ class NotASurfaceError(ComplexError):
     pass
 
 
+def cell_key(c):
+    """The cell order: by str, ties broken by type name.  It is total on ids
+    made of strings, ints and tuples: only 1 and "1", or (1,) and "(1,)", share
+    a str, since str of a tuple is its repr."""
+    return (str(c), type(c).__name__)
+
+
+def edge_between(v, w):
+    """The edge id complex_from_polygons gives the step from v to w."""
+    tail, head = (v, w) if cell_key(v) <= cell_key(w) else (w, v)
+    return ("e", tail, head)
+
+
 @dataclass
 class CellComplex:
     cells: dict  # id -> dimension
@@ -27,18 +44,28 @@ class CellComplex:
     boundary_words: dict = field(default_factory=dict)  # 2-cell -> ((edge, sign), ...)
 
     def __post_init__(self):
+        # cells named only by the incidence get a place too, for validate
+        order = sorted(set(self.cells).union(*self.incidence), key=cell_key)
+        rank = {c: i for i, c in enumerate(order)}
+        self._by_dim = {}
+        for c in order:
+            if c in self.cells:
+                self._by_dim.setdefault(self.cells[c], []).append(c)
         self._faces_of = {}
         self._cofaces_of = {}
         for (cof, face), val in self.incidence.items():
             self._faces_of.setdefault(cof, []).append((face, val))
             self._cofaces_of.setdefault(face, []).append((cof, val))
+        for lists in (self._faces_of, self._cofaces_of):
+            for cells in lists.values():
+                cells.sort(key=lambda p: rank[p[0]])
 
     @property
     def dimension(self):
         return max(self.cells.values(), default=-1)
 
     def cells_of_dim(self, k):
-        return sorted((c for c, d in self.cells.items() if d == k), key=str)
+        return list(self._by_dim.get(k, ()))
 
     def dim(self, cell):
         return self.cells[cell]
@@ -68,20 +95,7 @@ class CellComplex:
 
     def is_connected(self):
         verts = self.cells_of_dim(0)
-        if not verts:
-            return True
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for e, _ in self.cofaces_of(v):
-                if self.dim(e) != 1:
-                    continue
-                for w, _ in self.faces_of(e):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return len(seen) == len(verts)
+        return not verts or len(_vertex_spanning_tree(self, verts[0])[1]) == len(verts)
 
 
 def validate(X):
@@ -146,7 +160,7 @@ def complex_from_polygons(polygons, extra_vertices=()):
 
     polygons: {face_id: [step, ...]} traversed with the face's chosen
     orientation, where a step is either a vertex v (the edge to the next
-    vertex is named ("e", v, w) with endpoints in string order) or a pair
+    vertex is edge_between(v, w), endpoints in cell order) or a pair
     (v, Seg(...)) pinning the edge from v to the next vertex to an explicit
     id with a fixed orientation.
     """
@@ -175,8 +189,8 @@ def complex_from_polygons(polygons, extra_vertices=()):
                     raise ComplexError("edge %s does not match cycle at %s" % (seg.name, f))
                 e, tail, head = seg.name, seg.tail, seg.head
             else:
-                tail, head = (v, w) if str(v) <= str(w) else (w, v)
-                e = ("e", tail, head)
+                e = edge_between(v, w)
+                tail, head = e[1:]
             sign = 1 if (tail, head) == (v, w) else -1
             cells[v] = 0
             cells[e] = 1
@@ -302,10 +316,7 @@ def quotient_by_free_involution(X, mapping):
     eps = _infer_signs(X, mapping)
     if eps is None:
         raise ComplexError("involution does not commute with incidence")
-    rep = {}
-    for c in X.cells:
-        o = min(c, mapping[c], key=lambda z: str(z))
-        rep[c] = o
+    rep = {c: min(c, mapping[c], key=cell_key) for c in X.cells}
     cells = {}
     incidence = {}
     for c in X.cells:
@@ -556,21 +567,25 @@ class GroupPresentation:
         return PresentedGroup(len(self.generators), rel).group
 
 
-def _vertex_spanning_tree(X, basepoint):
-    tree = {}
-    seen = {basepoint}
-    queue = [basepoint]
+def _bfs_tree(start, steps):
+    """Breadth-first tree from start, taking the (edge, neighbour) pairs of
+    steps(node) in order: ({node: (parent, edge)}, the nodes reached)."""
+    tree, seen, queue = {}, {start}, [start]
     while queue:
-        v = queue.pop(0)
-        for e, _ in sorted(X.cofaces_of(v), key=lambda p: str(p[0])):
-            if X.dim(e) != 1:
-                continue
-            for w, _ in X.faces_of(e):
-                if w not in seen:
-                    seen.add(w)
-                    tree[e] = (v, w)
-                    queue.append(w)
+        node = queue.pop(0)
+        for e, nxt in steps(node):
+            if nxt not in seen:
+                seen.add(nxt)
+                tree[nxt] = (node, e)
+                queue.append(nxt)
     return tree, seen
+
+
+def _vertex_spanning_tree(X, basepoint):
+    def steps(v):
+        return [(e, w) for e, _ in X.cofaces_of(v) if X.dim(e) == 1 for w, _ in X.faces_of(e)]
+
+    return _bfs_tree(basepoint, steps)
 
 
 def pi1_presentation(X, basepoint):
@@ -585,10 +600,11 @@ def pi1_presentation(X, basepoint):
     tree, seen = _vertex_spanning_tree(X, basepoint)
     if len(seen) != len(X.cells_of_dim(0)):
         raise ComplexError("complex is not connected")
-    generators = [e for e in X.cells_of_dim(1) if e not in tree]
+    tree_edges = {e for _, e in tree.values()}
+    generators = [e for e in X.cells_of_dim(1) if e not in tree_edges]
     relators = []
     for f in X.cells_of_dim(2):
-        rel = tuple((e, s) for e, s in X.boundary_words[f] if e not in tree)
+        rel = tuple((e, s) for e, s in X.boundary_words[f] if e not in tree_edges)
         relators.append(rel)
     return GroupPresentation(generators=generators, relators=relators)
 
@@ -620,12 +636,12 @@ def vertex_star_cycle(X, v):
     """Faces and crossed edges around v: a cycle if v is interior, else a fan.
 
     Returns (faces, edges, closed).  The walk starts at the first boundary
-    edge at v in key=str order, else at the first star edge, and enters that
+    edge at v in cell order, else at the first star edge, and enters that
     edge's first coface; faces[0] is the face whose frame is v's frame in
     the monodromy sheaf.  For a closed star edges[i] joins faces[i] and
     faces[i+1 mod m]; for a fan edges has one entry fewer than faces.
     """
-    star = sorted((e for e, _ in X.cofaces_of(v) if X.dim(e) == 1), key=str)
+    star = [e for e, _ in X.cofaces_of(v) if X.dim(e) == 1]
     boundary = [e for e in star if len(X.cofaces_of(e)) == 1]
     closed = not boundary
     start = e = (boundary or star)[0]
@@ -655,21 +671,13 @@ def vertex_star_cycle(X, v):
 
 
 def _dual_tree(X, base_face):
-    tree = {}
-    seen = {base_face}
-    queue = [base_face]
-    parent = {base_face: None}
-    while queue:
-        f = queue.pop(0)
-        for e, _ in sorted(X.faces_of(f), key=lambda p: str(p[0])):
-            if len(X.cofaces_of(e)) != 2:
-                continue
-            g = next(h for h, _ in X.cofaces_of(e) if h != f)
-            if g not in seen:
-                seen.add(g)
-                tree[g] = (f, e)
-                queue.append(g)
-    return tree, seen
+    def steps(f):
+        for e, _ in X.faces_of(f):
+            cofs = [g for g, _ in X.cofaces_of(e)]
+            if len(cofs) == 2:
+                yield e, next(g for g in cofs if g != f)
+
+    return _bfs_tree(base_face, steps)
 
 
 def _tree_path(tree, base_face, f):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .affine import AffineSurface, EdgeTransition, SingularityMark
-from .complexes import CellComplex
+from .complexes import CellComplex, cell_key
 from .errors import TorusbaseError
 from .exact import zeros
 from .polytopes import LatticePolytope
@@ -96,16 +96,21 @@ def _dec_matrix(rows, ring="Z", shape=None):
     return out
 
 
+def _by_cell(d):
+    """The items of d in the cell order of its keys (complexes.cell_key)."""
+    return sorted(d.items(), key=lambda p: cell_key(p[0]))
+
+
 def encode_complex(X):
     return {
-        "cells": [[_enc_cell(c), d] for c, d in sorted(X.cells.items(), key=lambda p: str(p[0]))],
+        "cells": [[_enc_cell(c), d] for c, d in _by_cell(X.cells)],
         "incidence": [
             [_enc_cell(a), _enc_cell(b), _enc_int(v)]
-            for (a, b), v in sorted(X.incidence.items(), key=lambda p: str(p[0]))
+            for (a, b), v in _by_cell(X.incidence)
         ],
         "boundary_words": [
             [_enc_cell(f), [[_enc_cell(e), _enc_int(s)] for e, s in w]]
-            for f, w in sorted(X.boundary_words.items(), key=lambda p: str(p[0]))
+            for f, w in _by_cell(X.boundary_words)
         ],
     }
 
@@ -124,11 +129,11 @@ def encode_sheaf(F):
         "ring": F.ring,
         "stalks": [
             [_enc_cell(c), s.rank, [_enc_int(m) for m in s.moduli]]
-            for c, s in sorted(F.stalks.items(), key=lambda p: str(p[0]))
+            for c, s in _by_cell(F.stalks)
         ],
         "restrictions": [
             [_enc_cell(a), _enc_cell(b), _enc_matrix(M, F.ring == "Q")]
-            for (a, b), M in sorted(F.restrictions.items(), key=lambda p: str(p[0]))
+            for (a, b), M in _by_cell(F.restrictions)
         ],
     }
 
@@ -168,16 +173,15 @@ def decode_sheaf(doc, base):
 
 def encode_affine(S):
     charts = []
-    for f, ch in sorted(S.charts.items(), key=lambda p: str(p[0])):
+    for f, ch in _by_cell(S.charts):
         charts.append(
             [
                 _enc_cell(f),
-                [[_enc_cell(v), [_enc_frac(p[0]), _enc_frac(p[1])]] for v, p in
-                 sorted(ch.items(), key=lambda q: str(q[0]))],
+                [[_enc_cell(v), [_enc_frac(p[0]), _enc_frac(p[1])]] for v, p in _by_cell(ch)],
             ]
         )
     transitions = []
-    for e, tr in sorted(S.transitions.items(), key=lambda p: str(p[0])):
+    for e, tr in _by_cell(S.transitions):
         transitions.append(
             [
                 _enc_cell(e),
@@ -188,11 +192,11 @@ def encode_affine(S):
             ]
         )
     markings = []
-    for c, m in sorted(S.markings.items(), key=lambda p: str(p[0])):
+    for c, m in _by_cell(S.markings):
         markings.append([_enc_cell(c), m.kind, m.k])
     chern = [
         [_enc_cell(f), [_enc_int(v[0]), _enc_int(v[1])]]
-        for f, v in sorted(S.chern_cocycle.items(), key=lambda p: str(p[0]))
+        for f, v in _by_cell(S.chern_cocycle)
     ]
     return {"charts": charts, "transitions": transitions, "markings": markings, "chern": chern}
 

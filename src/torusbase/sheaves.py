@@ -393,9 +393,16 @@ class CohomologyClass:
 
 
 def class_from_components(F, degree, components):
+    """The degree-cochain with components[cell] at each named cell; each must
+    be a degree-cell with a component as long as its stalk's rank."""
     vec = F.zero_cochain(degree)
     off, _ = F.offsets(degree)
     for cell, vals in components.items():
+        if cell not in off:
+            raise SheafError("component at %s: not a %d-cell" % (cell, degree))
+        if len(vals) != F.rank(cell):
+            raise SheafError(
+                "component at %s has length %d, not %d" % (cell, len(vals), F.rank(cell)))
         i = off[cell]
         for j, v in enumerate(vals):
             vec[i + j] = v if F.ring == "Z" else Fraction(v)
@@ -443,20 +450,17 @@ class SheafMap:
     def validate(self):
         bad = []
         X = self.source.base
-        for cell in X.cells:
-            B = self.block(cell)
+        blocks = {cell: self.block(cell) for cell in X.cells}
+        for cell, B in blocks.items():
             if B.shape != (self.target.rank(cell), self.source.rank(cell)):
                 bad.append("block at %s has the wrong shape" % (cell,))
             elif not _respects_moduli(B, self.source.stalk(cell), self.target.stalk(cell)):
                 bad.append("block at %s ignores stalk torsion" % (cell,))
         if bad:
             return ValidationReport(bad)
-        for (cof, face) in X.incidence:
-            left = self.block(cof).dot(self.source.restriction(face, cof))
-            right = self.target.restriction(face, cof).dot(self.block(face))
-            if not _diff_in_moduli(self.target.stalk(cof), left - right):
-                bad.append("map does not commute with restriction (%s, %s)" % (face, cof))
-        return ValidationReport(bad)
+        same = {c: c for c in X.cells}
+        message = "map does not commute with restriction (%s, %s)"
+        return ValidationReport(_iso_violations(X, self.source, self.target, same, blocks, message))
 
     def _cochain_rows(self, k):
         """The cochain map in degree k as sparse rows (ints over Z, Fractions
@@ -658,13 +662,6 @@ def connecting_map(ses, k, rng=None, check=True):
     return induced_map(cohomology(C, k), cohomology(A, k + 1), delta)
 
 
-def _augment(M, extra_rows_as_cols):
-    """Columns of M plus torsion relation columns, for solving mod torsion
-    with exact.LinearSystem, the reference solve of the connecting map."""
-    L = extra_rows_as_cols
-    return np.hstack([M, L.T]) if L.shape[0] else M
-
-
 # ---------------------------------------------------------------------------
 # Subcomplex restriction
 
@@ -764,16 +761,17 @@ class SheafAutomorphism:
         return ValidationReport(_iso_violations(X, F, F, self.cell_map, self.stalk_isos))
 
 
-def _iso_violations(X, F1, F2, cell_map, isos):
+def _iso_violations(X, F1, F2, cell_map, isos, message="stalk isos break restriction at (%s, %s)"):
     """The squares J R1(face <= cof) = R2(cell_map face <= cell_map cof) J over
     the covering pairs of X, with isos[c] from F1 at c to F2 at cell_map[c],
-    that fail modulo the torsion of F2's stalk, as SheafMap.validate checks."""
+    that fail modulo the torsion of F2's stalk, as message % (face, cof).
+    SheafMap.validate checks its squares here, with the identity cell map."""
     bad = []
     for (cof, face) in X.incidence:
         left = isos[cof].dot(F1.restriction(face, cof))
         right = F2.restriction(cell_map[face], cell_map[cof]).dot(isos[face])
         if not _diff_in_moduli(F2.stalk(cell_map[cof]), left - right):
-            bad.append("stalk isos break restriction at (%s, %s)" % (face, cof))
+            bad.append(message % (face, cof))
     return bad
 
 

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from torusbase.affine import (
@@ -359,9 +360,15 @@ def les_maps(ses, top):
     return out
 
 
+def _augment(M, extra_rows_as_cols):
+    """Columns of M plus torsion relation columns, for solving mod torsion
+    with exact.LinearSystem, the reference solve of the connecting map."""
+    L = extra_rows_as_cols
+    return np.hstack([M, L.T]) if L.shape[0] else M
+
+
 def _delta_fn(ses, k):
     from torusbase.exact import LinearSystem
-    from torusbase.sheaves import _augment
 
     ring = ses.A.ring
     p_k = ses.p.cochain_matrix(k)

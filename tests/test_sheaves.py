@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,26 @@ def test_class_add_axioms():
     zero = CohomologyClass(F, 2, F.zero_cochain(2))
     assert class_reduce(class_add(a, zero), h2) == class_reduce(a, h2)
     assert all(c == 0 for c in class_reduce(class_add(a, class_neg(a)), h2))
+
+
+def test_component_longer_than_its_stalk_is_rejected():
+    X = grid_torus()
+    F = constant_sheaf(X, 1)
+    for e in (X.cells_of_dim(1)[0], X.cells_of_dim(1)[-1]):
+        with pytest.raises(SheafError, match=re.escape("component at %s has length 2" % (e,))):
+            class_from_components(F, 1, {e: [1, 2]})
+    with pytest.raises(SheafError, match="has length 0"):
+        class_from_components(F, 1, {e: []})
+
+
+def test_component_off_the_degree_cells_is_rejected():
+    X = grid_torus()
+    F = constant_sheaf(X, 1)
+    v = X.cells_of_dim(0)[0]
+    with pytest.raises(SheafError, match=re.escape("component at %s: not a 1-cell" % (v,))):
+        class_from_components(F, 1, {v: [1]})
+    with pytest.raises(SheafError, match="not a 1-cell"):
+        class_from_components(F, 1, {"nowhere": [1]})
 
 
 def test_not_a_cocycle_rejected():
@@ -278,7 +299,7 @@ def les_maps(ses, top):
 def _delta_fn(ses, k):
     from torusbase.exact import LinearSystem
 
-    from torusbase.sheaves import _augment
+    from test_acceptance import _augment
 
     A, B, C = ses.A, ses.B, ses.C
     ring = A.ring

@@ -36,11 +36,19 @@ seeded vectors.  Then the restriction maps on cohomology into the overlaps
 of ``fake_base_space`` and the report of its gluing spec.  Raw connecting-map
 matrices are not printed: they hold the coefficients of a representative,
 which may move with the lift; the canonical coordinates may not.
+
+The CLI section runs ``torusbase.cli.main`` in-process for every light
+catalog entry (all but ``fake_base_space``) and prints the bytes of its
+``catalog NAME --export`` file, the stdout of ``catalog NAME --verify``, and
+the exit code, stdout and stderr of ``monodromy`` on the exported file.
 """
 
+import contextlib
+import io
 import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -66,6 +74,7 @@ from torusbase.catalog import (  # noqa: E402
     flat_torus_surface,
     klein_affine_surface,
 )
+from torusbase.cli import main as cli_main  # noqa: E402
 from torusbase.errors import TorusbaseError  # noqa: E402
 from torusbase.exact import eye, fracvec, intmat  # noqa: E402
 from torusbase.sheaves import (  # noqa: E402
@@ -354,6 +363,28 @@ def dump_overlaps(out):
             dump_map("restrict%s H^%d" % (tag, k), f, out)
 
 
+def run_cli(argv):
+    """(exit code, stdout, stderr) of the CLI on argv."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def dump_cli(out):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in catalog_names():
+            if name == "fake_base_space":
+                continue
+            path = os.path.join(tmp, "%s.json" % name)
+            run_cli(["catalog", name, "--export", path])
+            with open(path, encoding="utf-8") as fh:
+                out.append("== cli %s export\n%s" % (name, fh.read()))
+            out.append("== cli %s verify\n%s" % (name, run_cli(["catalog", name, "--verify"])[1]))
+            code, stdout, stderr = run_cli(["monodromy", path])
+            out.append("== cli %s monodromy exit %d\n%s%s" % (name, code, stdout, stderr))
+
+
 def main():
     out = []
     for name in catalog_names():
@@ -363,6 +394,7 @@ def main():
     for n, (label, ses) in enumerate(map_sequences()):
         dump_sequence(label, ses, 500 + n, out)
     dump_overlaps(out)
+    dump_cli(out)
     sys.stdout.write("\n".join(out) + "\n")
 
 
