@@ -8,17 +8,18 @@ Stalks over Z may carry torsion: a stalk is rank many generators where
 generator i has order moduli[i] (0 meaning infinite).  This is needed for
 mod-n coefficient sheaves and their Bockstein connecting maps.
 
-Sheaf maps, exact sequences and connecting maps run on sparse rows, as
-cohomology does.  Lattices are compared through their Hermite normal form
-rows, which are unique.  A connecting map lifts through each cochain map by
-back-substitution (SheafMap._lifter): its representative may depend on the
-lift, its canonical coordinates do not.  Squares of stalk maps commute
-modulo the torsion of the target stalk.
+Sheaf maps, exact sequences and maps on cohomology run on sparse rows, as
+cohomology does; every InducedMap comes from _induced.  Results of one sheaf
+in one degree are one group (the presentation is a function of the two), so
+maps between them compose.  Lattices are compared through their Hermite
+normal form rows, which are unique.  A connecting map lifts through each
+cochain map by back-substitution (SheafMap._lifter): its representative may
+depend on the lift, its canonical coordinates do not.  Squares of stalk maps
+commute modulo the torsion of the target stalk.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -332,11 +333,6 @@ class CohomologyResult:
                 rel.append(coef)
         self._pg = quotient(len(pivot_rows), rel)
 
-    @cached_property
-    def _basis(self):
-        """The cocycle basis as the columns of a dense matrix, built on first use."""
-        return self._cocycles.matrix()
-
     @property
     def group(self):
         return self._pg.group
@@ -505,6 +501,13 @@ class SheafMap:
         shape = (self.target.cochain_rank(k), self.source.cochain_rank(k))
         return _dense(self._cochain_rows(k), shape, self.source.ring)
 
+    def induced(self, source, target):
+        """This map on cohomology, between results of its own sheaves in one degree."""
+        k = source.degree
+        if source.sheaf is not self.source or target.sheaf is not self.target or target.degree != k:
+            raise SheafError("results are not of this map's sheaves in one degree")
+        return _induced(source, target, lambda x: _apply(self._cochain_rows(k), x))
+
 
 def _same_lattice(a, b, n):
     """Whether the sparse rows a and b span the same lattice in Z^n: the HNF is
@@ -593,16 +596,29 @@ class InducedMap:
         return _same_lattice(self.image_rows(), [{j: 1} for j in range(n)], n)
 
 
+def _induced(source, target, cochain_map):
+    """The InducedMap of cochain_map, which takes each sparse cocycle row of
+    source in basis order (the basis's own dicts: it must not modify them)
+    to a new sparse cocycle of target, read there by back-substitution."""
+    cols = [target._cocycles._coefficients(cochain_map(x)) for x in source._cocycles._rows.values()]
+    if None in cols:
+        raise SheafError("vector is not a cocycle")
+    shape = (len(cols), target.presentation.n)
+    return InducedMap(source, target, _dense(cols, shape, source.sheaf.ring).T)
+
+
 def induced_map(source_result, target_result, cochain_map):
-    """Map on cohomology induced by a cocycle-level linear map."""
-    src = source_result
-    tgt = target_result
-    z = src._basis.shape[1]
-    M = zeros(tgt.presentation.n, z, src.sheaf.ring)
-    for j in range(z):
-        img = cochain_map(src._basis[:, j])
-        M[:, j] = tgt.to_presentation_coords(img)
-    return InducedMap(source=src, target=tgt, matrix=M)
+    """Map on cohomology induced by a cocycle-level linear map: cochain_map
+    takes a cocycle of the source as a numpy vector (ints over Z, Fractions
+    over Q) and returns its image in the target as a numpy vector."""
+    F, k = source_result.sheaf, source_result.degree
+    conv = int if F.ring == "Z" else Fraction
+
+    def on_rows(x):
+        img = cochain_map(_dense([x], (1, F.cochain_rank(k)), F.ring)[0])
+        return {j: conv(e) for j, e in enumerate(img) if e != 0}
+
+    return _induced(source_result, target_result, on_rows)
 
 
 def image_dimension(f):
@@ -616,14 +632,14 @@ def image_dimension(f):
 
 def rank_exact_at(f, g):
     """Rank exactness at the middle group of X -f-> Y -g-> Z."""
-    if f.target is not g.source:
+    if f.target.sheaf is not g.source.sheaf or f.target.degree != g.source.degree:
         raise SheafError("maps are not composable at the middle group")
     return g.source.group.free_rank == image_dimension(f) + image_dimension(g)
 
 
 def torsion_exact_at(f, g):
     """Exactness im f = ker g over Z, torsion included (presentation lattices)."""
-    if f.target is not g.source:
+    if f.target.sheaf is not g.source.sheaf or f.target.degree != g.source.degree:
         raise SheafError("maps are not composable at the middle group")
     n = g.source.presentation.n
     ker = _preimage_rows(_sparse_rows(g.matrix, "Z"), n, g.target.presentation._hnf)
@@ -640,26 +656,22 @@ def connecting_map(ses, k, rng=None, check=True):
         rep = ses.validate()
         if not rep.valid:
             raise SheafError("sequence is not exact: %s" % rep)
-    A, B, C = ses.A, ses.B, ses.C
     lift_p, kernel = ses.p._lifter(k)
     lift_i, _ = ses.i._lifter(k + 1)
 
-    def delta(c_vec):
-        b = lift_p({j: v for j, v in enumerate(c_vec) if v != 0})
+    def delta(c):
+        b = lift_p(dict(c))
         if b is None:
             raise SheafError("cannot lift cocycle through p")
         if rng is not None:
             for t in kernel:
                 _axpy(b, rng.randint(-2, 2), t)
-        a = lift_i(_apply(B._differential_rows(k), b))
+        a = lift_i(_apply(ses.B._differential_rows(k), b))
         if a is None:
             raise SheafError("d of the lift does not come from the subsheaf")
-        out = A.zero_cochain(k + 1)
-        for j, v in a.items():
-            out[j] = v
-        return out
+        return a
 
-    return induced_map(cohomology(C, k), cohomology(A, k + 1), delta)
+    return _induced(cohomology(ses.C, k), cohomology(ses.A, k + 1), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +710,9 @@ def restriction_on_cohomology(F, sub, k):
     """Induced map H^k(base) -> H^k(sub) for a full subcomplex."""
     G = restrict_sheaf(F, sub)
     off, _ = F.offsets(k)
-    # the coordinates of F's k-cochains that sit on the subcomplex, in G's order
-    keep = [off[c] + r for c in G.cochain_cells(k) for r in range(G.rank(c))]
-    return induced_map(cohomology(F, k), cohomology(G, k), lambda vec: vec[keep]), G
+    # one sparse row per coordinate of G's k-cochains, picking F's coordinate there
+    keep = [{off[c] + r: 1} for c in G.cochain_cells(k) for r in range(G.rank(c))]
+    return _induced(cohomology(F, k), cohomology(G, k), lambda x: _apply(keep, x)), G
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ from .affine import (
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
 from .errors import TorusbaseError
-from .exact import PresentedGroup, QuotientSpace, eye, unimodular_inverse, zerovec
+from .exact import PresentedGroup, QuotientSpace, _apply, _sparse_rows, eye, unimodular_inverse
 from .sheaves import (
     CellularSheaf,
+    _induced,
     _iso_violations,
     cohomology,
     constant_sheaf,
-    induced_map,
     restriction_on_cohomology,
 )
 
@@ -167,15 +167,12 @@ def _overlap_quotient(F1, F2, overlap, cell_map, inverse_isos):
     h_over = f1.target
     off2, _ = F2.offsets(2)
     offo, n_o = G.offsets(2)
-
-    def pull_to_overlap(vec2):
-        out = zerovec(n_o, G.ring)
-        for c, J in inverse_isos.items():
-            d = cell_map[c]
-            out[offo[c]:offo[c] + G.rank(c)] = J.dot(vec2[off2[d]:off2[d] + F2.rank(d)])
-        return out
-
-    f2 = induced_map(cohomology(F2, 2), h_over, pull_to_overlap)
+    # F2's 2-cochains pulled to the overlap: a sparse row per coordinate of G's
+    pull = [{} for _ in range(n_o)]
+    for c, J in inverse_isos.items():
+        for r, row in enumerate(_sparse_rows(J, G.ring)):
+            pull[offo[c] + r] = {off2[cell_map[c]] + j: v for j, v in row.items()}
+    f2 = _induced(cohomology(F2, 2), h_over, lambda x: _apply(pull, x))
     quotient = PresentedGroup if G.ring == "Z" else QuotientSpace
     return h_over, quotient(h_over.presentation.n, f1.image_rows() + f2.image_rows())
 

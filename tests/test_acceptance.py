@@ -7,6 +7,7 @@ comparison is equality; there are no tolerances to calibrate.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -24,7 +25,6 @@ from torusbase.affine import (
     unipotent_power,
 )
 from torusbase.catalog import (
-    build,
     cp2_triangle_surface,
     fake_base_space,
     flat_torus_surface,
@@ -42,7 +42,7 @@ from torusbase.exact import (
     hnf,
     mat_eq,
 )
-from torusbase.polytopes import LatticePolytope, delzant_check, vertex_blowup, vertices
+from torusbase.polytopes import LatticePolytope, delzant_check, vertex_blowup
 from torusbase.sheaves import (
     CellularSheaf,
     CohomologyClass,
@@ -57,14 +57,12 @@ from torusbase.sheaves import (
     cohomology,
     connecting_map,
     constant_sheaf,
-    image_dimension,
     induced_map,
     orbit_of_class,
     rank_exact_at,
     restrict_sheaf,
     subcomplex,
     torsion_exact_at,
-    validate_sheaf,
 )
 from torusbase.surgery import (
     GluingSpec,
@@ -341,20 +339,13 @@ def random_ses(X, rng):
 
 
 def les_maps(ses, top):
-    results = {}
-
-    def res(F, k):
-        key = (id(F), k)
-        if key not in results:
-            results[key] = cohomology(F, k)
-        return results[key]
-
+    """The reference long exact sequence in degrees 0..top: the numpy
+    induced_map of the dense cochain matrices and of _delta_fn, on shared results."""
+    res = lru_cache(None)(cohomology)
     out = []
     for k in range(top + 1):
-        Mi = ses.i.cochain_matrix(k)
-        Mp = ses.p.cochain_matrix(k)
-        out.append(induced_map(res(ses.A, k), res(ses.B, k), lambda v, M=Mi: M.dot(v)))
-        out.append(induced_map(res(ses.B, k), res(ses.C, k), lambda v, M=Mp: M.dot(v)))
+        out.append(induced_map(res(ses.A, k), res(ses.B, k), ses.i.cochain_matrix(k).dot))
+        out.append(induced_map(res(ses.B, k), res(ses.C, k), ses.p.cochain_matrix(k).dot))
         if k < top:
             out.append(induced_map(res(ses.C, k), res(ses.A, k + 1), _delta_fn(ses, k)))
     return out

@@ -916,3 +916,21 @@ def test_chartless_focus_focus_without_fixed_point(t, A):
     rep = validate_affine(S)
     assert not rep.valid
     assert rep.violations == ["wheel at focus-focus vertex c has no fixed point"]
+
+
+@pytest.mark.parametrize(
+    "surface", [b for _, b in _TRANSPORT_SURFACES], ids=[i for i, _ in _TRANSPORT_SURFACES]
+)
+def test_dhat_agrees_with_the_connecting_map(surface):
+    # dhat lifts through the explicit section of I -> R_Q, connecting_map
+    # through SheafMap._lifter; the canonical coordinates must agree
+    from torusbase.sheaves import connecting_map
+
+    S = surface()
+    R = build_R_sheaf(S)
+    _, ses = build_I_sheaf(S)
+    d = connecting_map(ses, 1)
+    for g in cohomology(R, 1).generator_cocycles():
+        _, got = dhat(S, CohomologyClass(R, 1, g), ses)
+        coef = d.source.to_presentation_coords(fracvec(g))
+        assert got == d.target.presentation.reduce(d.matrix.dot(coef))

@@ -76,7 +76,7 @@ def _check_sheaf(F, seed):
     rng = random.Random(seed)
     for k in range(-1, F.base.dimension + 2):
         h = cohomology(F, k)
-        basis = h._basis
+        basis = h._cocycles.matrix()
         ref = LinearSystem(basis)
         z = basis.shape[1]
         if z:
@@ -228,7 +228,7 @@ def test_generator_cocycles_match_the_dense_basis_product(name):
         for k in range(F.base.dimension + 1):
             h = cohomology(F, k)
             got = h.generator_cocycles()
-            want = [h._basis.dot(g) for g in h.presentation.generators()]
+            want = [h._cocycles.matrix().dot(g) for g in h.presentation.generators()]
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert len(a) == len(b)

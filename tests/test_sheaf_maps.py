@@ -14,12 +14,12 @@ raw matrix holds the coefficients of a representative, which may move.
 """
 
 import random
-from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from test_acceptance import _delta_fn, random_ses, small_complexes
-from test_complexes import circle, grid_torus, klein_grid, octa_sphere, point, rp2_complex
+from test_acceptance import _delta_fn, les_maps, random_ses, small_complexes
+from test_complexes import circle, grid_torus, klein_grid, point, rp2_complex
 
 from torusbase import sheaves
 from torusbase.affine import build_I_sheaf, build_R_sheaf
@@ -364,27 +364,6 @@ _GROUPS = {
 _SEQUENCES = [s for group in _GROUPS.values() for s in group]
 
 
-def _les(ses):
-    """The maps of the long exact sequence H^0(A) -> H^0(B) -> H^0(C) ->
-    H^1(A) -> ..., on shared cohomology results, and the connecting maps."""
-    results = {}
-
-    def res(F, k):
-        if (id(F), k) not in results:
-            results[(id(F), k)] = cohomology(F, k)
-        return results[(id(F), k)]
-
-    out = []
-    top = ses.B.base.dimension
-    for k in range(top + 1):
-        Mi, Mp = ses.i.cochain_matrix(k), ses.p.cochain_matrix(k)
-        out.append(induced_map(res(ses.A, k), res(ses.B, k), lambda v, M=Mi: M.dot(v)))
-        out.append(induced_map(res(ses.B, k), res(ses.C, k), lambda v, M=Mp: M.dot(v)))
-        if k < top:
-            out.append(induced_map(res(ses.C, k), res(ses.A, k + 1), _delta_fn(ses, k)))
-    return out
-
-
 def _coordinates(f):
     P = f.target.presentation
     return [P.reduce(f.matrix[:, j]) for j in range(f.matrix.shape[1])]
@@ -466,7 +445,7 @@ def test_induced_maps_match_reference(group):
     for label, ses, why in _GROUPS[group]:
         if why is not None:
             continue
-        maps = _les(ses)
+        maps = les_maps(ses, ses.B.base.dimension)
         for f in maps:
             old = _OldInducedMap(f)
             ref = old.image_rows()
@@ -483,7 +462,7 @@ def test_induced_maps_match_reference_where_exactness_fails():
     """Maps that are not exact, and maps onto and not onto."""
     X = rp2_complex()
     ses = _constant_ses(X, Stalk(1), Stalk(1), Stalk(1, (2,)), [[2]], [[1]])
-    maps = _les(ses)
+    maps = les_maps(ses, ses.B.base.dimension)
     outcomes = set()
     for f in maps:
         outcomes.add(f.is_surjective())
@@ -511,7 +490,7 @@ def test_induced_maps_match_reference_where_exactness_fails():
 
 def test_q_induced_maps_match_reference():
     for label, ses, _ in _i_sequences():
-        for f in _les(ses):
+        for f in les_maps(ses, ses.B.base.dimension):
             old = _OldInducedMap(f)
             ref = old.image_rows()
             assert _typed(_dense(f.image_rows(), ref.shape, "Q")) == _typed(ref), label
@@ -728,3 +707,80 @@ def test_automorphism_squares_commute_modulo_torsion():
     assert aut.validate().valid
     F.restrictions[key] = intmat([[2]])
     assert not aut.validate().valid
+
+
+# ---------------------------------------------------------------------------
+# The library's long exact sequence, chained as returned: SheafMap.induced,
+# and connecting maps on cohomology results of their own.
+
+
+def _library_les(ses):
+    res, top = lru_cache(None)(cohomology), ses.B.base.dimension
+    out = []
+    for k in range(top + 1):
+        hA, hB, hC = res(ses.A, k), res(ses.B, k), res(ses.C, k)
+        out += [ses.i.induced(hA, hB), ses.p.induced(hB, hC)]
+        if k < top:
+            out.append(sheaves.connecting_map(ses, k, check=False))
+    return out
+
+
+def _i_ses(name):
+    return lambda: build_I_sheaf(build(name).payload)[1]
+
+
+def _mod2_rp2():
+    return _constant_ses(rp2_complex(), Stalk(1), Stalk(1), Stalk(1, (2,)), [[2]], [[1]])
+
+
+_LES_SMALL = [("flat_torus:1 I", _i_ses("flat_torus:1")), ("ff_disk:2 I", _i_ses("ff_disk:2"))]
+_LES_SMALL += [("rp2 mod 2", _mod2_rp2)]
+_LES_SMALL += [(label, lambda ses=ses: ses) for label, ses, _ in _GROUPS["criterion 8b"][:20]]
+_LES = [("sphere_24ff I", _i_ses("sphere_24ff"))] + _LES_SMALL
+
+
+@pytest.mark.parametrize("make", [m for _, m in _LES], ids=[i for i, _ in _LES])
+def test_library_les_composes_and_is_exact(make):
+    ses = make()
+    maps = _library_les(ses)
+    assert len(maps) == 3 * ses.B.base.dimension + 2
+    for f, g in zip(maps, maps[1:]):
+        assert sheaves.rank_exact_at(f, g)
+        assert ses.A.ring == "Q" or sheaves.torsion_exact_at(f, g)
+
+
+def test_connecting_map_composes_with_numpy_induced_maps():
+    ses = _mod2_rp2()
+    for k in (0, 1):
+        p = induced_map(cohomology(ses.B, k), cohomology(ses.C, k), ses.p.cochain_matrix(k).dot)
+        hA, hB = cohomology(ses.A, k + 1), cohomology(ses.B, k + 1)
+        i = induced_map(hA, hB, ses.i.cochain_matrix(k + 1).dot)
+        delta = sheaves.connecting_map(ses, k)
+        assert sheaves.rank_exact_at(p, delta) and sheaves.torsion_exact_at(p, delta)
+        assert sheaves.rank_exact_at(delta, i) and sheaves.torsion_exact_at(delta, i)
+
+
+@pytest.mark.parametrize("make", [m for _, m in _LES_SMALL], ids=[i for i, _ in _LES_SMALL])
+def test_sheaf_map_induced_matches_the_numpy_adapter(make):
+    ses = make()
+    for f in (ses.i, ses.p):
+        for k in range(ses.B.base.dimension + 1):
+            hs, ht = cohomology(f.source, k), cohomology(f.target, k)
+            got = f.induced(hs, ht).matrix
+            want = induced_map(hs, ht, f.cochain_matrix(k).dot).matrix
+            assert got.shape == want.shape and repr(got.tolist()) == repr(want.tolist())
+
+
+def test_induced_maps_need_their_own_sheaves_in_one_degree():
+    ses = _mod2_rp2()
+    hA0, hB0, hC0 = (cohomology(F, 0) for F in (ses.A, ses.B, ses.C))
+    hB1 = cohomology(ses.B, 1)
+    for source, target in ((hB0, hB0), (hA0, hC0), (hA0, hB1)):
+        with pytest.raises(SheafError, match="not of this map's sheaves"):
+            ses.i.induced(source, target)
+    # the middle groups: another sheaf, then C in another degree
+    i0, p0 = ses.i.induced(hA0, hB0), ses.p.induced(hB0, hC0)
+    for f, g in ((i0, i0), (p0, sheaves.connecting_map(ses, 1))):
+        for exact_at in (sheaves.rank_exact_at, sheaves.torsion_exact_at):
+            with pytest.raises(SheafError, match="not composable"):
+                exact_at(f, g)

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from test_acceptance import les_maps
 from test_complexes import circle, grid_torus, klein_grid, octa_sphere, point, rp2_complex
 
 from torusbase.complexes import product
 from torusbase.errors import ValidationReport as SheafReport
-from torusbase.exact import AbelianGroup, eye, fracmat, intmat
+from torusbase.exact import AbelianGroup, eye, fracmat, intmat, zeros
 from torusbase.sheaves import (
     CellularSheaf,
     CohomologyClass,
@@ -221,21 +222,15 @@ def split_ses(X, r1=1, r2=1):
     A = constant_sheaf(X, r1)
     C = constant_sheaf(X, r2)
     B = constant_sheaf(X, r1 + r2)
-    iblk = zeros_block(r1 + r2, r1)
+    iblk = zeros(r1 + r2, r1)
     for i in range(r1):
         iblk[i, i] = 1
-    pblk = zeros_block(r2, r1 + r2)
+    pblk = zeros(r2, r1 + r2)
     for i in range(r2):
         pblk[i, r1 + i] = 1
     i = SheafMap(A, B, {c: iblk for c in X.cells})
     p = SheafMap(B, C, {c: pblk for c in X.cells})
     return ShortExactSequence(i=i, p=p)
-
-
-def zeros_block(m, n):
-    from torusbase.exact import zeros
-
-    return zeros(m, n)
 
 
 def test_split_connecting_zero():
@@ -268,55 +263,6 @@ def test_les_rank_exactness_mod2():
     for f, g in zip(maps, maps[1:]):
         assert rank_exact_at(f, g)
         assert torsion_exact_at(f, g)
-
-
-def les_maps(ses, top):
-    """H^0(A) -> H^0(B) -> H^0(C) -> H^1(A) -> ... as InducedMaps."""
-    from torusbase.sheaves import induced_map
-
-    out = []
-    results = {}
-
-    def res(F, k):
-        if (id(F), k) not in results:
-            results[(id(F), k)] = cohomology(F, k)
-        return results[(id(F), k)]
-
-    for k in range(top + 1):
-        hA, hB, hC = res(ses.A, k), res(ses.B, k), res(ses.C, k)
-        Mi = ses.i.cochain_matrix(k)
-        Mp = ses.p.cochain_matrix(k)
-        out.append(induced_map(hA, hB, lambda v, M=Mi: M.dot(v)))
-        out.append(induced_map(hB, hC, lambda v, M=Mp: M.dot(v)))
-        if k < top:
-            delta = connecting_map(ses, k, check=False)
-            # reuse shared results so maps compose by identity
-            delta = induced_map(res(ses.C, k), res(ses.A, k + 1), _delta_fn(ses, k))
-            out.append(delta)
-    return out
-
-
-def _delta_fn(ses, k):
-    from torusbase.exact import LinearSystem
-
-    from test_acceptance import _augment
-
-    A, B, C = ses.A, ses.B, ses.C
-    ring = A.ring
-    p_k = ses.p.cochain_matrix(k)
-    i_k1 = ses.i.cochain_matrix(k + 1)
-    dB = B.differential(k)
-    sys_p = LinearSystem(_augment(p_k, C.moduli_rows(k)) if ring == "Z" else p_k)
-    sys_i = LinearSystem(_augment(i_k1, B.moduli_rows(k + 1)) if ring == "Z" else i_k1)
-    nB = B.cochain_rank(k)
-    nA = A.cochain_rank(k + 1)
-
-    def delta(c_vec):
-        sol = sys_p.solve(c_vec, ring)
-        b = sol[:nB]
-        return sys_i.solve(dB.dot(b), ring)[:nA]
-
-    return delta
 
 
 def test_pullback_sum_kunneth():

@@ -50,6 +50,7 @@ import random
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -79,14 +80,12 @@ from torusbase.errors import TorusbaseError  # noqa: E402
 from torusbase.exact import eye, fracvec, intmat  # noqa: E402
 from torusbase.sheaves import (  # noqa: E402
     CohomologyClass,
-    InducedMap,
     SheafMap,
     ShortExactSequence,
     cohomology,
     connecting_map,
     constant_sheaf,
     image_dimension,
-    induced_map,
     rank_exact_at,
     restriction_on_cohomology,
     torsion_exact_at,
@@ -298,38 +297,18 @@ def dump_sequence(label, ses, seed, out):
     out.append("validate %s" % (ses.validate(),))
     A, B, C = ses.A, ses.B, ses.C
     top = B.base.dimension
-    results = {}
-
-    def res(F, k):
-        if (id(F), k) not in results:
-            results[(id(F), k)] = cohomology(F, k)
-        return results[(id(F), k)]
-
-    def cochain_map(f, k):
-        """v -> M v for the cochain matrix M of f, through M's nonzero entries."""
-        M = f.cochain_matrix(k)
-        rows = [[(j, x) for j, x in enumerate(r) if x != 0] for r in M.tolist()]
-
-        def apply(v):
-            out = f.target.zero_cochain(k)
-            for i, row in enumerate(rows):
-                if row:
-                    out[i] = sum(x * v[j] for j, x in row)
-            return out
-
-        return apply
-
+    res = lru_cache(None)(cohomology)
     rng = random.Random(seed)
     les = []
     for k in range(top + 1):
-        les.append(("i%d" % k, induced_map(res(A, k), res(B, k), cochain_map(ses.i, k))))
-        les.append(("p%d" % k, induced_map(res(B, k), res(C, k), cochain_map(ses.p, k))))
+        les.append(("i%d" % k, ses.i.induced(res(A, k), res(B, k))))
+        les.append(("p%d" % k, ses.p.induced(res(B, k), res(C, k))))
         if k < top:
             delta = connecting_map(ses, k, check=False)
             for s in range(2):
                 moved = connecting_map(ses, k, rng=random.Random(seed + s), check=False)
                 out.append("  delta%d lift %d %s" % (k, s, columns(moved) == columns(delta)))
-            les.append(("delta%d" % k, InducedMap(res(C, k), res(A, k + 1), delta.matrix)))
+            les.append(("delta%d" % k, delta))
     for name, f in les:
         dump_map(name, f, out)
     for (nf, f), (ng, g) in zip(les, les[1:]):
