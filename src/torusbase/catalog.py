@@ -32,6 +32,7 @@ from .exact import eye, fracvec, intmat, zeros
 from .sheaves import (
     CellularSheaf,
     Stalk,
+    _descend,
     cohomology,
     constant_sheaf,
     pullback_sum,
@@ -569,32 +570,6 @@ def _klein_shift(cell, m=6, by=3):
     raise CatalogError("unexpected Klein cell %r" % (cell,))
 
 
-def quotient_sheaf(F, Zq, mapping, stalk_isos):
-    """Descend an involution-equivariant sheaf to the quotient complex.
-
-    mapping is the free involution on the base, stalk_isos[c] maps the stalk
-    at c to the stalk at mapping[c].  A quotient cell ("q", rep), named by
-    the first member of its orbit, keeps the stalk of rep.
-    """
-    stalks = {q: F.stalk(q[1]) for q in Zq.cells}
-    restrictions = {}
-    for (qcof, qface) in Zq.incidence:
-        rc, rf = qcof[1], qface[1]
-        if any(t == rf for t, _ in F.base.faces_of(rc)):
-            R = F.restriction(rf, rc)
-        else:
-            other = mapping[rf]
-            if not any(t == other for t, _ in F.base.faces_of(rc)):
-                raise CatalogError("no member incidence for %s under %s" % (qface, qcof))
-            R = F.restriction(other, rc).dot(stalk_isos[rf])
-        restrictions[(qface, qcof)] = R
-    G = CellularSheaf(Zq, F.ring, stalks, restrictions)
-    rep = validate_sheaf(G)
-    if not rep.valid:
-        raise CatalogError("quotient sheaf invalid: %s" % rep)
-    return G
-
-
 def fake_base_space():
     """The three-dimensional base that admits no compatible system.
 
@@ -627,9 +602,11 @@ def fake_base_space():
         _, kc, gc = cell
         mapping[cell] = ("x", _klein_shift(kc), swap_g.get(gc, gc))
     Xp, orbit = quotient_by_free_involution(Xp0, mapping)
-    isos = {}
+    up = {}  # stalk of the orbit's first member -> stalk at the other
     for cell in Xp0.cells:
-        _, kc, gc = cell
+        if orbit[cell] == ("q", cell):
+            continue
+        _, kc, gc = orbit[cell][1]
         kcell_target = _klein_shift(kc)
         if kc[0] == "v":
             faces_a, _, _, _, _ = _star_walk(Kb, kc)
@@ -643,8 +620,11 @@ def fake_base_space():
         J[:2, :2] = JK
         for i in range(rg):
             J[2 + i, 2 + i] = 1
-        isos[cell] = J
-    Fp = quotient_sheaf(Fp0, Xp, mapping, isos)
+        up[cell] = J
+    Fp = _descend(Fp0, Xp, orbit, up)
+    report = validate_sheaf(Fp)
+    if not report.valid:
+        raise CatalogError("quotient sheaf invalid: %s" % report)
 
     # overlaps: K2 x {h} inside O-, and (Kb x {h})/sigma inside O+
     sub_m_cells = {("x", kc, "h") for kc in K2.base.cells}

@@ -45,7 +45,7 @@ class CellComplex:
 
     def __post_init__(self):
         # cells named only by the incidence get a place too, for validate
-        order = sorted(set(self.cells).union(*self.incidence), key=cell_key)
+        order = self._order = sorted(set(self.cells).union(*self.incidence), key=cell_key)
         rank = {c: i for i, c in enumerate(order)}
         self._by_dim = {}
         for c in order:
@@ -98,10 +98,32 @@ class CellComplex:
         return not verts or len(_vertex_spanning_tree(self, verts[0])[1]) == len(verts)
 
 
+def _covering_pairs(X):
+    """(coface, face, incidence) for every pair X.incidence names, in cell order."""
+    for cof in X._order:
+        for face, val in X.faces_of(cof):
+            yield cof, face, val
+
+
+def _cell_map_violations(X, Y, cell_map):
+    """Where cell_map, defined on every cell of X, changes dimension or breaks
+    incidence into Y, in cell order."""
+    bad = [
+        "cell map changes dimension at %s" % (c,)
+        for k in range(X.dimension + 1)
+        for c in X.cells_of_dim(k)
+        if Y.dim(cell_map[c]) != k
+    ]
+    for cof, face, _ in _covering_pairs(X):
+        if (cell_map[cof], cell_map[face]) not in Y.incidence:
+            bad.append("cell map breaks incidence at (%s, %s)" % (cof, face))
+    return bad
+
+
 def validate(X):
     """Check d(d(.)) = 0, regularity basics, and boundary-word consistency."""
     bad = []
-    for (cof, face), val in X.incidence.items():
+    for cof, face, val in _covering_pairs(X):
         if cof not in X.cells or face not in X.cells:
             bad.append("incidence names unknown cell (%s, %s)" % (cof, face))
             continue
@@ -111,7 +133,9 @@ def validate(X):
             bad.append("incidence coefficient of (%s, %s) is %s" % (cof, face, val))
     if bad:
         return ValidationReport(bad, "violation: ")
-    for cell, d in X.cells.items():
+    # every id in the cell order is now a cell
+    for cell in X._order:
+        d = X.dim(cell)
         if d >= 1 and not X.faces_of(cell):
             bad.append("cell %s of dim %d has empty boundary" % (cell, d))
         if d == 1:
@@ -119,7 +143,7 @@ def validate(X):
             if vals != [-1, 1]:
                 bad.append("edge %s does not have one head and one tail" % (cell,))
     # d of d = 0 cell pair by pair
-    for rho in X.cells:
+    for rho in X._order:
         if X.dim(rho) < 2:
             continue
         acc = {}
@@ -129,7 +153,7 @@ def validate(X):
         for sigma, total in acc.items():
             if total != 0:
                 bad.append("dd != 0 at pair (%s, %s): sum %d" % (rho, sigma, total))
-    for f, word in X.boundary_words.items():
+    for f, word in sorted(X.boundary_words.items(), key=lambda p: cell_key(p[0])):
         if f not in X.cells or X.dim(f) != 2:
             bad.append("boundary word on non-2-cell %s" % (f,))
             continue
@@ -207,16 +231,17 @@ def complex_from_polygons(polygons, extra_vertices=()):
     return CellComplex(cells=cells, incidence=incidence, boundary_words=words)
 
 
-def disjoint_union(X, Y, tagx="A", tagy="B"):
-    cells = {(tagx, c): d for c, d in X.cells.items()}
-    cells.update({(tagy, c): d for c, d in Y.cells.items()})
-    inc = {((tagx, a), (tagx, b)): v for (a, b), v in X.incidence.items()}
-    inc.update({((tagy, a), (tagy, b)): v for (a, b), v in Y.incidence.items()})
-    words = {(tagx, f): tuple(((tagx, e), s) for e, s in w) for f, w in X.boundary_words.items()}
-    words.update(
-        {(tagy, f): tuple(((tagy, e), s) for e, s in w) for f, w in Y.boundary_words.items()}
+def _tagged(X, tag):
+    """The cells, incidence and boundary words of X, each id c renamed (tag, c)."""
+    return (
+        {(tag, c): d for c, d in X.cells.items()},
+        {((tag, a), (tag, b)): v for (a, b), v in X.incidence.items()},
+        {(tag, f): tuple(((tag, e), s) for e, s in w) for f, w in X.boundary_words.items()},
     )
-    return CellComplex(cells=cells, incidence=inc, boundary_words=words)
+
+
+def disjoint_union(X, Y, tagx="A", tagy="B"):
+    return CellComplex(*({**x, **y} for x, y in zip(_tagged(X, tagx), _tagged(Y, tagy))))
 
 
 def product(X, Y):
@@ -300,9 +325,11 @@ def _infer_signs(X, mapping):
 def quotient_by_free_involution(X, mapping):
     """Quotient of X by a fixed-point-free cellular involution.
 
-    mapping: cell -> cell.  Orientation bookkeeping signs are inferred; raises
-    when the map has a fixed cell, is not an involution, or is incompatible
-    with the incidence structure.
+    mapping: cell -> cell.  Raises when the map has a fixed cell, is not an
+    involution, or is incompatible with the incidence structure.  Each orbit
+    is identified onto its first member rep in cell order (identify_cells)
+    and becomes the cell ("q", rep); returns (quotient, orbit: cell -> its
+    quotient cell).
     """
     for c, mc in mapping.items():
         if mc == c:
@@ -313,44 +340,22 @@ def quotient_by_free_involution(X, mapping):
             raise ComplexError("involution is not dimension preserving at %s" % (c,))
     if set(mapping) != set(X.cells):
         raise ComplexError("involution must move every cell")
-    eps = _infer_signs(X, mapping)
-    if eps is None:
+    if _infer_signs(X, mapping) is None:
         raise ComplexError("involution does not commute with incidence")
     rep = {c: min(c, mapping[c], key=cell_key) for c in X.cells}
-    cells = {}
-    incidence = {}
-    for c in X.cells:
-        if rep[c] != c:
-            continue
-        cells[("q", c)] = X.dim(c)
-        for t, v in X.faces_of(c):
-            key = (("q", c), ("q", rep[t]))
-            w = v if rep[t] == t else v * eps[t]
-            if key in incidence and incidence[key] != w:
-                raise ComplexError("quotient is not regular at %s" % (key,))
-            if key in incidence:
-                raise ComplexError("quotient face repeats in boundary at %s" % (key,))
-            incidence[key] = w
-    words = {}
-    for c in X.cells:
-        if rep[c] != c or X.dim(c) != 2 or c not in X.boundary_words:
-            continue
-        word = []
-        for e, s in X.boundary_words[c]:
-            w = s if rep[e] == e else s * eps[e]
-            word.append((("q", rep[e]), w))
-        words[("q", c)] = tuple(word)
-    Z = CellComplex(cells=cells, incidence=incidence, boundary_words=words)
-    orbit = {c: ("q", rep[c]) for c in X.cells}
-    return Z, orbit
+    Z, _ = identify_cells(X, [(rep[c], c) for c in X.cells if rep[c] != c])
+    return CellComplex(*_tagged(Z, "q")), {c: ("q", rep[c]) for c in X.cells}
 
 
 def identify_cells(X, pairs):
     """Quotient X by identifying cell b with cell a for each (a, b) pair.
 
-    Used for gluing constructions.  The identification may flip orientations;
-    the relative sign is inferred from vertex incidences upward.  Identified
-    cells must have equal dimension and isomorphic boundaries.
+    The one identification of cells, behind gluing and free quotients.  The
+    identification may flip orientations; the relative sign is inferred from
+    vertex incidences upward.  Identified cells must have equal dimension and
+    isomorphic boundaries, and two faces of one cell may not land on one cell
+    (a fold).  A class is named by its representative, which keeps its own
+    boundary word.  Returns (quotient, relabel: cell -> representative).
     """
     parent = {c: c for c in X.cells}
     sign = {c: 1 for c in X.cells}  # sign of c relative to its parent
@@ -392,31 +397,25 @@ def identify_cells(X, pairs):
             raise ComplexError("cells %s and %s share no boundary data" % (a, b))
         parent[rb] = ra
         sign[rb] = sa * sb * s
-    cells = {}
+    relabel = {c: rel_sign(c)[1] for c in X.cells}
+    cells = {c: X.dim(c) for c in X.cells if relabel[c] == c}
     incidence = {}
-    relabel = {}
-    for c in X.cells:
-        s, r = rel_sign(c)
-        relabel[c] = r
-        if r == c:
-            cells[c] = X.dim(c)
     for c in X.cells:
         sc, rc = rel_sign(c)
+        landed = set()
         for t, v in X.faces_of(c):
             st, rt = rel_sign(t)
-            key = (rc, rt)
+            if rt in landed:
+                raise ComplexError("identification folds two faces of %s onto %s" % (c, rt))
+            landed.add(rt)
             val = v * sc * st
-            if key in incidence:
-                if incidence[key] != val:
-                    raise ComplexError("inconsistent identification at %s" % (key,))
-            else:
-                incidence[key] = val
-    words = {}
-    for f, word in X.boundary_words.items():
-        sf, rf = rel_sign(f)
-        if rf in words:
-            continue
-        words[rf] = tuple((rel_sign(e)[1], s * sf * rel_sign(e)[0]) for e, s in word)
+            if incidence.setdefault((rc, rt), val) != val:
+                raise ComplexError("inconsistent identification at %s" % ((rc, rt),))
+    words = {
+        f: tuple((relabel[e], s * rel_sign(e)[0]) for e, s in word)
+        for f, word in X.boundary_words.items()
+        if relabel.get(f) == f
+    }
     Z = CellComplex(cells=cells, incidence=incidence, boundary_words=words)
     return Z, relabel
 

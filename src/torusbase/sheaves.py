@@ -24,7 +24,7 @@ from math import lcm
 
 import numpy as np
 
-from .complexes import _infer_signs
+from .complexes import _cell_map_violations, _covering_pairs, _infer_signs
 from .errors import TorusbaseError, ValidationReport
 from .exact import (
     EchelonBasis,
@@ -715,6 +715,23 @@ def restriction_on_cohomology(F, sub, k):
     return _induced(cohomology(F, k), cohomology(G, k), lambda x: _apply(keep, x)), G
 
 
+def _descend(F, Z, relabel, up):
+    """F pushed down an identification of its base onto Z, relabel mapping
+    each cell of F.base to its cell of Z.  A cell not in up represents its
+    class and gives Z its stalk; up[c] maps the stalk of c's representative
+    to the stalk at c.  Each restriction into a representative coface
+    becomes R(face <= cof) up[face]; the first block written for a pair of Z
+    wins.  The one place a sheaf is pushed down an identification: gluing
+    and the fake base's free quotient."""
+    stalks = {relabel[c]: F.stalk(c) for c in F.base.cells if c not in up}
+    restrictions = {}
+    for (face, cof), M in F.restrictions.items():
+        if cof not in up:
+            block = M.dot(up[face]) if face in up else M
+            restrictions.setdefault((relabel[face], relabel[cof]), block)
+    return CellularSheaf(Z, F.ring, stalks, restrictions)
+
+
 # ---------------------------------------------------------------------------
 # Products and automorphisms
 
@@ -755,31 +772,22 @@ class SheafAutomorphism:
         self.stalk_isos = dict(stalk_isos)
 
     def validate(self):
-        bad = []
-        X = self.sheaf.base
-        img = set(self.cell_map.values())
-        if set(self.cell_map) != set(X.cells) or img != set(X.cells):
-            bad.append("cell map is not a bijection of the cells")
-            return ValidationReport(bad)
-        for c in X.cells:
-            if X.dim(self.cell_map[c]) != X.dim(c):
-                bad.append("cell map changes dimension at %s" % (c,))
-        for (cof, face), v in X.incidence.items():
-            if (self.cell_map[cof], self.cell_map[face]) not in X.incidence:
-                bad.append("cell map breaks incidence at (%s, %s)" % (cof, face))
-        if bad:
-            return ValidationReport(bad)
-        F = self.sheaf
-        return ValidationReport(_iso_violations(X, F, F, self.cell_map, self.stalk_isos))
+        F, X = self.sheaf, self.sheaf.base
+        if set(self.cell_map) != set(X.cells) or set(self.cell_map.values()) != set(X.cells):
+            return ValidationReport(["cell map is not a bijection of the cells"])
+        return ValidationReport(
+            _cell_map_violations(X, X, self.cell_map)
+            or _iso_violations(X, F, F, self.cell_map, self.stalk_isos)
+        )
 
 
 def _iso_violations(X, F1, F2, cell_map, isos, message="stalk isos break restriction at (%s, %s)"):
     """The squares J R1(face <= cof) = R2(cell_map face <= cell_map cof) J over
-    the covering pairs of X, with isos[c] from F1 at c to F2 at cell_map[c],
-    that fail modulo the torsion of F2's stalk, as message % (face, cof).
+    the covering pairs of X, in cell order, with isos[c] from F1 at c to F2 at
+    cell_map[c], that fail modulo the torsion of F2's stalk, as message % (face, cof).
     SheafMap.validate checks its squares here, with the identity cell map."""
     bad = []
-    for (cof, face) in X.incidence:
+    for cof, face, _ in _covering_pairs(X):
         left = isos[cof].dot(F1.restriction(face, cof))
         right = F2.restriction(cell_map[face], cell_map[cof]).dot(isos[face])
         if not _diff_in_moduli(F2.stalk(cell_map[cof]), left - right):

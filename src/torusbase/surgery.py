@@ -19,11 +19,12 @@ from .affine import (
     build_R_sheaf,
     monodromy_rep,
 )
-from .complexes import CellComplex, disjoint_union, identify_cells, validate
+from .complexes import CellComplex, _cell_map_violations, disjoint_union, identify_cells, validate
 from .errors import TorusbaseError
 from .exact import PresentedGroup, QuotientSpace, _apply, _sparse_rows, eye, unimodular_inverse
 from .sheaves import (
     CellularSheaf,
+    _descend,
     _induced,
     _iso_violations,
     cohomology,
@@ -57,21 +58,12 @@ class GluingSpec:
         spec and inverts each stalk iso, inverses[c] mapping the second
         piece's stalk at cell_map[c] back to the first's.  The inverses are
         complete only when there is no violation."""
-        bad = []
         inverses = {}
         if set(self.cell_map) != set(self.overlap1.cells):
-            bad.append("cell map does not cover the overlap")
-            return bad, inverses
+            return ["cell map does not cover the overlap"], inverses
         if set(self.cell_map.values()) != set(self.overlap2.cells):
-            bad.append("cell map is not onto the second overlap")
-            return bad, inverses
-        for c, d in self.cell_map.items():
-            if self.overlap1.dim(c) != self.overlap2.dim(d):
-                bad.append("cell map changes dimension at %s" % (c,))
-        for (cof, face), v in self.overlap1.incidence.items():
-            w = self.overlap2.incidence.get((self.cell_map[cof], self.cell_map[face]))
-            if w is None:
-                bad.append("cell map breaks incidence at (%s, %s)" % (cof, face))
+            return ["cell map is not onto the second overlap"], inverses
+        bad = _cell_map_violations(self.overlap1, self.overlap2, self.cell_map)
         for c in self.overlap1.cells:
             J = self.stalk_isos.get(c)
             if J is None:
@@ -84,10 +76,8 @@ class GluingSpec:
                 inverses[c] = unimodular_inverse(J)
             except ValueError:
                 bad.append("stalk iso at %s is not invertible over Z" % (c,))
-        if bad:
-            return bad, inverses
         isos = self.stalk_isos
-        bad = _iso_violations(self.overlap1, self.sheaf1, self.sheaf2, self.cell_map, isos)
+        bad = bad or _iso_violations(self.overlap1, self.sheaf1, self.sheaf2, self.cell_map, isos)
         return bad, inverses
 
 
@@ -95,41 +85,23 @@ def glue(spec):
     """Pushout complex with the induced sheaf.
 
     Cells are tagged by piece; overlap cells of the second piece are
-    identified onto the first piece's copy, so restriction to either tag
-    recovers the input.
+    identified onto the first piece's copy (identify_cells), so restriction
+    to either tag recovers the input, and the sheaf on the disjoint union
+    descends (sheaves._descend).
     """
-    bad, inverses = spec._checked()
+    bad = spec.validate()
     if bad:
         raise SurgeryError("invalid gluing: %s" % "; ".join(map(str, bad)))
     D = disjoint_union(spec.complex1, spec.complex2, "A", "B")
     pairs = [(("A", c), ("B", spec.cell_map[c])) for c in spec.overlap1.cells]
     Z, relabel = identify_cells(D, pairs)
-    stalks = {}
-    restrictions = {}
-    to2 = {}  # overlap2 cell -> iso stalk1 -> stalk2
-    to1 = {}  # overlap2 cell -> iso stalk2 -> stalk1
-    for c in spec.overlap1.cells:
-        to2[spec.cell_map[c]] = spec.stalk_isos[c]
-        to1[spec.cell_map[c]] = inverses[c]
-    for c in spec.complex1.cells:
-        stalks[relabel[("A", c)]] = spec.sheaf1.stalk(c)
-    for c in spec.complex2.cells:
-        key = relabel[("B", c)]
-        if key not in stalks:
-            stalks[key] = spec.sheaf2.stalk(c)
-    for (face, cof), M in spec.sheaf1.restrictions.items():
-        restrictions[(relabel[("A", face)], relabel[("A", cof)])] = M
-    for (face, cof), M in spec.sheaf2.restrictions.items():
-        key = (relabel[("B", face)], relabel[("B", cof)])
-        if key in restrictions:
-            continue
-        # identified cells keep the first piece's stalk; reroute through isos
-        if face in to2:
-            M = M.dot(to2[face])
-        if cof in to1:
-            M = to1[cof].dot(M)
-        restrictions[key] = M
-    F = CellularSheaf(Z, spec.sheaf1.ring, stalks, restrictions)
+    stalks, restrictions = {}, {}
+    for tag, F in (("A", spec.sheaf1), ("B", spec.sheaf2)):
+        stalks.update({(tag, c): s for c, s in F.stalks.items()})
+        restrictions.update({((tag, a), (tag, b)): M for (a, b), M in F.restrictions.items()})
+    # identified cells keep the first piece's stalk; the isos carry it up
+    up = {("B", spec.cell_map[c]): spec.stalk_isos[c] for c in spec.overlap1.cells}
+    F = _descend(CellularSheaf(D, spec.sheaf1.ring, stalks, restrictions), Z, relabel, up)
     return Z, F, relabel
 
 

@@ -2,7 +2,8 @@
 
 The cell order is fixed by ``complexes.cell_key`` when a complex is built, so
 a document whose lists are shuffled gives the same monodromy, the same
-monodromy sheaf and the same export bytes as the document itself.
+monodromy sheaf, the same export bytes and the same validation report as the
+document itself.
 """
 
 import random
@@ -24,6 +25,11 @@ def sphere_export(tmp_path_factory):
 
 def _monodromy(path, capsys):
     assert main(["monodromy", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def _check(path, capsys):
+    assert main(["check", str(path)]) == 1
     return capsys.readouterr().out
 
 
@@ -49,6 +55,14 @@ def test_shuffled_incidence_gives_the_same_answers(sphere_export, seed, tmp_path
     doc, shuffled = serialize.loads(sphere_export), serialize.loads(moved.read_text())
     assert _restrictions(shuffled) == _restrictions(doc)
     assert _export(shuffled) == _export(doc) == sphere_export
+    # a report lists its violations in cell order, not the document's order
+    broken = serialize.loads(sphere_export).raw
+    incidence = broken["complex"]["incidence"]
+    incidence[0][2], incidence[-1][2] = "2", "-3"
+    base.write_text(serialize.dumps(broken))
+    random.Random(seed).shuffle(incidence)
+    moved.write_text(serialize.dumps(broken))
+    assert _check(moved, capsys) == _check(base, capsys)
 
 
 def test_ids_with_the_same_str_have_one_order():

@@ -9,6 +9,7 @@ from torusbase.complexes import (
     complex_from_polygons,
     disjoint_union,
     dual_loops,
+    identify_cells,
     orientable,
     pi1_presentation,
     product,
@@ -182,21 +183,19 @@ def test_product_euler_multiplicative():
     assert Z.euler_characteristic() == X.euler_characteristic() * Y.euler_characteristic()
 
 
-def test_quotient_swap_two_copies():
+def swap_two_copies():
+    """Two 3 x 3 grid tori and the free involution swapping them."""
     X = grid_torus(3, 3)
     D = disjoint_union(X, X)
     mapping = {}
     for c in D.cells:
         tag, cc = c
         mapping[c] = ("B" if tag == "A" else "A", cc)
-    Q, orbit = quotient_by_free_involution(D, mapping)
-    assert validate(Q).valid
-    assert len(Q.cells) == len(X.cells)
-    assert classify_surface(Q).kind == "torus"
+    return D, mapping
 
 
-def test_quotient_torus_to_klein():
-    # free involution (i, j) -> (i + 2, -j) on the 4 x 3 grid torus
+def torus_to_klein():
+    """The free involution (i, j) -> (i + 2, -j) on the 4 x 3 grid torus."""
     X = grid_torus(4, 3)
     mapping = {}
 
@@ -215,11 +214,45 @@ def test_quotient_torus_to_klein():
             x, y = mv(a), mv(b)
             lo, hi = (x, y) if str(x) <= str(y) else (y, x)
             mapping[c] = ("e", lo, hi)
+    return X, mapping
+
+
+def test_quotient_swap_two_copies():
+    Q, orbit = quotient_by_free_involution(*swap_two_copies())
+    assert validate(Q).valid
+    assert len(Q.cells) == len(grid_torus(3, 3).cells)
+    assert classify_surface(Q).kind == "torus"
+
+
+def test_quotient_torus_to_klein():
+    X, mapping = torus_to_klein()
     Q, _ = quotient_by_free_involution(X, mapping)
     assert validate(Q).valid
     assert Q.euler_characteristic() == 0
     assert classify_surface(Q).kind == "klein_bottle"
     assert 2 * len(Q.cells) == len(X.cells)
+
+
+def test_identification_that_folds_a_face_is_rejected():
+    # a~c and b~d send the square's opposite edges ab and cd to one edge,
+    # with equal signs in the boundary of f: the fold would merge them
+    X = complex_from_polygons({"f": "abcd"})
+    pairs = [("a", "c"), ("b", "d"), (("e", "a", "b"), ("e", "c", "d"))]
+    with pytest.raises(ComplexError):
+        identify_cells(X, pairs)
+
+
+def test_identified_face_keeps_its_representatives_word():
+    # one triangle twice, its words starting at different edges; the second
+    # copy represents each class, but the first copy's word comes first
+    first = complex_from_polygons({"f": ["a", "b", "c"]})
+    second = complex_from_polygons({"f": ["b", "c", "a"]})
+    D = disjoint_union(first, second)
+    Z, relabel = identify_cells(D, [(("B", c), ("A", c)) for c in first.cells])
+    assert relabel[("A", "f")] == ("B", "f")
+    own = tuple((("B", e), s) for e, s in second.boundary_words["f"])
+    assert Z.boundary_words == {("B", "f"): own}
+    assert validate(Z).valid
 
 
 def test_quotient_fixed_cell_rejected():

@@ -15,7 +15,9 @@ the coordinate orders, the relations, the generator cocycles, and the
 presentation coefficients and coordinates of seeded combinations of the
 generators shifted by seeded coboundaries.  Affine entries add the moduli,
 the Chern coordinates and the realizability report; ``fake_base_space`` adds
-the gluing obstruction, also for seeded coboundary shifts of its class.
+the document (complex and sheaf, as ``encode_document`` writes it) of the
+glued sheaf and of both pieces, and the gluing obstruction, also for seeded
+coboundary shifts of its class.
 
 The affine section follows, for every affine entry, flat_torus:1..3 at sizes
 3..5, ff_disk:1..3 and seeded rechartings with half-integer translations: the
@@ -55,6 +57,7 @@ from functools import lru_cache
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from torusbase import serialize  # noqa: E402
 from torusbase.affine import (  # noqa: E402
     boundary_word_holonomy,
     build_I_sheaf,
@@ -169,6 +172,9 @@ def dump_entry(name, out):
 def dump_gluing(fb, out):
     spec, minus, plus = fb["spec"], fb["class_minus"], fb["class_plus"]
     Z, F, _ = glue(spec)
+    for label, (X, G) in (("glued", (Z, F)), ("minus", fb["piece_minus"]), ("plus", fb["piece_plus"])):
+        doc = serialize.encode_document(complex=X, sheaf=G)
+        out.append("document %s\n%s" % (label, serialize.dumps(doc)))
     dump_sheaf("glued", F, 7, out)
     out.append(str(realizability_report_2d((Z, F))))
     over = plus.sheaf
