@@ -23,6 +23,7 @@ from .complexes import boundary_traversal, cell_key, dual_loops, vertex_star_cyc
 from .errors import TorusbaseError, ValidationReport
 from .exact import (
     PresentedGroup,
+    _apply_columns,
     eye,
     fracmat,
     fracvec,
@@ -602,25 +603,23 @@ def dhat(S, cls, ses=None, target=None):
     hA = target if target is not None else cohomology(QQ, k + 1)
     if RQ.cochain_rank(k) == 0 or hA.presentation.n == 0:
         return hA, tuple(Fraction(0) for _ in range(hA.presentation.dimension))
-    b = I.zero_cochain(k)
+    # the lift, sparse: the covector slots of I's stalks hold the cocycle
+    b = {}
     offI, _ = I.offsets(k)
     offR, _ = RQ.offsets(k)
     for c in I.cochain_cells(k):
-        r = RQ.rank(c)
-        i0 = offI[c]
-        j0 = offR[c]
-        for i in range(r):
-            b[i0 + 1 + i] = Fraction(cls.cocycle[j0 + i])
-    db = I.coboundary(k, b)
-    a = QQ.zero_cochain(k + 1)
+        i0, j0 = offI[c], offR[c]
+        for i in range(RQ.rank(c)):
+            if cls.cocycle[j0 + i] != 0:
+                b[i0 + 1 + i] = Fraction(cls.cocycle[j0 + i])
     offI1, _ = I.offsets(k + 1)
     offQ1, _ = QQ.offsets(k + 1)
-    for c in I.cochain_cells(k + 1):
-        i0 = offI1[c]
-        a[offQ1[c]] = db[i0]
-        for i in range(RQ.rank(c)):
-            if db[i0 + 1 + i] != 0:
-                raise AffineError("zig-zag left the constant subsheaf; not a cocycle")
+    constant = {offI1[c]: offQ1[c] for c in I.cochain_cells(k + 1)}
+    a = QQ.zero_cochain(k + 1)
+    for i, v in _apply_columns(I._differential_columns(k), b).items():
+        if i not in constant:
+            raise AffineError("zig-zag left the constant subsheaf; not a cocycle")
+        a[constant[i]] = v
     return hA, hA.coordinates(a)
 
 
@@ -630,13 +629,14 @@ def lagrangian_moduli(S):
     Presents the symplectic moduli H^2(O, R)/dhat(H^1(O, R-sheaf)) as an
     ambient dimension and a lattice rank.
     """
-    return _lagrangian_moduli(S, build_R_sheaf(S))
+    return _lagrangian_moduli(S, cohomology(build_R_sheaf(S), 1))
 
 
-def _lagrangian_moduli(S, R):
-    """lagrangian_moduli on top of the monodromy sheaf R of S, built already."""
+def _lagrangian_moduli(S, h1):
+    """lagrangian_moduli on top of h1, H^1 of the monodromy sheaf R of S,
+    computed already."""
+    R = h1.sheaf
     _, ses = _build_I_sheaf(R)
-    h1 = cohomology(R, 1)
     QQ = ses.i.source
     hA = cohomology(QQ, 2)
     dim = hA.presentation.dimension

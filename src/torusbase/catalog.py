@@ -7,6 +7,7 @@ tagged by provenance, so the whole catalog can be re-verified mechanically.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .affine import (
     AffineSurface,
@@ -909,15 +910,17 @@ class VerifyReport:
         return "\n".join([head] + ["  " + str(l) for l in self.lines])
 
 
-def _compute_invariant(entry, inv):
+def _compute_invariant(entry, inv, R_groups):
+    """The value of the invariant inv of entry; R_groups(k) is H^k of the
+    monodromy sheaf of an affine entry."""
     from .complexes import classify_surface, pi1_presentation
-    from .surgery import chern_class_coordinates, gluing_obstruction
+    from .surgery import _chern_class_coordinates, gluing_obstruction
     from .affine import (
+        _lagrangian_moduli,
         affine_area,
         boundary_word_holonomy,
         affine_eq,
         affine_identity,
-        lagrangian_moduli,
         monodromy_rep,
         torus_bundle_h1,
         unipotent_power,
@@ -929,17 +932,13 @@ def _compute_invariant(entry, inv):
         if inv == "H2(O,Z)":
             return str(cohomology(constant_sheaf(X, 1), 2).group)
         if inv.startswith("H") and inv.endswith("(O,R)"):
-            k = int(inv[1])
-            return str(cohomology(build_R_sheaf(S), k).group)
+            return str(R_groups(int(inv[1])).group)
         if inv == "moduli":
-            from .affine import lagrangian_moduli
-
-            return lagrangian_moduli(S)
+            return _lagrangian_moduli(S, R_groups(1))
         if inv == "H1(M4)":
-            coords = chern_class_coordinates(S)
-            return str(torus_bundle_h1(coords))
+            return str(torus_bundle_h1(_chern_class_coordinates(S, R_groups(2))))
         if inv == "chern":
-            return tuple(int(c) for c in chern_class_coordinates(S))
+            return tuple(int(c) for c in _chern_class_coordinates(S, R_groups(2)))
         if inv == "area":
             return affine_area(S)
         if inv == "classify":
@@ -998,11 +997,15 @@ def _compute_invariant(entry, inv):
 
 
 def verify(entry):
-    """Recompute every expected invariant and diff against the expectation."""
+    """Recompute every expected invariant and diff against the expectation.
+    The invariants of an affine entry share its monodromy sheaf R, built at
+    most once, and each H^k(R)."""
+    R = lru_cache(None)(lambda: build_R_sheaf(entry.payload))
+    R_groups = lru_cache(None)(lambda k: cohomology(R(), k))
     lines = []
     for inv in sorted(entry.expected):
         exp = entry.expected[inv]
-        got = _compute_invariant(entry, inv)
+        got = _compute_invariant(entry, inv, R_groups)
         lines.append(
             VerifyLine(
                 invariant=inv,

@@ -559,13 +559,12 @@ def _transpose(rows, width):
     return cols
 
 
-def _apply(rows, x):
-    """The matrix of the sparse rows times the sparse vector x, as a sparse vector."""
+def _apply_columns(cols, x):
+    """The matrix of the sparse columns cols times the sparse vector x, as a
+    sparse vector; only the columns x reaches are read."""
     out = {}
-    for i, row in enumerate(rows):
-        s = sum(v * x[j] for j, v in row.items() if j in x)
-        if s:
-            out[i] = s
+    for j, f in x.items():
+        _axpy(out, f, cols[j])
     return out
 
 

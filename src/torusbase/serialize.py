@@ -7,7 +7,9 @@ polytope, classes, gluing; a document carries any subset, and its
 """
 
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -101,49 +103,167 @@ def _by_cell(d):
     return sorted(d.items(), key=lambda p: cell_key(p[0]))
 
 
-def encode_complex(X):
-    return {
-        "cells": [[_enc_cell(c), d] for c, d in _by_cell(X.cells)],
-        "incidence": [
-            [_enc_cell(a), _enc_cell(b), _enc_int(v)]
-            for (a, b), v in _by_cell(X.incidence)
-        ],
-        "boundary_words": [
-            [_enc_cell(f), [[_enc_cell(e), _enc_int(s)] for e, s in w]]
-            for f, w in _by_cell(X.boundary_words)
-        ],
-    }
+class _Encoder:
+    """The section encoders of one document.  Each distinct cell id is
+    encoded once, and every place that names the cell holds that one list,
+    which dumps then renders once per depth."""
+
+    def __init__(self):
+        self._cells = {}
+
+    def cell(self, c):
+        enc = self._cells.get(c)
+        if enc is None:
+            enc = self._cells[c] = _enc_cell(c)
+        return enc
+
+    def complex(self, X):
+        cell = self.cell
+        return {
+            "cells": [[cell(c), d] for c, d in _by_cell(X.cells)],
+            "incidence": [
+                [cell(a), cell(b), _enc_int(v)] for (a, b), v in _by_cell(X.incidence)
+            ],
+            "boundary_words": [
+                [cell(f), [[cell(e), _enc_int(s)] for e, s in w]]
+                for f, w in _by_cell(X.boundary_words)
+            ],
+        }
+
+    def sheaf(self, F):
+        cell = self.cell
+        return {
+            "ring": F.ring,
+            "stalks": [
+                [cell(c), s.rank, [_enc_int(m) for m in s.moduli]]
+                for c, s in _by_cell(F.stalks)
+            ],
+            "restrictions": [
+                [cell(a), cell(b), _enc_matrix(M, F.ring == "Q")]
+                for (a, b), M in _by_cell(F.restrictions)
+            ],
+        }
+
+    def affine(self, S):
+        cell = self.cell
+        charts = [
+            [cell(f), [[cell(v), [_enc_frac(p[0]), _enc_frac(p[1])]] for v, p in _by_cell(ch)]]
+            for f, ch in _by_cell(S.charts)
+        ]
+        transitions = [
+            [
+                cell(e),
+                cell(tr.from_face),
+                cell(tr.to_face),
+                _enc_matrix(tr.A),
+                [_enc_frac(tr.t[0]), _enc_frac(tr.t[1])],
+            ]
+            for e, tr in _by_cell(S.transitions)
+        ]
+        markings = [[cell(c), m.kind, m.k] for c, m in _by_cell(S.markings)]
+        chern = [
+            [cell(f), [_enc_int(v[0]), _enc_int(v[1])]] for f, v in _by_cell(S.chern_cocycle)
+        ]
+        return {"charts": charts, "transitions": transitions, "markings": markings, "chern": chern}
+
+    def classes(self, classes):
+        out = []
+        for name, cls in sorted(classes.items()):
+            enc = _enc_frac if cls.sheaf.ring == "Q" else _enc_int
+            comps = []
+            for c in cls.sheaf.cochain_cells(cls.degree):
+                vals = cls.component(c)
+                if any(v != 0 for v in vals):
+                    comps.append([self.cell(c), [enc(v) for v in vals]])
+            out.append([name, cls.degree, comps])
+        return out
 
 
-def decode_complex(doc):
-    cells = {_dec_cell(c): int(d) for c, d in doc["cells"]}
-    incidence = {(_dec_cell(a), _dec_cell(b)): _dec_int(v) for a, b, v in doc["incidence"]}
-    words = {}
-    for f, w in doc.get("boundary_words", []):
-        words[_dec_cell(f)] = tuple((_dec_cell(e), _dec_int(s)) for e, s in w)
-    return CellComplex(cells=cells, incidence=incidence, boundary_words=words)
+class _Decoder:
+    """The section decoders of one document.  Each distinct raw cell id is
+    decoded once: the memo is keyed by repr, which is one-to-one on the
+    values json.loads returns, and holds only ids that decoded, so a
+    malformed id reaches _dec_cell every time."""
 
+    def __init__(self):
+        self._cells = {}
 
-def encode_sheaf(F):
-    return {
-        "ring": F.ring,
-        "stalks": [
-            [_enc_cell(c), s.rank, [_enc_int(m) for m in s.moduli]]
-            for c, s in _by_cell(F.stalks)
-        ],
-        "restrictions": [
-            [_enc_cell(a), _enc_cell(b), _enc_matrix(M, F.ring == "Q")]
-            for (a, b), M in _by_cell(F.restrictions)
-        ],
-    }
+    def cell(self, c):
+        key = repr(c)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = _dec_cell(c)
+        return cell
 
+    def ref(self, c, base, what):
+        """The cell id c, which must name a cell of the complex base."""
+        cell = self.cell(c)
+        if cell not in base.cells:
+            raise DocumentError("%s names %r, which is not a cell of the complex" % (what, cell))
+        return cell
 
-def _dec_ref(c, base, what):
-    """The cell id c, which must name a cell of the complex base."""
-    cell = _dec_cell(c)
-    if cell not in base.cells:
-        raise DocumentError("%s names %r, which is not a cell of the complex" % (what, cell))
-    return cell
+    def complex(self, doc):
+        cell = self.cell
+        cells = {cell(c): int(d) for c, d in doc["cells"]}
+        incidence = {(cell(a), cell(b)): _dec_int(v) for a, b, v in doc["incidence"]}
+        words = {}
+        for f, w in doc.get("boundary_words", []):
+            words[cell(f)] = tuple((cell(e), _dec_int(s)) for e, s in w)
+        return CellComplex(cells=cells, incidence=incidence, boundary_words=words)
+
+    def sheaf(self, doc, base):
+        ring = doc["ring"]
+        if ring not in ("Z", "Q"):
+            raise DocumentError("unknown ring %r" % (ring,))
+        stalks = {}
+        for item in doc["stalks"]:
+            c, rank = self.ref(item[0], base, "a sheaf stalk"), int(item[1])
+            if rank < 0:
+                raise DocumentError("the stalk at %r has negative rank %d" % (c, rank))
+            moduli = tuple(_dec_int(m) for m in item[2]) if len(item) > 2 else ()
+            stalks[c] = Stalk(rank, moduli)
+        restrictions = {}
+        for a, b, M in doc["restrictions"]:
+            pair = tuple(self.ref(c, base, "a sheaf restriction") for c in (a, b))
+            restrictions[pair] = _dec_matrix(M, ring)
+        return CellularSheaf(base, ring, stalks, restrictions)
+
+    def affine(self, doc, base):
+        ref = self.ref
+        charts = {}
+        for f, ch in doc["charts"]:
+            charts[ref(f, base, "an affine chart")] = {
+                ref(v, base, "an affine chart"): _dec_pair(p, _dec_frac) for v, p in ch
+            }
+        transitions = {}
+        for item in doc["transitions"]:
+            e, fa, fb, A, t = item
+            transitions[ref(e, base, "an affine transition")] = EdgeTransition(
+                ref(fa, base, "an affine transition"),
+                ref(fb, base, "an affine transition"),
+                _dec_matrix(A, "Z", shape=(2, 2)),
+                np.array(_dec_pair(t, _dec_frac), dtype=object),
+            )
+        markings = {}
+        for c, kind, k in doc.get("markings", []):
+            markings[ref(c, base, "an affine marking")] = SingularityMark(kind, int(k))
+        chern = {}
+        for f, v in doc.get("chern", []):
+            chern[ref(f, base, "an affine chern entry")] = _dec_pair(v, _dec_int)
+        return AffineSurface(
+            base=base, charts=charts, transitions=transitions, markings=markings,
+            chern_cocycle=chern,
+        )
+
+    def classes(self, doc, sheaf):
+        from .sheaves import class_from_components
+
+        out = {}
+        for name, degree, comps in doc:
+            dec = _dec_frac if sheaf.ring == "Q" else _dec_int
+            components = {self.cell(c): [dec(v) for v in vals] for c, vals in comps}
+            out[name] = class_from_components(sheaf, int(degree), components)
+        return out
 
 
 def _dec_pair(v, dec):
@@ -153,79 +273,28 @@ def _dec_pair(v, dec):
     return dec(v[0]), dec(v[1])
 
 
+def encode_complex(X):
+    return _Encoder().complex(X)
+
+
+def decode_complex(doc):
+    return _Decoder().complex(doc)
+
+
+def encode_sheaf(F):
+    return _Encoder().sheaf(F)
+
+
 def decode_sheaf(doc, base):
-    ring = doc["ring"]
-    if ring not in ("Z", "Q"):
-        raise DocumentError("unknown ring %r" % (ring,))
-    stalks = {}
-    for item in doc["stalks"]:
-        c, rank = _dec_ref(item[0], base, "a sheaf stalk"), int(item[1])
-        if rank < 0:
-            raise DocumentError("the stalk at %r has negative rank %d" % (c, rank))
-        moduli = tuple(_dec_int(m) for m in item[2]) if len(item) > 2 else ()
-        stalks[c] = Stalk(rank, moduli)
-    restrictions = {}
-    for a, b, M in doc["restrictions"]:
-        pair = tuple(_dec_ref(c, base, "a sheaf restriction") for c in (a, b))
-        restrictions[pair] = _dec_matrix(M, ring)
-    return CellularSheaf(base, ring, stalks, restrictions)
+    return _Decoder().sheaf(doc, base)
 
 
 def encode_affine(S):
-    charts = []
-    for f, ch in _by_cell(S.charts):
-        charts.append(
-            [
-                _enc_cell(f),
-                [[_enc_cell(v), [_enc_frac(p[0]), _enc_frac(p[1])]] for v, p in _by_cell(ch)],
-            ]
-        )
-    transitions = []
-    for e, tr in _by_cell(S.transitions):
-        transitions.append(
-            [
-                _enc_cell(e),
-                _enc_cell(tr.from_face),
-                _enc_cell(tr.to_face),
-                _enc_matrix(tr.A),
-                [_enc_frac(tr.t[0]), _enc_frac(tr.t[1])],
-            ]
-        )
-    markings = []
-    for c, m in _by_cell(S.markings):
-        markings.append([_enc_cell(c), m.kind, m.k])
-    chern = [
-        [_enc_cell(f), [_enc_int(v[0]), _enc_int(v[1])]]
-        for f, v in _by_cell(S.chern_cocycle)
-    ]
-    return {"charts": charts, "transitions": transitions, "markings": markings, "chern": chern}
+    return _Encoder().affine(S)
 
 
 def decode_affine(doc, base):
-    charts = {}
-    for f, ch in doc["charts"]:
-        charts[_dec_ref(f, base, "an affine chart")] = {
-            _dec_ref(v, base, "an affine chart"): _dec_pair(p, _dec_frac) for v, p in ch
-        }
-    transitions = {}
-    for item in doc["transitions"]:
-        e, fa, fb, A, t = item
-        transitions[_dec_ref(e, base, "an affine transition")] = EdgeTransition(
-            _dec_ref(fa, base, "an affine transition"),
-            _dec_ref(fb, base, "an affine transition"),
-            _dec_matrix(A, "Z", shape=(2, 2)),
-            np.array(_dec_pair(t, _dec_frac), dtype=object),
-        )
-    markings = {}
-    for c, kind, k in doc.get("markings", []):
-        markings[_dec_ref(c, base, "an affine marking")] = SingularityMark(kind, int(k))
-    chern = {}
-    for f, v in doc.get("chern", []):
-        chern[_dec_ref(f, base, "an affine chern entry")] = _dec_pair(v, _dec_int)
-    return AffineSurface(
-        base=base, charts=charts, transitions=transitions, markings=markings,
-        chern_cocycle=chern,
-    )
+    return _Decoder().affine(doc, base)
 
 
 def encode_polytope(P):
@@ -245,42 +314,26 @@ def decode_polytope(doc):
 
 
 def encode_classes(classes):
-    out = []
-    for name, cls in sorted(classes.items()):
-        comps = []
-        off, _ = cls.sheaf.offsets(cls.degree)
-        for c in cls.sheaf.cochain_cells(cls.degree):
-            vals = cls.component(c)
-            if any(v != 0 for v in vals):
-                enc = _enc_frac if cls.sheaf.ring == "Q" else _enc_int
-                comps.append([_enc_cell(c), [enc(v) for v in vals]])
-        out.append([name, cls.degree, comps])
-    return out
+    return _Encoder().classes(classes)
 
 
 def decode_classes(doc, sheaf):
-    from .sheaves import class_from_components
-
-    out = {}
-    for name, degree, comps in doc:
-        dec = _dec_frac if sheaf.ring == "Q" else _dec_int
-        components = {_dec_cell(c): [dec(v) for v in vals] for c, vals in comps}
-        out[name] = class_from_components(sheaf, int(degree), components)
-    return out
+    return _Decoder().classes(doc, sheaf)
 
 
 def encode_document(complex=None, sheaf=None, affine=None, polytope=None, classes=None):
+    enc = _Encoder()
     doc = {"format": FORMAT}
     if complex is not None:
-        doc["complex"] = encode_complex(complex)
+        doc["complex"] = enc.complex(complex)
     if sheaf is not None:
-        doc["sheaf"] = encode_sheaf(sheaf)
+        doc["sheaf"] = enc.sheaf(sheaf)
     if affine is not None:
-        doc["affine"] = encode_affine(affine)
+        doc["affine"] = enc.affine(affine)
     if polytope is not None:
         doc["polytope"] = encode_polytope(polytope)
     if classes is not None:
-        doc["classes"] = encode_classes(classes)
+        doc["classes"] = enc.classes(classes)
     return doc
 
 
@@ -300,27 +353,28 @@ def _decode_section(raw, key, decode, *args):
 class Document:
     def __init__(self, raw):
         self.raw = raw
+        self._decoder = dec = _Decoder()
         self.complex = None
         self.affine = None
         self.sheaf = None
         self.polytope = None
         if "complex" in raw:
-            self.complex = _decode_section(raw, "complex", decode_complex)
+            self.complex = _decode_section(raw, "complex", dec.complex)
         if "affine" in raw:
             if self.complex is None:
                 raise DocumentError("affine section requires a complex section")
-            self.affine = _decode_section(raw, "affine", decode_affine, self.complex)
+            self.affine = _decode_section(raw, "affine", dec.affine, self.complex)
         if "sheaf" in raw:
             if self.complex is None:
                 raise DocumentError("sheaf section requires a complex section")
-            self.sheaf = _decode_section(raw, "sheaf", decode_sheaf, self.complex)
+            self.sheaf = _decode_section(raw, "sheaf", dec.sheaf, self.complex)
         if "polytope" in raw:
             self.polytope = _decode_section(raw, "polytope", decode_polytope)
 
     def classes(self, sheaf):
         if "classes" not in self.raw:
             return {}
-        return _decode_section(self.raw, "classes", decode_classes, sheaf)
+        return _decode_section(self.raw, "classes", self._decoder.classes, sheaf)
 
 
 def loads(text):
@@ -338,7 +392,60 @@ def loads(text):
 
 
 def dumps(doc_dict):
-    return json.dumps(doc_dict, indent=1, sort_keys=True)
+    """The document as text, exactly json.dumps(doc_dict, indent=1,
+    sort_keys=True); with indent, json runs its pure-Python encoder, one
+    generator step per token, so the text is built here.  A list is rendered
+    once per indent: by identity (encode_document shares each cell id's
+    list), and a list of strings also by content (matrix rows, points).  The
+    document must be a tree of str keys and JSON values."""
+    lists = {}  # (indent, id or strings of a list) -> its text, for this call
+
+    def write(o, ind):
+        if isinstance(o, str):
+            return _string(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            strings = all(type(x) is str for x in o)
+            key = (ind, tuple(o) if strings else id(o))
+            text = lists.get(key)
+            if text is None:
+                sub = ind + " "
+                items = map(_string, o) if strings else [
+                    _string(x) if type(x) is str else write(x, sub) for x in o
+                ]
+                text = lists[key] = "[" + sub + ("," + sub).join(items) + ind + "]"
+            return text
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            sub = ind + " "
+            items = [_string(k) + ": " + write(v, sub) for k, v in sorted(o.items())]
+            return "{" + sub + ("," + sub).join(items) + ind + "}"
+        return _scalar(o)
+
+    return write(doc_dict, "\n")
+
+
+def _scalar(o):
+    """A JSON number, true, false or null, as json.dumps writes it."""
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
 def load_path(path):

@@ -24,13 +24,13 @@ from math import lcm
 
 import numpy as np
 
-from .complexes import _cell_map_violations, _covering_pairs, _infer_signs
+from .complexes import _cell_map_violations, _covering_pairs, _infer_signs, cell_key
 from .errors import TorusbaseError, ValidationReport
 from .exact import (
     EchelonBasis,
     PresentedGroup,
     QuotientSpace,
-    _apply,
+    _apply_columns,
     _axpy,
     _dense,
     _echelon,
@@ -85,6 +85,7 @@ class CellularSheaf:
         self.restrictions = dict(restrictions)
         self._offsets = {}
         self._diff_rows = {}
+        self._diff_cols = {}
         self._diff = {}
 
     def stalk(self, cell):
@@ -155,6 +156,13 @@ class CellularSheaf:
             self._diff_rows[k] = rows
         return self._diff_rows[k]
 
+    def _differential_columns(self, k):
+        """d_k as sparse columns {row: entry}, one per coordinate of C^k: the
+        transpose of _differential_rows(k), cached.  Do not modify them."""
+        if k not in self._diff_cols:
+            self._diff_cols[k] = _transpose(self._differential_rows(k), self.cochain_rank(k))
+        return self._diff_cols[k]
+
     def differential(self, k):
         """d_k as a dense matrix: the view of _differential_rows(k), cached."""
         if k not in self._diff:
@@ -163,12 +171,12 @@ class CellularSheaf:
         return self._diff[k]
 
     def coboundary(self, k, vec):
-        """d applied to a k-cochain: the rows of _differential_rows(k) on the
-        nonzero entries of vec.  Equal to differential(k).dot(vec), but the
-        dense differential is never built."""
+        """d applied to a k-cochain: the columns of d_k at the nonzero entries
+        of vec.  Equal to differential(k).dot(vec), but the dense
+        differential is never built."""
         x = {j: v for j, v in enumerate(vec) if v != 0}
         out = self.zero_cochain(k + 1)
-        for i, v in _apply(self._differential_rows(k), x).items():
+        for i, v in _apply_columns(self._differential_columns(k), x).items():
             out[i] = v
         return out
 
@@ -219,10 +227,13 @@ def validate_sheaf(F):
     N2' N1' / (d2' d1') agree modulo an order m of the target stalk exactly
     when N2 N1 d2' d1' - N2' N1' d2 d1 is divisible by m d2 d1 d2' d1' (zero
     when m = 0), which is what is checked.
+
+    Violations are listed in cell order: restrictions by coface, then face,
+    and squares by their top cell.
     """
     bad = []
     X = F.base
-    for (face, cof), M in F.restrictions.items():
+    for (face, cof), M in sorted(F.restrictions.items(), key=_coface_then_face):
         if X.incidence.get((cof, face)) is None:
             bad.append("restriction on non-covering pair (%s, %s)" % (face, cof))
             continue
@@ -240,8 +251,8 @@ def validate_sheaf(F):
     cleared = {}
     if F.ring == "Q":
         cleared = {key: _over_one_denominator(M) for key, M in F.restrictions.items()}
-    for rho in X.cells:
-        if X.dim(rho) < 2:
+    for rho in X._order:
+        if X.cells.get(rho, 0) < 2:
             continue
         # collect composite maps sigma -> rho through every intermediate tau
         composites = {}
@@ -264,6 +275,12 @@ def validate_sheaf(F):
                     )
                     break
     return ValidationReport(bad)
+
+
+def _coface_then_face(item):
+    """The cell order of a restriction's pair (face, coface): by coface, then face."""
+    (face, cof), _ = item
+    return cell_key(cof), cell_key(face)
 
 
 def _over_one_denominator(M):
@@ -325,9 +342,8 @@ class CohomologyResult:
         # stalk torsion of C^k, in the cocycle basis
         rel = []
         if pivot_rows:
-            coboundaries = _transpose(F._differential_rows(k - 1), F.cochain_rank(k - 1))
-            for g in coboundaries + F._torsion_rows(k):
-                coef = self._cocycles._coefficients(g)
+            for g in F._differential_columns(k - 1) + F._torsion_rows(k):
+                coef = self._cocycles._coefficients(dict(g))  # a copy: it is used up
                 if coef is None:
                     raise SheafError("coboundary lies outside the cocycle lattice")
                 rel.append(coef)
@@ -436,6 +452,7 @@ class SheafMap:
         self.target = target
         self.blocks = dict(blocks)
         self._rows = {}
+        self._cols = {}
 
     def block(self, cell):
         B = self.blocks.get(cell)
@@ -473,6 +490,13 @@ class SheafMap:
             self._rows[k] = rows
         return self._rows[k]
 
+    def _cochain_columns(self, k):
+        """The transpose of _cochain_rows(k), one sparse column per coordinate
+        of the source's k-cochains, cached.  Do not modify them."""
+        if k not in self._cols:
+            self._cols[k] = _transpose(self._cochain_rows(k), self.source.cochain_rank(k))
+        return self._cols[k]
+
     def _lifter(self, k):
         """(lift, kernel) for the cochain map M in degree k modulo the target's
         torsion, from one echelon form with transform of M's columns and the
@@ -481,9 +505,8 @@ class SheafMap:
         with M y = x modulo torsion.  An entry left below the width, or a
         remainder over Z, means there is none: None.  The null rows'
         transforms, cut to M's columns, span the kernel lattice."""
-        rows, n = self._cochain_rows(k), self.source.cochain_rank(k)
-        width = len(rows)
-        gens = _transpose(rows, n) + self.target._torsion_rows(k)
+        width, n = self.target.cochain_rank(k), self.source.cochain_rank(k)
+        gens = self._cochain_columns(k) + self.target._torsion_rows(k)
         pivots, null = _echelon_with_transform(gens, width, self.source.ring)
 
         def cut(x, sign):
@@ -506,7 +529,7 @@ class SheafMap:
         k = source.degree
         if source.sheaf is not self.source or target.sheaf is not self.target or target.degree != k:
             raise SheafError("results are not of this map's sheaves in one degree")
-        return _induced(source, target, lambda x: _apply(self._cochain_rows(k), x))
+        return _induced(source, target, lambda x: _apply_columns(self._cochain_columns(k), x))
 
 
 def _same_lattice(a, b, n):
@@ -666,7 +689,7 @@ def connecting_map(ses, k, rng=None, check=True):
         if rng is not None:
             for t in kernel:
                 _axpy(b, rng.randint(-2, 2), t)
-        a = lift_i(_apply(ses.B._differential_rows(k), b))
+        a = lift_i(_apply_columns(ses.B._differential_columns(k), b))
         if a is None:
             raise SheafError("d of the lift does not come from the subsheaf")
         return a
@@ -709,10 +732,11 @@ def restrict_sheaf(F, sub):
 def restriction_on_cohomology(F, sub, k):
     """Induced map H^k(base) -> H^k(sub) for a full subcomplex."""
     G = restrict_sheaf(F, sub)
-    off, _ = F.offsets(k)
+    off, n = F.offsets(k)
     # one sparse row per coordinate of G's k-cochains, picking F's coordinate there
     keep = [{off[c] + r: 1} for c in G.cochain_cells(k) for r in range(G.rank(c))]
-    return _induced(cohomology(F, k), cohomology(G, k), lambda x: _apply(keep, x)), G
+    pick = _transpose(keep, n)
+    return _induced(cohomology(F, k), cohomology(G, k), lambda x: _apply_columns(pick, x)), G
 
 
 def _descend(F, Z, relabel, up):

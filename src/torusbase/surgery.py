@@ -21,7 +21,7 @@ from .affine import (
 )
 from .complexes import CellComplex, _cell_map_violations, disjoint_union, identify_cells, validate
 from .errors import TorusbaseError
-from .exact import PresentedGroup, QuotientSpace, _apply, _sparse_rows, eye, unimodular_inverse
+from .exact import PresentedGroup, QuotientSpace, _apply_columns, _sparse_rows, eye, unimodular_inverse
 from .sheaves import (
     CellularSheaf,
     _descend,
@@ -137,14 +137,15 @@ def _overlap_quotient(F1, F2, overlap, cell_map, inverse_isos):
     """
     f1, G = restriction_on_cohomology(F1, overlap, 2)
     h_over = f1.target
-    off2, _ = F2.offsets(2)
-    offo, n_o = G.offsets(2)
-    # F2's 2-cochains pulled to the overlap: a sparse row per coordinate of G's
-    pull = [{} for _ in range(n_o)]
+    off2, n2 = F2.offsets(2)
+    offo, _ = G.offsets(2)
+    # F2's 2-cochains pulled to the overlap: a sparse column per coordinate of F2's
+    pull = [{} for _ in range(n2)]
     for c, J in inverse_isos.items():
         for r, row in enumerate(_sparse_rows(J, G.ring)):
-            pull[offo[c] + r] = {off2[cell_map[c]] + j: v for j, v in row.items()}
-    f2 = _induced(cohomology(F2, 2), h_over, lambda x: _apply(pull, x))
+            for j, v in row.items():
+                pull[off2[cell_map[c]] + j][offo[c] + r] = v
+    f2 = _induced(cohomology(F2, 2), h_over, lambda x: _apply_columns(pull, x))
     quotient = PresentedGroup if G.ring == "Z" else QuotientSpace
     return h_over, quotient(h_over.presentation.n, f1.image_rows() + f2.image_rows())
 
@@ -243,8 +244,13 @@ def dehn_reglue(S, disk_faces, twist):
 
 def chern_class_coordinates(S):
     """Canonical coordinates of the carried Chern cocycle in H^2(O, R-sheaf)."""
-    R = build_R_sheaf(S)
-    h2 = cohomology(R, 2)
+    return _chern_class_coordinates(S, cohomology(build_R_sheaf(S), 2))
+
+
+def _chern_class_coordinates(S, h2):
+    """chern_class_coordinates in h2, H^2 of the monodromy sheaf R of S,
+    computed already."""
+    R = h2.sheaf
     vec = R.zero_cochain(2)
     off, _ = R.offsets(2)
     for f, val in S.chern_cocycle.items():
@@ -284,7 +290,7 @@ def realizability_report_2d(S):
         R = build_R_sheaf(S)
         details = {
             "H2(O, R)": str(cohomology(R, 2).group),
-            "moduli (dim, lattice rank)": _lagrangian_moduli(S, R),
+            "moduli (dim, lattice rank)": _lagrangian_moduli(S, cohomology(R, 1)),
             "focus_focus_points": S.focus_focus_count(),
         }
         if S.base.is_connected():

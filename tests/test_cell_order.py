@@ -81,3 +81,30 @@ def test_face_lists_follow_the_cell_order():
     # a cell the incidence names but the cells lack still gets a place
     Y = CellComplex({"a": 0, "e": 1}, {("e", "z"): 1, ("e", "a"): -1})
     assert Y.faces_of("e") == [("a", -1), ("z", 1)]
+
+
+@pytest.fixture(scope="module")
+def sphere_sheaf_document(sphere_export):
+    """The sphere_24ff complex and its monodromy sheaf R, with two
+    restrictions of the wrong shape."""
+    doc = serialize.loads(sphere_export)
+    raw = serialize.encode_document(complex=doc.complex, sheaf=build_R_sheaf(doc.affine))
+    restrictions = raw["sheaf"]["restrictions"]
+    restrictions[3][2] = [["1"]]
+    restrictions[-5][2] = [["1", "0", "0"], ["0", "1", "0"]]
+    return serialize.dumps(raw)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shuffled_restrictions_give_the_same_sheaf_report(sphere_sheaf_document, seed, tmp_path, capsys):
+    base = tmp_path / "base.json"
+    base.write_text(sphere_sheaf_document)
+    raw = serialize.loads(sphere_sheaf_document).raw
+    rng = random.Random(seed)
+    rng.shuffle(raw["sheaf"]["restrictions"])
+    rng.shuffle(raw["complex"]["cells"])
+    moved = tmp_path / "shuffled.json"
+    moved.write_text(serialize.dumps(raw))
+    report = _check(base, capsys)
+    assert report.count("sheaf: restriction") == 2
+    assert _check(moved, capsys) == report

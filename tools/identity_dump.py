@@ -40,9 +40,13 @@ matrices are not printed: they hold the coefficients of a representative,
 which may move with the lift; the canonical coordinates may not.
 
 The CLI section runs ``torusbase.cli.main`` in-process for every light
-catalog entry (all but ``fake_base_space``) and prints the bytes of its
-``catalog NAME --export`` file, the stdout of ``catalog NAME --verify``, and
-the exit code, stdout and stderr of ``monodromy`` on the exported file.
+catalog entry (all but ``fake_base_space``), flat_torus:-2, 2 and 3 and
+ff_disk:2 and 3, and prints the bytes of its ``catalog NAME --export`` file
+and the stdout of ``catalog NAME --verify``; then the bytes of the
+``fake_base_space`` piece export.  For every export it prints the exit code,
+stdout and stderr of ``monodromy``, ``check`` and ``cohomology --sheaf Z
+--degree 2`` on the file, so the document encoder, writer and decoder run
+on every shape of document.
 """
 
 import contextlib
@@ -357,17 +361,19 @@ def run_cli(argv):
 
 
 def dump_cli(out):
+    light = [name for name in catalog_names() if name != "fake_base_space"]
+    light += ["flat_torus:-2", "flat_torus:2", "flat_torus:3", "ff_disk:2", "ff_disk:3"]
     with tempfile.TemporaryDirectory() as tmp:
-        for name in catalog_names():
-            if name == "fake_base_space":
-                continue
-            path = os.path.join(tmp, "%s.json" % name)
+        for name in light + ["fake_base_space"]:
+            path = os.path.join(tmp, "%s.json" % name.replace(":", "_"))
             run_cli(["catalog", name, "--export", path])
             with open(path, encoding="utf-8") as fh:
                 out.append("== cli %s export\n%s" % (name, fh.read()))
-            out.append("== cli %s verify\n%s" % (name, run_cli(["catalog", name, "--verify"])[1]))
-            code, stdout, stderr = run_cli(["monodromy", path])
-            out.append("== cli %s monodromy exit %d\n%s%s" % (name, code, stdout, stderr))
+            if name in light:
+                out.append("== cli %s verify\n%s" % (name, run_cli(["catalog", name, "--verify"])[1]))
+            for argv in (["monodromy"], ["check"], ["cohomology", "--sheaf", "Z", "--degree", "2"]):
+                code, stdout, stderr = run_cli(argv[:1] + [path] + argv[1:])
+                out.append("== cli %s %s exit %d\n%s%s" % (name, argv[0], code, stdout, stderr))
 
 
 def main():
