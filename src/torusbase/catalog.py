@@ -13,10 +13,6 @@ from .affine import (
     AffineSurface,
     EdgeTransition,
     SingularityMark,
-    _dual,
-    _lin_inverse,
-    _lin_mul,
-    _star_walk,
     build_R_sheaf,
 )
 from .complexes import (
@@ -29,7 +25,7 @@ from .complexes import (
     quotient_by_free_involution,
 )
 from .errors import TorusbaseError
-from .exact import eye, fracvec, intmat, zeros
+from .exact import eye, fracvec, intmat, unimodular_inverse, zeros
 from .sheaves import (
     CellularSheaf,
     Stalk,
@@ -544,23 +540,18 @@ def twisted_product_base():
 # The non-realizable three-dimensional base
 
 
-def _covector_frame_transport(S, v, face_from, face_to):
-    """Dual transport within the star of a regular vertex between two frames."""
-    faces, _, _, T, _ = _star_walk(S, v)
-    La, Lb = T[faces.index(face_from)][0], T[faces.index(face_to)][0]
-    a, b, c, d = _dual(_lin_mul(Lb, _lin_inverse(La)))
-    return intmat([[a, b], [c, d]])
+def _vertex_iso(R_S, R_T, phi, v):
+    """The stalk iso at the vertex v from R_S at v to R_T at phi(v), for
+    monodromy sheaves whose faces and edges phi carries by the identity: the
+    square at v's first coface e forces R_T(phi(v) <= phi(e))^-1 R_S(v <= e)."""
+    e = R_S.base.cofaces_of(v)[0][0]
+    return unimodular_inverse(R_T.restriction(phi(v), phi(e))).dot(R_S.restriction(v, e))
 
 
 def _klein_projection(cell):
     """Name projection of the double-cover Klein cells onto the small Klein."""
-    kind = cell[0]
-    if kind == "v":
-        return ("v", cell[1] % 3, cell[2])
-    if kind in ("h", "w"):
-        return (kind, cell[1] % 3, cell[2])
-    if kind == "f":
-        return ("f", cell[1] % 3, cell[2])
+    if cell[0] in ("v", "h", "w", "f"):
+        return (cell[0], cell[1] % 3, cell[2])
     raise CatalogError("unexpected Klein cell %r" % (cell,))
 
 
@@ -608,14 +599,7 @@ def fake_base_space():
         if orbit[cell] == ("q", cell):
             continue
         _, kc, gc = orbit[cell][1]
-        kcell_target = _klein_shift(kc)
-        if kc[0] == "v":
-            faces_a, _, _, _, _ = _star_walk(Kb, kc)
-            faces_b, _, _, _, _ = _star_walk(Kb, kcell_target)
-            ref_img = _klein_shift(faces_a[0])
-            JK = _covector_frame_transport(Kb, kcell_target, ref_img, faces_b[0])
-        else:
-            JK = eye(2)
+        JK = _vertex_iso(RKb, RKb, _klein_shift, kc) if kc[0] == "v" else eye(2)
         rg = FGp.rank(gc)
         J = zeros(2 + rg, 2 + rg)
         J[:2, :2] = JK
@@ -636,22 +620,14 @@ def fake_base_space():
     # identification from the O- overlap to the O+ overlap, with stalk isos
     cell_map = {}
     over_isos = {}
-    from .exact import unimodular_inverse
-
     for q in sub_p_cells:
         _, kc, _ = q[1]
         src = ("x", _klein_projection(kc), "h")
         cell_map[src] = q
+        # the O+ stalk at q is R of the double cover at kc
+        JK = eye(2)
         if kc[0] == "v":
-            # the O+ stalk at q sits in the reference frame of kc's star in
-            # the double cover; express the O- frame there
-            faces_a, _, _, _, _ = _star_walk(Kb, kc)
-            faces_b, _, _, _, _ = _star_walk(K2, _klein_projection(kc))
-            ref_img = _klein_projection(faces_a[0])
-            JK = _covector_frame_transport(K2, _klein_projection(kc), ref_img, faces_b[0])
-            JK = unimodular_inverse(JK)
-        else:
-            JK = eye(2)
+            JK = unimodular_inverse(_vertex_iso(RKb, RK2, _klein_projection, kc))
         J = zeros(3, 3)
         J[:2, :2] = JK
         J[2, 2] = 1
@@ -910,11 +886,12 @@ class VerifyReport:
         return "\n".join([head] + ["  " + str(l) for l in self.lines])
 
 
-def _compute_invariant(entry, inv, R_groups):
+def _compute_invariant(entry, inv, R_groups, obstruction):
     """The value of the invariant inv of entry; R_groups(k) is H^k of the
-    monodromy sheaf of an affine entry."""
+    monodromy sheaf of an affine entry, obstruction() the gluing obstruction
+    report of a gluing entry."""
     from .complexes import classify_surface, pi1_presentation
-    from .surgery import _chern_class_coordinates, gluing_obstruction
+    from .surgery import _chern_class_coordinates
     from .affine import (
         _lagrangian_moduli,
         affine_area,
@@ -982,11 +959,7 @@ def _compute_invariant(entry, inv, R_groups):
         if inv == "edge_stalks":
             return tuple(F.rank(c) for c in X.cells_of_dim(1))
     if entry.kind == "gluing":
-        fb = entry.payload
-        rep = entry.extras.get("_obstruction")
-        if rep is None:
-            rep = gluing_obstruction(fb["spec"], fb["class_minus"], fb["class_plus"])
-            entry.extras["_obstruction"] = rep
+        rep = obstruction()
         if inv == "obstruction_group":
             return str(rep.group)
         if inv == "obstruction_nonzero":
@@ -999,13 +972,22 @@ def _compute_invariant(entry, inv, R_groups):
 def verify(entry):
     """Recompute every expected invariant and diff against the expectation.
     The invariants of an affine entry share its monodromy sheaf R, built at
-    most once, and each H^k(R)."""
+    most once, and each H^k(R); those of a gluing entry share its gluing
+    obstruction, computed at most once."""
+    from .surgery import gluing_obstruction
+
     R = lru_cache(None)(lambda: build_R_sheaf(entry.payload))
     R_groups = lru_cache(None)(lambda k: cohomology(R(), k))
+
+    @lru_cache(None)
+    def obstruction():
+        fb = entry.payload
+        return gluing_obstruction(fb["spec"], fb["class_minus"], fb["class_plus"])
+
     lines = []
     for inv in sorted(entry.expected):
         exp = entry.expected[inv]
-        got = _compute_invariant(entry, inv, R_groups)
+        got = _compute_invariant(entry, inv, R_groups, obstruction)
         lines.append(
             VerifyLine(
                 invariant=inv,

@@ -424,11 +424,6 @@ def identify_cells(X, pairs):
 # Surface recognition
 
 
-@dataclass(frozen=True)
-class SurfaceType:
-    kind: str
-
-
 @dataclass
 class SurfaceClassification:
     kind: str
@@ -436,10 +431,6 @@ class SurfaceClassification:
     orientable: bool
     boundary_components: int
     constraint_violation: str = None
-
-    @property
-    def surface(self):
-        return SurfaceType(self.kind)
 
 
 def _check_surface(X):

@@ -18,11 +18,17 @@ coordinates of PresentedGroup and the Z solves of LinearSystem; the rule,
 not the storage, fixes its D, U and V, so those coordinates did not move
 when the loop left dense arrays.  Everything else (hnf, kernel, the lattice
 functions, rref, q_rank, q_kernel, LinearSystem over Q, QuotientSpace,
-EchelonBasis, the inverse of the Smith transform) runs one echelon loop,
-_echelon, touching only nonzero entries: it gives the row Hermite normal
-form over Z and the reduced row echelon form over Q.  Row convention:
-matrices act on column vectors; relation subgroups/subspaces are given by
-rows.
+EchelonBasis, the inverses) runs one echelon loop, _echelon, touching only
+nonzero entries: it gives the row Hermite normal form over Z and the reduced
+row echelon form over Q.  There is one inverse, _inverse, read off that loop
+over Z (of a unimodular matrix) or over Q; unimodular_inverse, the inverse
+of the Smith transform in PresentedGroup.generators and the stalk iso check
+of sheaves all call it.  Row convention: matrices act on column vectors;
+relation subgroups/subspaces are given by rows.
+
+Over Z an entry point takes an integral Fraction as its int and raises
+ValueError naming an entry that is not an integer, rather than truncating
+it.
 
 Coordinates.  A basis in echelon form (EchelonBasis: the HNF rows of a
 lattice over Z, the kernel vectors of an RREF over Q) gives the coefficients
@@ -130,10 +136,11 @@ def hnf(M):
 
 def unimodular_inverse(U):
     """Inverse of a unimodular integer matrix."""
-    H, W = hnf(U)
-    if not mat_eq(H, eye(U.shape[0])):
+    n = U.shape[1]
+    inverse = _inverse(_sparse_rows(U, "Z"), n, "Z")
+    if inverse is None:
         raise ValueError("matrix is not unimodular")
-    return W
+    return _dense(inverse, (n, n))
 
 
 @dataclass
@@ -415,9 +422,22 @@ _ONE = Fraction(1)
 
 
 def _sparse_rows(M, ring):
-    """The rows of M as {column: nonzero entry} dicts, ints over Z, Fractions over Q."""
-    conv = int if ring == "Z" else Fraction
-    return [{j: conv(x) for j, x in enumerate(row) if x != 0} for row in M.tolist()]
+    """The rows of M as {column: nonzero entry} dicts, ints over Z, Fractions
+    over Q.  Over Z an entry that is not an int must be integral (an integral
+    Fraction is taken as its int); else ValueError names it."""
+    if ring == "Q":
+        return [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in M.tolist()]
+    return [
+        {j: x if type(x) is int else _integral(x) for j, x in enumerate(row) if x != 0}
+        for row in M.tolist()
+    ]
+
+
+def _integral(x):
+    """The int equal to the matrix entry x, or ValueError naming it."""
+    if int(x) != x:
+        raise ValueError("matrix entry %s is not an integer" % (x,))
+    return int(x)
 
 
 def _dense(rows, shape, ring="Z", first=0):
@@ -548,6 +568,20 @@ def _echelon_with_transform(rows, width, ring):
     """_echelon of [rows | I]: the identity columns record the row transform."""
     one = 1 if ring == "Z" else _ONE
     return _echelon([{**row, width + i: one} for i, row in enumerate(rows)], width, ring)
+
+
+def _inverse(rows, n, ring):
+    """The inverse over ring of the matrix given by its sparse rows of width
+    n, as sparse rows, or None when there is none: when the matrix is not
+    square, or not invertible over ring (over Z: not unimodular).  The
+    echelon form of [M | I] is then [I | M^-1]; over Z, the Hermite form of
+    a unimodular matrix is I."""
+    if len(rows) != n:
+        return None
+    pivot_rows, _ = _echelon_with_transform(rows, n, ring)
+    if len(pivot_rows) != n or any(row[p] != 1 for p, row in pivot_rows.items()):
+        return None
+    return [{c - n: v for c, v in row.items() if c >= n} for row in pivot_rows.values()]
 
 
 def _transpose(rows, width):
@@ -736,11 +770,9 @@ class PresentedGroup:
 
     def generators(self):
         """Ambient vectors mapping to the canonical coordinate unit classes:
-        the columns of T^-1, read off the echelon form [I | T^-1] of [T | I]."""
-        n = self.n
+        the columns of T^-1."""
         if self._Tinv is None:
-            inverse, _ = _echelon_with_transform(self._T, n, "Z")
-            self._Tinv = [{c - n: v for c, v in row.items() if c >= n} for row in inverse.values()]
+            self._Tinv = _inverse(self._T, self.n, "Z")
         units = [i for i, d in enumerate(self._orders) if d != 1]
         return [intvec([row.get(i, 0) for row in self._Tinv]) for i in units]
 

@@ -2,8 +2,8 @@
 
 All integers are written as decimal strings and rationals as "p/q" strings,
 so numbers of any size round-trip exactly.  Sections: complex, sheaf, affine,
-polytope, classes, gluing; a document carries any subset, and its
-"format" field must read "torusbase/1".
+polytope, classes; a document carries any subset, and its "format" field
+must read "torusbase/1".
 """
 
 import json
@@ -273,30 +273,6 @@ def _dec_pair(v, dec):
     return dec(v[0]), dec(v[1])
 
 
-def encode_complex(X):
-    return _Encoder().complex(X)
-
-
-def decode_complex(doc):
-    return _Decoder().complex(doc)
-
-
-def encode_sheaf(F):
-    return _Encoder().sheaf(F)
-
-
-def decode_sheaf(doc, base):
-    return _Decoder().sheaf(doc, base)
-
-
-def encode_affine(S):
-    return _Encoder().affine(S)
-
-
-def decode_affine(doc, base):
-    return _Decoder().affine(doc, base)
-
-
 def encode_polytope(P):
     return {
         "dimension": P.dimension,
@@ -311,14 +287,6 @@ def decode_polytope(doc):
         (tuple(_dec_int(x) for x in a), _dec_frac(b)) for a, b in doc["halfspaces"]
     ]
     return LatticePolytope(int(doc["dimension"]), hs)
-
-
-def encode_classes(classes):
-    return _Encoder().classes(classes)
-
-
-def decode_classes(doc, sheaf):
-    return _Decoder().classes(doc, sheaf)
 
 
 def encode_document(complex=None, sheaf=None, affine=None, polytope=None, classes=None):

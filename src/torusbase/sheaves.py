@@ -35,6 +35,7 @@ from .exact import (
     _dense,
     _echelon,
     _echelon_with_transform,
+    _inverse,
     _kernel_rows,
     _preimage_rows,
     _sparse_rows,
@@ -799,10 +800,39 @@ class SheafAutomorphism:
         F, X = self.sheaf, self.sheaf.base
         if set(self.cell_map) != set(X.cells) or set(self.cell_map.values()) != set(X.cells):
             return ValidationReport(["cell map is not a bijection of the cells"])
-        return ValidationReport(
-            _cell_map_violations(X, X, self.cell_map)
-            or _iso_violations(X, F, F, self.cell_map, self.stalk_isos)
-        )
+        return ValidationReport(_stalk_iso_violations(X, X, F, F, self.cell_map, self.stalk_isos)[0])
+
+
+def _stalk_iso_violations(X, Y, F1, F2, cell_map, isos):
+    """(violations, inverses) of the stalk isos isos[c], from F1 at the cell
+    c of X to F2 at cell_map[c], along cell_map, defined on every cell of X
+    and onto the cells of Y.  In cell order: the cell map itself; each iso
+    there, of the right shape and invertible over the ring (an iso of a Z
+    sheaf with a non-integer entry is not); then, when all of that holds, the
+    squares of _iso_violations.  inverses[c] maps F2's stalk at cell_map[c]
+    back to F1's at c, for every c whose iso is invertible."""
+    ring = F1.ring
+    bad = _cell_map_violations(X, Y, cell_map)
+    inverses = {}
+    for k in range(X.dimension + 1):
+        for c in X.cells_of_dim(k):
+            J = isos.get(c)
+            n = F1.rank(c)
+            if J is None:
+                bad.append("missing stalk iso at %s" % (c,))
+                continue
+            if J.shape != (F2.rank(cell_map[c]), n):
+                bad.append("stalk iso at %s has the wrong shape" % (c,))
+                continue
+            try:
+                inverse = _inverse(_sparse_rows(J, ring), n, ring)
+            except ValueError:  # a non-integer entry over Z
+                inverse = None
+            if inverse is None:
+                bad.append("stalk iso at %s is not invertible over %s" % (c, ring))
+            else:
+                inverses[c] = _dense(inverse, (n, n), ring)
+    return bad or _iso_violations(X, F1, F2, cell_map, isos), inverses
 
 
 def _iso_violations(X, F1, F2, cell_map, isos, message="stalk isos break restriction at (%s, %s)"):
@@ -840,7 +870,7 @@ def automorphism_action(aut, cls):
     return CohomologyClass(F, k, out)
 
 
-def orbit_of_class(results, action_mats, start_coords, max_word_length=6):
+def orbit_of_class(action_mats, start_coords, max_word_length=6):
     """Orbit of canonical coordinates under matrices acting on coordinates."""
     start = tuple(start_coords)
     seen = {start}

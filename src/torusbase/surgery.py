@@ -19,14 +19,14 @@ from .affine import (
     build_R_sheaf,
     monodromy_rep,
 )
-from .complexes import CellComplex, _cell_map_violations, disjoint_union, identify_cells, validate
+from .complexes import CellComplex, disjoint_union, identify_cells, validate
 from .errors import TorusbaseError
-from .exact import PresentedGroup, QuotientSpace, _apply_columns, _sparse_rows, eye, unimodular_inverse
+from .exact import PresentedGroup, QuotientSpace, _apply_columns, _sparse_rows, eye
 from .sheaves import (
     CellularSheaf,
     _descend,
     _induced,
-    _iso_violations,
+    _stalk_iso_violations,
     cohomology,
     constant_sheaf,
     restriction_on_cohomology,
@@ -55,30 +55,17 @@ class GluingSpec:
 
     def _checked(self):
         """(violations, inverses): one pass over the overlap that checks the
-        spec and inverts each stalk iso, inverses[c] mapping the second
-        piece's stalk at cell_map[c] back to the first's.  The inverses are
-        complete only when there is no violation."""
-        inverses = {}
+        spec and inverts each stalk iso over the ring of the sheaves,
+        inverses[c] mapping the second piece's stalk at cell_map[c] back to
+        the first's.  The inverses are complete only when there is no
+        violation."""
         if set(self.cell_map) != set(self.overlap1.cells):
-            return ["cell map does not cover the overlap"], inverses
+            return ["cell map does not cover the overlap"], {}
         if set(self.cell_map.values()) != set(self.overlap2.cells):
-            return ["cell map is not onto the second overlap"], inverses
-        bad = _cell_map_violations(self.overlap1, self.overlap2, self.cell_map)
-        for c in self.overlap1.cells:
-            J = self.stalk_isos.get(c)
-            if J is None:
-                bad.append("missing stalk iso at %s" % (c,))
-                continue
-            if J.shape != (self.sheaf2.rank(self.cell_map[c]), self.sheaf1.rank(c)):
-                bad.append("stalk iso at %s has the wrong shape" % (c,))
-                continue
-            try:
-                inverses[c] = unimodular_inverse(J)
-            except ValueError:
-                bad.append("stalk iso at %s is not invertible over Z" % (c,))
-        isos = self.stalk_isos
-        bad = bad or _iso_violations(self.overlap1, self.sheaf1, self.sheaf2, self.cell_map, isos)
-        return bad, inverses
+            return ["cell map is not onto the second overlap"], {}
+        return _stalk_iso_violations(
+            self.overlap1, self.overlap2, self.sheaf1, self.sheaf2, self.cell_map, self.stalk_isos
+        )
 
 
 def glue(spec):

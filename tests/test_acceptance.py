@@ -122,7 +122,7 @@ def test_criterion_1_torus_base():
     # orbit enumeration: the gcd is a complete invariant on Z^2
     mats = gl2_orbit_matrices()
     for c in [(0, 0), (1, 0), (2, 4), (3, 5), (-6, 9), (4, 0)]:
-        orbit = orbit_of_class(None, mats, c, max_word_length=6)
+        orbit = orbit_of_class(mats, c, max_word_length=6)
         g = gcd(abs(c[0]), abs(c[1]))
         ok = ok and all(gcd(abs(a), abs(b)) == g for a, b in orbit)
         ok = ok and (g, 0) in orbit

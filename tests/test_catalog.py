@@ -55,6 +55,25 @@ def test_verify_builds_the_monodromy_sheaf_at_most_once(monkeypatch, name):
     assert len(calls) <= 1  # none when no expected invariant needs R
 
 
+def test_verify_computes_the_obstruction_once_per_call(monkeypatch):
+    from torusbase import surgery
+
+    entry = build("fake_base_space")
+    extras = dict(entry.extras)
+    calls, gluing_obstruction = [], surgery.gluing_obstruction
+
+    def counting(*args):
+        calls.append(args)
+        return gluing_obstruction(*args)
+
+    monkeypatch.setattr(surgery, "gluing_obstruction", counting)
+    assert verify(entry).ok
+    assert len(calls) == 1
+    assert entry.extras == extras  # the cache does not outlive the call
+    assert verify(entry).ok
+    assert len(calls) == 2
+
+
 def test_flat_torus_parameters():
     e0 = build("flat_torus:0")
     assert e0.expected["H1(M4)"].value == "Z^4"

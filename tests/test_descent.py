@@ -11,13 +11,13 @@ boundary words, orbits, stalks and restriction blocks.
 
 import pytest
 from test_complexes import grid_torus, swap_two_copies, torus_to_klein
+from test_stalk_isos import _covector_frame_transport
 from test_surgery import identity_spec
 
 from torusbase import serialize
 from torusbase.affine import _star_walk, build_R_sheaf
 from torusbase.catalog import (
     CatalogError,
-    _covector_frame_transport,
     _klein_shift,
     fake_base_space,
     klein_affine_surface,

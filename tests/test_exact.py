@@ -390,6 +390,39 @@ def test_unimodular_inverse_rejects_determinant_two():
         unimodular_inverse(intmat([[1, 1], [1, -1]]))
 
 
+# The Z entry points take integral Fractions as ints and name a fraction
+# they cannot take, rather than truncating it.
+
+
+def _object_matrix(rows):
+    return np.array(rows, dtype=object)
+
+
+def test_unimodular_inverse_rejects_a_fraction():
+    with pytest.raises(ValueError, match="3/2"):
+        unimodular_inverse(_object_matrix([[Fraction(3, 2)]]))
+    W = unimodular_inverse(_object_matrix([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]))
+    assert repr(W.tolist()) == "[[1, -1], [-1, 2]]"
+
+
+def test_snf_rejects_a_fraction():
+    with pytest.raises(ValueError, match="5/2"):
+        snf(_object_matrix([[Fraction(5, 2)]]))
+    assert snf(_object_matrix([[Fraction(4)]])).diagonal == [4]
+
+
+def test_cokernel_rejects_a_fraction():
+    with pytest.raises(ValueError, match="5/2"):
+        cokernel(_object_matrix([[Fraction(5, 2)]]))
+    assert cokernel(_object_matrix([[Fraction(4)]])) == AbelianGroup(0, (4,))
+
+
+def test_kernel_rejects_a_fraction():
+    with pytest.raises(ValueError, match="1/2"):
+        kernel(_object_matrix([[Fraction(1, 2), 1]]))
+    assert kernel(_object_matrix([[Fraction(2), 1]])).T.tolist() == [[-1, 2]]
+
+
 # ---------------------------------------------------------------------------
 # snf runs on sparse rows but must make the moves of the dense loop it
 # replaced, so that D, U and V (and with them every Z coordinate of

@@ -316,7 +316,7 @@ def test_orbit_enumeration_gcd():
         return d * inv2(M).T
 
     mats = [act(S), act(T)]
-    orbit = orbit_of_class(None, mats, (2, 4), max_word_length=6)
+    orbit = orbit_of_class(mats, (2, 4), max_word_length=6)
     import math
 
     assert all(math.gcd(a, b) == 2 for a, b in orbit)

@@ -16,8 +16,9 @@ presentation coefficients and coordinates of seeded combinations of the
 generators shifted by seeded coboundaries.  Affine entries add the moduli,
 the Chern coordinates and the realizability report; ``fake_base_space`` adds
 the document (complex and sheaf, as ``encode_document`` writes it) of the
-glued sheaf and of both pieces, and the gluing obstruction, also for seeded
-coboundary shifts of its class.
+glued sheaf and of both pieces, every stalk iso of its gluing spec and its
+inverse (by repr), and the gluing obstruction, also for seeded coboundary
+shifts of its class.
 
 The affine section follows, for every affine entry, flat_torus:1..3 at sizes
 3..5, ff_disk:1..3 and seeded rechartings with half-integer translations: the
@@ -84,7 +85,7 @@ from torusbase.catalog import (  # noqa: E402
 )
 from torusbase.cli import main as cli_main  # noqa: E402
 from torusbase.errors import TorusbaseError  # noqa: E402
-from torusbase.exact import eye, fracvec, intmat  # noqa: E402
+from torusbase.exact import eye, fracvec, intmat, unimodular_inverse  # noqa: E402
 from torusbase.sheaves import (  # noqa: E402
     CohomologyClass,
     SheafMap,
@@ -179,6 +180,9 @@ def dump_gluing(fb, out):
     for label, (X, G) in (("glued", (Z, F)), ("minus", fb["piece_minus"]), ("plus", fb["piece_plus"])):
         doc = serialize.encode_document(complex=X, sheaf=G)
         out.append("document %s\n%s" % (label, serialize.dumps(doc)))
+    for c in sorted(spec.stalk_isos, key=repr):
+        J = spec.stalk_isos[c]
+        out.append("iso %r %s inverse %s" % (c, show(J), show(unimodular_inverse(J))))
     dump_sheaf("glued", F, 7, out)
     out.append(str(realizability_report_2d((Z, F))))
     over = plus.sheaf
