@@ -40,6 +40,7 @@ from .sheaves import (
     ShortExactSequence,
     Stalk,
     cohomology,
+    constant_sheaf,
     validate_sheaf,
 )
 
@@ -460,12 +461,35 @@ class _MonodromySheaf(CellularSheaf):
     _shifts[(sigma, tau)] is the translation part t of the affine transport
     whose dual gives the frame of R(sigma <= tau): tr.t for (e, to_face), the
     star walk's transport for (v, e); absent (zero) for (e, from_face) and
-    boundary edges.  build_I_sheaf twists R by them, so it walks no star.
+    boundary edges.  build_I_sheaf twists R by them, so it walks no star;
+    dhat reads its translation cochain map T off them, so it builds no I.
     """
 
     def __init__(self, base, stalks, restrictions, shifts):
         super().__init__(base, "Z", stalks, restrictions)
         self._shifts = shifts
+        self._translation_cols = {}
+
+    def _translation_columns(self, k):
+        """T_k: C^k(R) -> C^{k+1}(O; Q), the constant part of d_I on (0, c), as
+        sparse columns {row: Fraction}, cached: coordinate i of sigma holds
+        -[tau : sigma] (t^T R(sigma <= tau))_i at each coface tau with a
+        translation t.  The first T built checks the translations, so none is
+        read off an I that is not a sheaf.  Do not modify them."""
+        if k not in self._translation_cols:
+            if not self._translation_cols:
+                _check_translations(self)
+            row = {tau: r for r, tau in enumerate(self.cochain_cells(k + 1))}
+            off, n = self.offsets(k)
+            cols = [{} for _ in range(n)]
+            for sigma in self.cochain_cells(k):
+                for tau, sign in self.base.cofaces_of(sigma):
+                    t = self._shifts.get((sigma, tau), ())
+                    for i, x in enumerate(_pairing(t, self.restriction(sigma, tau).tolist())):
+                        if x:
+                            cols[off[sigma] + i][row[tau]] = -sign * x
+            self._translation_cols[k] = cols
+        return self._translation_cols[k]
 
 
 def build_R_sheaf(S):
@@ -517,17 +541,23 @@ def build_R_sheaf(S):
     return F
 
 
+def _pull(t, ints):
+    """t^T M for a vector t and the integer rows ints of M."""
+    return [sum(s * x for s, x in zip(t, col)) for col in zip(*ints)]
+
+
+def _pairing(t, ints):
+    """t^T M over Q, for a translation t and the integer rows ints of M."""
+    den = lcm(*(s.denominator for s in t))
+    return [Fraction(x, den) for x in _pull([s.numerator * (den // s.denominator) for s in t], ints)]
+
+
 def _twist(M, t, frac):
     """(M over Q, [[1, -t^T M], [0, M]] over Q): an R block and its I block.
 
     frac maps each integer entry of M, and 0 and 1, to its Fraction."""
     ints = M.tolist()
-    t = [Fraction(s) for s in t]
-    den = lcm(*(s.denominator for s in t))
-    top = [
-        Fraction(-sum(s.numerator * (den // s.denominator) * x for s, x in zip(t, col)), den)
-        for col in zip(*ints)
-    ]
+    top = [-x for x in _pairing(t, ints)]
     rows = [[frac[x] for x in row] for row in ints]
     return _qmat(rows), _qmat([[frac[1]] + top] + [[frac[0]] + row for row in rows])
 
@@ -551,75 +581,85 @@ def build_I_sheaf(S):
     where t is the translation of the affine transport that gives the frame
     of R(sigma <= tau): tr.t for (e, to_face), 0 for (e, from_face) and for
     boundary edges, and the star walk's transport from the vertex frame to
-    the edge frame for (v, e).
+    the edge frame for (v, e).  I is checked by _check_translations.
     """
     return _build_I_sheaf(build_R_sheaf(S))
 
 
 def _build_I_sheaf(R):
     """build_I_sheaf on top of the monodromy sheaf R, built already."""
-    from .sheaves import constant_sheaf
-
+    _check_translations(R)
     X = R.base
     frac = {x: Fraction(x) for M in R.restrictions.values() for x in M.flat}
     frac.update({0: Fraction(0), 1: Fraction(1)})
-    rq = {}
-    restrictions = {}
+    rq, restrictions = {}, {}
     for key, M in R.restrictions.items():
         rq[key], restrictions[key] = _twist(M, R._shifts.get(key, ()), frac)
     RQ = CellularSheaf(X, "Q", {c: R.stalk(c) for c in X.cells}, rq)
     stalks = {c: Stalk(1 + R.rank(c)) for c in X.cells}
     I = CellularSheaf(X, "Q", stalks, restrictions)
-    rep = validate_sheaf(I)
-    if not rep.valid:
-        raise AffineError("affine-function sheaf invalid: %s" % rep)
     QQ = constant_sheaf(X, 1, "Q")
     # i embeds the constants, p projects onto the covectors
     iblocks, pblocks = {}, {}
     for c in X.cells:
         e = eye(1 + R.rank(c), "Q")
         iblocks[c], pblocks[c] = e[:, :1].copy(), e[1:].copy()
-    ses = ShortExactSequence(
-        i=SheafMap(QQ, I, iblocks), p=SheafMap(I, RQ, pblocks)
-    )
-    return I, ses
+    return I, ShortExactSequence(i=SheafMap(QQ, I, iblocks), p=SheafMap(I, RQ, pblocks))
+
+
+def _check_translations(R):
+    """Raise the AffineError of validate_sheaf on the I of R, if I is no sheaf.
+
+    R's squares commute (build_R_sheaf validated them), so I's do exactly
+    when, for every sigma < tau < rho, t_{sigma tau}^T R_{sigma tau} +
+    t_{tau rho}^T R_{tau rho} R_{sigma tau} is the same for every tau: ints
+    over one denominator, violations listed as validate_sheaf lists them.
+    """
+    X = R.base
+    den = lcm(*(s.denominator for t in R._shifts.values() for s in t))
+    shift = {key: [s.numerator * (den // s.denominator) for s in t] for key, t in R._shifts.items()}
+    bad = []
+    for rho in (c for c in X._order if X.cells.get(c, 0) >= 2):
+        rows = {}
+        for tau, _ in X.faces_of(rho):
+            w = _pull(shift.get((tau, rho), ()), R.restriction(tau, rho).tolist())
+            for sigma, _ in X.faces_of(tau):
+                t = shift.get((sigma, tau))
+                u = [a + b for a, b in zip(t, w)] if t else w
+                rows.setdefault(sigma, []).append((tau, _pull(u, R.restriction(sigma, tau).tolist())))
+        for sigma, ((base_tau, base), *others) in rows.items():
+            tau = next((tau for tau, row in others if row != base), None)
+            if tau is not None:
+                bad.append(
+                    "restrictions around (%s <= %s) do not commute (via %s vs %s)" % (sigma, rho, base_tau, tau)
+                )
+    if bad:
+        raise AffineError("affine-function sheaf invalid: %s" % ValidationReport(bad))
 
 
 def dhat(S, cls, ses=None, target=None):
     """Connecting map of the affine-function sequence applied to a class.
 
     Returns (cohomology result of H^{k+1}(O, Q), canonical coordinates).
-    The affine-function sheaf splits stalkwise as constants plus covectors,
-    so the zig-zag lift is the explicit section: embed the cocycle with zero
-    constant components, differentiate, and read off the constant parts.
-    In top degree on a surface the target vanishes and the map is zero.
+    I is constants plus covectors stalkwise, so the zig-zag lifts a cocycle
+    c to (0, c), and the constant part of d_I (0, c) is T c: the pairing with
+    the translations of the affine holonomy, whose class is the radiance
+    obstruction.  T is read off the class's sheaf when it records them, else
+    off build_R_sheaf(S), and no I is built.  ses is accepted and not read,
+    since callers that built the sequence still pass it.  In top degree on
+    a surface the target vanishes and the map is zero.
     """
-    if ses is None:
-        _, ses = build_I_sheaf(S)
-    RQ = ses.p.target
-    I = ses.B
-    QQ = ses.i.source
+    R = cls.sheaf if isinstance(cls.sheaf, _MonodromySheaf) else build_R_sheaf(S)
     k = cls.degree
-    hA = target if target is not None else cohomology(QQ, k + 1)
-    if RQ.cochain_rank(k) == 0 or hA.presentation.n == 0:
+    hA = target if target is not None else cohomology(constant_sheaf(R.base, 1, "Q"), k + 1)
+    if R.cochain_rank(k) == 0 or hA.presentation.n == 0:
         return hA, tuple(Fraction(0) for _ in range(hA.presentation.dimension))
-    # the lift, sparse: the covector slots of I's stalks hold the cocycle
-    b = {}
-    offI, _ = I.offsets(k)
-    offR, _ = RQ.offsets(k)
-    for c in I.cochain_cells(k):
-        i0, j0 = offI[c], offR[c]
-        for i in range(RQ.rank(c)):
-            if cls.cocycle[j0 + i] != 0:
-                b[i0 + 1 + i] = Fraction(cls.cocycle[j0 + i])
-    offI1, _ = I.offsets(k + 1)
-    offQ1, _ = QQ.offsets(k + 1)
-    constant = {offI1[c]: offQ1[c] for c in I.cochain_cells(k + 1)}
-    a = QQ.zero_cochain(k + 1)
-    for i, v in _apply_columns(I._differential_columns(k), b).items():
-        if i not in constant:
-            raise AffineError("zig-zag left the constant subsheaf; not a cocycle")
-        a[constant[i]] = v
+    c = {j: Fraction(v) for j, v in enumerate(cls.cocycle) if v != 0}
+    if _apply_columns(R._differential_columns(k), c):
+        raise AffineError("zig-zag left the constant subsheaf; not a cocycle")
+    a = hA.sheaf.zero_cochain(k + 1)
+    for i, v in _apply_columns(R._translation_columns(k), c).items():
+        a[i] = v
     return hA, hA.coordinates(a)
 
 
@@ -634,21 +674,16 @@ def lagrangian_moduli(S):
 
 def _lagrangian_moduli(S, h1):
     """lagrangian_moduli on top of h1, H^1 of the monodromy sheaf R of S,
-    computed already."""
+    computed already.  No I is built: dhat reads T off R, and T_1, built
+    first, checks the translations as build_I_sheaf does, once per R."""
     R = h1.sheaf
-    _, ses = _build_I_sheaf(R)
-    QQ = ses.i.source
-    hA = cohomology(QQ, 2)
+    R._translation_columns(1)
+    hA = cohomology(constant_sheaf(R.base, 1, "Q"), 2)
     dim = hA.presentation.dimension
-    images = []
-    for g in h1.generator_cocycles():
-        cls = CohomologyClass(R, 1, g)
-        _, coords = dhat(S, cls, ses, target=hA)
-        images.append(list(coords))
+    images = [list(dhat(S, CohomologyClass(R, 1, g), target=hA)[1]) for g in h1.generator_cocycles()]
     if not images or dim == 0:
         return dim, 0
-    rank = q_rank(fracmat(images))
-    return dim, rank
+    return dim, q_rank(fracmat(images))
 
 
 def torus_bundle_h1(c):

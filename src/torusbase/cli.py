@@ -40,6 +40,8 @@ def _load(path):
         return serialize.load_path(path)
     except FileNotFoundError:
         raise DocumentError("no such file: %s" % path) from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise DocumentError("cannot read %s: %s" % (path, getattr(err, "strerror", None) or err)) from None
 
 
 def cmd_check(args):
@@ -262,8 +264,11 @@ def cmd_catalog(args):
             lines.append("non-realizable: obstruction Z/2 nonzero")
     if args.export:
         doc = _export_entry(entry)
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(doc))
+        try:
+            with open(args.export, "w", encoding="utf-8") as fh:
+                fh.write(serialize.dumps(doc))
+        except OSError as err:
+            raise DocumentError("cannot write %s: %s" % (args.export, err.strerror or err)) from None
         lines.append("exported to %s" % args.export)
     _emit(args, payload, "\n".join(lines))
     return status

@@ -898,17 +898,18 @@ def test_chartless_focus_focus_with_fixed_point(t, A):
     assert validate_affine(S).valid
 
 
-@pytest.mark.parametrize(
-    "t, A",
-    [
-        ((0, 1), _SHEAR),
-        ((3, Fraction(1, 2)), _SHEAR),
-        ((1, -1), _CONJUGATE_SHEAR),
-        ((0, Fraction(1, 3)), _CONJUGATE_SHEAR),
-    ],
-)
+_NO_FIXED_POINT = [
+    ((0, 1), _SHEAR),
+    ((3, Fraction(1, 2)), _SHEAR),
+    ((1, -1), _CONJUGATE_SHEAR),
+    ((0, Fraction(1, 3)), _CONJUGATE_SHEAR),
+]
+
+
+@pytest.mark.parametrize("t, A", _NO_FIXED_POINT)
 def test_chartless_focus_focus_without_fixed_point(t, A):
     from torusbase.exact import solve
+    from torusbase.surgery import realizability_report_2d
 
     S = chartless_ff_disk(t, A)
     W, s = vertex_wheel(S, "c")
@@ -916,6 +917,14 @@ def test_chartless_focus_focus_without_fixed_point(t, A):
     rep = validate_affine(S)
     assert not rep.valid
     assert rep.violations == ["wheel at focus-focus vertex c has no fixed point"]
+    # I is no sheaf, and the moduli say so though H^1 has no generator to
+    # build anything from
+    R = build_R_sheaf(S)
+    assert cohomology(R, 1).generator_cocycles() == []
+    want = _check_text(lambda: _build_I_sheaf(S, R))
+    assert want.startswith("affine-function sheaf invalid: restrictions around (c <= ('t', 0)) do not commute")
+    assert _check_text(lambda: lagrangian_moduli(S)) == want
+    assert _check_text(lambda: realizability_report_2d(S)) == want
 
 
 @pytest.mark.parametrize(
@@ -934,3 +943,120 @@ def test_dhat_agrees_with_the_connecting_map(surface):
         _, got = dhat(S, CohomologyClass(R, 1, g), ses)
         coef = d.source.to_presentation_coords(fracvec(g))
         assert got == d.target.presentation.reduce(d.matrix.dot(coef))
+
+
+# ---------------------------------------------------------------------------
+# The moduli path without I: the translation check against validate_sheaf on
+# the reference I, and dhat read off the translation cochain map of R.
+
+
+def _check_text(check):
+    """The text of the AffineError check() raises, or None when it returns."""
+    try:
+        check()
+    except AffineError as exc:
+        return str(exc)
+    return None
+
+
+def _translation_verdicts(S):
+    """(the translation check on R of S, the reference I's validate_sheaf)."""
+    from torusbase.affine import _check_translations
+
+    R = build_R_sheaf(S)
+    return _check_text(lambda: _check_translations(R)), _check_text(lambda: _build_I_sheaf(S, R))
+
+
+def _shifted_transition(S, seed):
+    """S with a seeded nonzero change to the translation of one transition."""
+    rng = random.Random(seed)
+    e = rng.choice(sorted(S.transitions, key=str))
+    tr = S.transitions[e]
+    step = fracvec([Fraction(rng.randint(1, 3), rng.choice((1, 2, 3))), rng.randint(-1, 1)])
+    transitions = dict(S.transitions)
+    transitions[e] = EdgeTransition(tr.from_face, tr.to_face, tr.A, tr.t + step)
+    return AffineSurface(base=S.base, charts={}, transitions=transitions, markings=S.markings)
+
+
+_CHECKED_SURFACES = _TRANSPORT_SURFACES + [
+    ("no fixed point %d" % i, lambda t=t, A=A: chartless_ff_disk(t, A)) for i, (t, A) in enumerate(_NO_FIXED_POINT)
+]
+
+
+@pytest.mark.parametrize("name, surface", _CHECKED_SURFACES, ids=[i for i, _ in _CHECKED_SURFACES])
+def test_translation_check_matches_validate_sheaf_on_the_reference_I(name, surface):
+    S = surface()
+    got, ref = _translation_verdicts(S)
+    assert got == ref
+    assert (ref is None) == (name in dict(_TRANSPORT_SURFACES))
+    for seed in (1, 2) if S.transitions else ():
+        got, ref = _translation_verdicts(_shifted_transition(S, seed))
+        assert got == ref
+        # a closed flat torus has no room for another translation; a disk may
+        if name.startswith("flat_torus"):
+            assert ref.startswith("affine-function sheaf invalid: restrictions around")
+
+
+@pytest.mark.parametrize("pick", [0, 7, -1])
+def test_a_perturbed_translation_of_R_is_reported(pick, monkeypatch):
+    import torusbase.affine as affine
+
+    S = flat_torus_surface(1, size=3)
+
+    def perturbed(*_):
+        R = build_R_sheaf(S)
+        key = sorted(R._shifts, key=str)[pick]
+        t = R._shifts[key]
+        R._shifts[key] = (t[0] + Fraction(1, 3), t[1])
+        return R
+
+    with monkeypatch.context() as m:
+        m.setattr(affine, "_check_translations", lambda R: None)
+        I, _ = affine._build_I_sheaf(perturbed())
+    rep = validate_sheaf(I)
+    assert not rep.valid
+    want = "affine-function sheaf invalid: %s" % rep
+    monkeypatch.setattr(affine, "build_R_sheaf", perturbed)
+    assert _check_text(lambda: affine.build_I_sheaf(S)) == want
+    assert _check_text(lambda: affine.lagrangian_moduli(S)) == want
+
+
+def test_moduli_build_no_I_sheaf(monkeypatch):
+    import torusbase.affine as affine
+    from torusbase.surgery import realizability_report_2d
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the moduli path built the I sheaf")
+
+    for name in ("_build_I_sheaf", "build_I_sheaf", "ShortExactSequence", "SheafMap"):
+        monkeypatch.setattr(affine, name, broken)
+    assert lagrangian_moduli(flat_torus_surface()) == (1, 1)
+    assert lagrangian_moduli(flat_torus_surface(2, size=4)) == (1, 1)
+    assert lagrangian_moduli(cp2_triangle_surface()) == (0, 0)
+    assert realizability_report_2d(ff_disk_surface(2)).verdict == "realizable"
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [lambda: flat_torus_surface(2, size=3), lambda: ff_disk_surface(2), klein_affine_surface],
+    ids=["flat_torus:2", "ff_disk:2", "klein_affine"],
+)
+def test_dhat_on_a_plain_sheaf_reads_T_off_a_built_R(surface, monkeypatch):
+    import torusbase.affine as affine
+
+    S = surface()
+    R = build_R_sheaf(S)
+    _, ses = build_I_sheaf(S)
+    plain_Z = CellularSheaf(R.base, "Z", R.stalks, R.restrictions)
+    built = []
+    monkeypatch.setattr(affine, "build_R_sheaf", lambda S: built.append(S) or build_R_sheaf(S))
+    target = cohomology(ses.i.source, 2)
+    for k in (0, 1):
+        for g in cohomology(R, k).generator_cocycles():
+            _, want = dhat(S, CohomologyClass(R, k, g), target=target if k == 1 else None)
+            assert built == []
+            for F in (plain_Z, ses.C):
+                cls = CohomologyClass(F, k, fracvec(g) if F.ring == "Q" else g)
+                _, got = dhat(S, cls, target=target if k == 1 else None)
+                assert got == want
+                assert built.pop() is S

@@ -521,3 +521,28 @@ def test_negative_stalk_rank_is_usage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "negative rank" in err
+
+
+def test_check_on_a_directory_is_usage(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "cannot read %s" % tmp_path in err
+
+
+def test_check_on_a_file_that_is_not_utf8_is_usage(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "torusbase/\xe9"}')
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "cannot read %s" % path in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_export_that_cannot_be_written_is_usage(tmp_path, capsys, where):
+    path = tmp_path if where == "directory" else tmp_path / "nosuch" / "x.json"
+    assert main(["catalog", "sphere_24ff", "--export", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "cannot write %s" % path in err
