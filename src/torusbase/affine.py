@@ -15,6 +15,7 @@ and AffineSurface.crossing only convert to and from numpy (A, t) pairs.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -463,12 +464,19 @@ class _MonodromySheaf(CellularSheaf):
     star walk's transport for (v, e); absent (zero) for (e, from_face) and
     boundary edges.  build_I_sheaf twists R by them, so it walks no star;
     dhat reads its translation cochain map T off them, so it builds no I.
+    constants, the A of 0 -> Q -> I -> R_Q -> 0, is built once per R, so
+    build_I_sheaf, dhat and lagrangian_moduli share each H^k(O; Q).
     """
 
     def __init__(self, base, stalks, restrictions, shifts):
         super().__init__(base, "Z", stalks, restrictions)
         self._shifts = shifts
         self._translation_cols = {}
+
+    @cached_property
+    def constants(self):
+        """The constant Q sheaf of R's base, built on first use."""
+        return constant_sheaf(self.base, 1, "Q")
 
     def _translation_columns(self, k):
         """T_k: C^k(R) -> C^{k+1}(O; Q), the constant part of d_I on (0, c), as
@@ -499,7 +507,17 @@ def build_R_sheaf(S):
     transition's from_face); a focus-focus vertex carries the rank-1 lattice
     of covectors fixed by its local monodromy.  One star walk per vertex
     gives the vertex restrictions and, at a focus-focus vertex, the wheel.
+
+    Built once per surface from its base, transitions and markings, and kept
+    on it, so every invariant of S shares R and each H^k(O, R).
     """
+    if "_R" not in S.__dict__:
+        S._R = _build_R_sheaf(S)
+    return S._R
+
+
+def _build_R_sheaf(S):
+    """build_R_sheaf, built anew."""
     X = S.base
     stalks = {}
     restrictions = {}
@@ -598,7 +616,7 @@ def _build_I_sheaf(R):
     RQ = CellularSheaf(X, "Q", {c: R.stalk(c) for c in X.cells}, rq)
     stalks = {c: Stalk(1 + R.rank(c)) for c in X.cells}
     I = CellularSheaf(X, "Q", stalks, restrictions)
-    QQ = constant_sheaf(X, 1, "Q")
+    QQ = R.constants
     # i embeds the constants, p projects onto the covectors
     iblocks, pblocks = {}, {}
     for c in X.cells:
@@ -646,12 +664,13 @@ def dhat(S, cls, ses=None, target=None):
     the translations of the affine holonomy, whose class is the radiance
     obstruction.  T is read off the class's sheaf when it records them, else
     off build_R_sheaf(S), and no I is built.  ses is accepted and not read,
-    since callers that built the sequence still pass it.  In top degree on
-    a surface the target vanishes and the map is zero.
+    since callers that built the sequence still pass it.  target is only a
+    shortcut: its default, H^{k+1} of R.constants, is computed once per R.
+    In top degree on a surface the target vanishes and the map is zero.
     """
     R = cls.sheaf if isinstance(cls.sheaf, _MonodromySheaf) else build_R_sheaf(S)
     k = cls.degree
-    hA = target if target is not None else cohomology(constant_sheaf(R.base, 1, "Q"), k + 1)
+    hA = target if target is not None else cohomology(R.constants, k + 1)
     if R.cochain_rank(k) == 0 or hA.presentation.n == 0:
         return hA, tuple(Fraction(0) for _ in range(hA.presentation.dimension))
     c = {j: Fraction(v) for j, v in enumerate(cls.cocycle) if v != 0}
@@ -678,7 +697,7 @@ def _lagrangian_moduli(S, h1):
     first, checks the translations as build_I_sheaf does, once per R."""
     R = h1.sheaf
     R._translation_columns(1)
-    hA = cohomology(constant_sheaf(R.base, 1, "Q"), 2)
+    hA = cohomology(R.constants, 2)
     dim = hA.presentation.dimension
     images = [list(dhat(S, CohomologyClass(R, 1, g), target=hA)[1]) for g in h1.generator_cocycles()]
     if not images or dim == 0:

@@ -886,10 +886,10 @@ class VerifyReport:
         return "\n".join([head] + ["  " + str(l) for l in self.lines])
 
 
-def _compute_invariant(entry, inv, R_groups, obstruction):
-    """The value of the invariant inv of entry; R_groups(k) is H^k of the
-    monodromy sheaf of an affine entry, obstruction() the gluing obstruction
-    report of a gluing entry."""
+def _compute_invariant(entry, inv, R, obstruction):
+    """The value of the invariant inv of entry; R() is the monodromy sheaf of
+    an affine entry, obstruction() the gluing obstruction report of a gluing
+    entry."""
     from .complexes import classify_surface, pi1_presentation
     from .surgery import _chern_class_coordinates
     from .affine import (
@@ -909,13 +909,13 @@ def _compute_invariant(entry, inv, R_groups, obstruction):
         if inv == "H2(O,Z)":
             return str(cohomology(constant_sheaf(X, 1), 2).group)
         if inv.startswith("H") and inv.endswith("(O,R)"):
-            return str(R_groups(int(inv[1])).group)
+            return str(cohomology(R(), int(inv[1])).group)
         if inv == "moduli":
-            return _lagrangian_moduli(S, R_groups(1))
+            return _lagrangian_moduli(S, cohomology(R(), 1))
         if inv == "H1(M4)":
-            return str(torus_bundle_h1(_chern_class_coordinates(S, R_groups(2))))
+            return str(torus_bundle_h1(_chern_class_coordinates(S, cohomology(R(), 2))))
         if inv == "chern":
-            return tuple(int(c) for c in _chern_class_coordinates(S, R_groups(2)))
+            return tuple(int(c) for c in _chern_class_coordinates(S, cohomology(R(), 2)))
         if inv == "area":
             return affine_area(S)
         if inv == "classify":
@@ -971,13 +971,12 @@ def _compute_invariant(entry, inv, R_groups, obstruction):
 
 def verify(entry):
     """Recompute every expected invariant and diff against the expectation.
-    The invariants of an affine entry share its monodromy sheaf R, built at
-    most once, and each H^k(R); those of a gluing entry share its gluing
-    obstruction, computed at most once."""
+    The invariants of an affine entry share its monodromy sheaf R, asked of
+    build_R_sheaf at most once, and through R each H^k(R); those of a gluing
+    entry share its gluing obstruction, computed at most once."""
     from .surgery import gluing_obstruction
 
     R = lru_cache(None)(lambda: build_R_sheaf(entry.payload))
-    R_groups = lru_cache(None)(lambda k: cohomology(R(), k))
 
     @lru_cache(None)
     def obstruction():
@@ -987,7 +986,7 @@ def verify(entry):
     lines = []
     for inv in sorted(entry.expected):
         exp = entry.expected[inv]
-        got = _compute_invariant(entry, inv, R_groups, obstruction)
+        got = _compute_invariant(entry, inv, R, obstruction)
         lines.append(
             VerifyLine(
                 invariant=inv,

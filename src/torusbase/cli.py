@@ -9,6 +9,7 @@ parse errors.  Every error is raised to main, which alone prints the one
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import serialize
 from .affine import (
@@ -292,7 +293,9 @@ def _export_entry(entry):
     raise CatalogError("cannot export %s" % entry.name)
 
 
-def main(argv=None):
+@lru_cache(None)
+def _parser():
+    """The argument parser, built once: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="torusbase",
         description=(
@@ -337,7 +340,11 @@ def main(argv=None):
     p.add_argument("--export", metavar="FILE")
     p.add_argument("--list", action="store_true")
     p.set_defaults(fn=cmd_catalog)
+    return parser
 
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
     if not getattr(args, "fn", None):
         parser.print_help()

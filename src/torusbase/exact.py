@@ -23,7 +23,8 @@ nonzero entries: it gives the row Hermite normal form over Z and the reduced
 row echelon form over Q.  There is one inverse, _inverse, read off that loop
 over Z (of a unimodular matrix) or over Q; unimodular_inverse, the inverse
 of the Smith transform in PresentedGroup.generators and the stalk iso check
-of sheaves all call it.  Row convention: matrices act on column vectors;
+of sheaves over Q all call it (over Z that check inverts modulo the stalk
+torsion, off _echelon_with_transform).  Row convention: matrices act on column vectors;
 relation subgroups/subspaces are given by rows.
 
 Over Z an entry point takes an integral Fraction as its int and raises

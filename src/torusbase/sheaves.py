@@ -88,6 +88,7 @@ class CellularSheaf:
         self._diff_rows = {}
         self._diff_cols = {}
         self._diff = {}
+        self._groups = {}  # k -> (cocycle basis, presentation) of H^k
 
     def stalk(self, cell):
         return self.stalks.get(cell, _ZERO_STALK)
@@ -324,12 +325,20 @@ class CohomologyResult:
     d, the coboundaries and the torsion are read as sparse rows, and the
     relations go to the presentation as sparse rows.  The one dense matrix is
     the kernel of [d | -torsion^T] over Z (see exact._preimage_rows).
+
+    The basis and the presentation are computed once per sheaf and degree,
+    and kept on the sheaf beside its differentials for every later result.
+    The sheaf keeps that pair, never the result, which refers to the sheaf:
+    so the two form no reference cycle.
     """
 
     def __init__(self, sheaf, degree):
         self.sheaf = sheaf
         self.degree = degree
         F, k = sheaf, degree
+        if k in F._groups:
+            self._cocycles, self._pg = F._groups[k]
+            return
         n = F.cochain_rank(k)
         d = F._differential_rows(k)
         if F.ring == "Z":
@@ -349,6 +358,7 @@ class CohomologyResult:
                     raise SheafError("coboundary lies outside the cocycle lattice")
                 rel.append(coef)
         self._pg = quotient(len(pivot_rows), rel)
+        F._groups[k] = self._cocycles, self._pg
 
     @property
     def group(self):
@@ -384,7 +394,7 @@ class CohomologyResult:
 
 
 def cohomology(F, k):
-    """H^k(base, F) with representative cocycles.
+    """H^k(base, F) with representative cocycles, once per sheaf and degree.
 
     Out-of-range degrees give the zero group (their cochain spaces are empty).
     """
@@ -510,15 +520,12 @@ class SheafMap:
         gens = self._cochain_columns(k) + self.target._torsion_rows(k)
         pivots, null = _echelon_with_transform(gens, width, self.source.ring)
 
-        def cut(x, sign):
-            return {c - width: sign * v for c, v in x.items() if c < width + n}
-
         def lift(x):
             if _substitute(x, pivots) is None or any(c < width for c in x):
                 return None
-            return cut(x, -1)
+            return {c: -v for c, v in _cut(x, width, n).items()}
 
-        return lift, [cut(row, 1) for row in null]
+        return lift, [_cut(row, width, n) for row in null]
 
     def cochain_matrix(self, k):
         """The cochain map in degree k as a dense matrix: the view of _cochain_rows(k)."""
@@ -807,32 +814,64 @@ def _stalk_iso_violations(X, Y, F1, F2, cell_map, isos):
     """(violations, inverses) of the stalk isos isos[c], from F1 at the cell
     c of X to F2 at cell_map[c], along cell_map, defined on every cell of X
     and onto the cells of Y.  In cell order: the cell map itself; each iso
-    there, of the right shape and invertible over the ring (an iso of a Z
-    sheaf with a non-integer entry is not); then, when all of that holds, the
-    squares of _iso_violations.  inverses[c] maps F2's stalk at cell_map[c]
-    back to F1's at c, for every c whose iso is invertible."""
+    there, of the right shape and invertible on the stalk groups (see
+    _stalk_inverse; an iso of a Z sheaf with a non-integer entry is not);
+    then, when all of that holds, the squares of _iso_violations.
+    inverses[c] maps F2's stalk at cell_map[c] back to F1's at c, for every
+    c whose iso is invertible."""
     ring = F1.ring
     bad = _cell_map_violations(X, Y, cell_map)
     inverses = {}
     for k in range(X.dimension + 1):
         for c in X.cells_of_dim(k):
             J = isos.get(c)
-            n = F1.rank(c)
             if J is None:
                 bad.append("missing stalk iso at %s" % (c,))
                 continue
-            if J.shape != (F2.rank(cell_map[c]), n):
+            if J.shape != (F2.rank(cell_map[c]), F1.rank(c)):
                 bad.append("stalk iso at %s has the wrong shape" % (c,))
                 continue
             try:
-                inverse = _inverse(_sparse_rows(J, ring), n, ring)
+                inverse = _stalk_inverse(J, F1.stalk(c), F2.stalk(cell_map[c]), ring)
             except ValueError:  # a non-integer entry over Z
                 inverse = None
             if inverse is None:
                 bad.append("stalk iso at %s is not invertible over %s" % (c, ring))
             else:
-                inverses[c] = _dense(inverse, (n, n), ring)
+                inverses[c] = inverse
     return bad or _iso_violations(X, F1, F2, cell_map, isos), inverses
+
+
+def _stalk_inverse(J, A, B, ring):
+    """The inverse of the stalk map J from the stalk A to the stalk B, as a
+    dense matrix K, or None when J is no isomorphism of the stalk groups.
+
+    Over Q that is the inverse matrix.  Over Z the groups are Z^n / L_A and
+    Z^m / L_B, with L_A and L_B the torsion lattices.  J must map L_A into
+    L_B; one echelon form with transform of J's columns and L_B's rows then
+    shows the rest.  J is onto when the pivot rows are the m units, and the
+    transform of unit j, cut to J's columns, is column j of a K with J K = I
+    modulo L_B.  J is one to one when the null rows' transforms, cut to J's
+    columns, span the preimage of L_B, which must be L_A; K then maps L_B
+    into L_A.  On free stalks this is J unimodular, and K its inverse."""
+    n, m = A.rank, B.rank
+    if ring == "Q":
+        inverse = _inverse(_sparse_rows(J, ring), n, ring)
+        return None if inverse is None else _dense(inverse, (n, n), ring)
+    if not _respects_moduli(J, A, B):
+        return None
+    columns = _transpose(_sparse_rows(J, ring), n)
+    pivots, null = _echelon_with_transform(columns + _stalk_torsion_rows(B), m, ring)
+    if len(pivots) != m or any(row[p] != 1 for p, row in pivots.items()):
+        return None
+    if not _same_lattice([_cut(row, m, n) for row in null], _stalk_torsion_rows(A), n):
+        return None
+    return _dense(_transpose([_cut(row, m, n) for row in pivots.values()], n), (n, m))
+
+
+def _cut(row, first, n):
+    """The entries of the sparse row at columns first .. first + n - 1, moved to 0 .. n - 1."""
+    return {c - first: v for c, v in row.items() if first <= c < first + n}
 
 
 def _iso_violations(X, F1, F2, cell_map, isos, message="stalk isos break restriction at (%s, %s)"):

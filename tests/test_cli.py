@@ -546,3 +546,25 @@ def test_export_that_cannot_be_written_is_usage(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "cannot write %s" % path in err
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    from torusbase import cli
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["catalog", "--list"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 8  # the parser and its seven subparsers, once
+    assert "flat_torus" in capsys.readouterr().out

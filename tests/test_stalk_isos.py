@@ -2,9 +2,10 @@
 replaced.
 
 ``exact._inverse`` inverts a stalk iso over the ring of its sheaf, for
-``unimodular_inverse``, ``PresentedGroup.generators`` and the iso check;
-``sheaves._stalk_iso_violations`` is the one check behind gluing specs and
-sheaf automorphisms; ``fake_base_space`` reads each vertex iso off the two
+``unimodular_inverse``, ``PresentedGroup.generators`` and the iso check over
+Q; ``sheaves._stalk_iso_violations`` is the one check behind gluing specs and
+sheaf automorphisms, and over Z it asks an iso to be invertible on the stalk
+groups, torsion included; ``fake_base_space`` reads each vertex iso off the two
 monodromy sheaves (``catalog._vertex_iso``).  The dense ``unimodular_inverse``,
 ``_covector_frame_transport`` and the star-walk code of the two vertex-iso
 loops of ``fake_base_space`` are kept below, verbatim, as the reference.
@@ -26,7 +27,8 @@ from torusbase.catalog import (
     klein_affine_surface,
 )
 from torusbase.exact import eye, fracmat, hnf, intmat, mat_eq, unimodular_inverse, zeros
-from torusbase.sheaves import SheafAutomorphism, constant_sheaf
+from torusbase.complexes import CellComplex
+from torusbase.sheaves import CellularSheaf, SheafAutomorphism, Stalk, cohomology, constant_sheaf
 from torusbase.surgery import glue
 
 # ---------------------------------------------------------------------------
@@ -216,6 +218,63 @@ def test_automorphism_reports_a_non_invertible_iso():
 def test_automorphism_reports_a_fraction_over_z():
     rep = _automorphism(b=fracmat([[Fraction(1, 2)]])).validate()
     assert rep.violations == ["stalk iso at b is not invertible over Z"]
+
+
+# ---------------------------------------------------------------------------
+# One check: isos of torsion stalks are isomorphisms of the stalk groups
+
+
+def _scaling(rank, moduli, J):
+    """The identity cell map of a triangle with the iso J at every cell of the
+    constant sheaf with the given stalk."""
+    X = triangle("f", ["a", "b", "c"])
+    F = constant_sheaf(X, rank, moduli=moduli)
+    return SheafAutomorphism(F, {c: c for c in X.cells}, {c: intmat(J) for c in X.cells})
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, -1])
+def test_a_unit_of_z5_is_an_automorphism_of_constant_z5(factor):
+    assert _scaling(1, (5,), [[factor]]).validate().valid
+
+
+def test_times_5_on_constant_z5_is_no_automorphism():
+    rep = _scaling(1, (5,), [[5]]).validate()
+    assert len(rep.violations) == 7
+    assert rep.violations[0] == "stalk iso at a is not invertible over Z"
+
+
+def test_an_iso_of_z2_plus_z_may_scale_the_torsion_by_a_unit():
+    assert _scaling(2, (2, 0), [[3, 0], [0, 1]]).validate().valid
+    # the free generator cannot be sent to a torsion one, nor doubled
+    assert not _scaling(2, (2, 0), [[0, 1], [1, 0]]).validate().valid
+    assert not _scaling(2, (2, 0), [[1, 0], [0, 2]]).validate().valid
+
+
+def test_no_stalk_iso_swaps_z2_and_z3():
+    X = CellComplex(cells={"a": 0, "b": 0}, incidence={})
+    F = CellularSheaf(X, "Z", {"a": Stalk(1, (2,)), "b": Stalk(1, (3,))}, {})
+    aut = SheafAutomorphism(F, {"a": "b", "b": "a"}, {"a": intmat([[1]]), "b": intmat([[1]])})
+    assert aut.validate().violations == [
+        "stalk iso at a is not invertible over Z",
+        "stalk iso at b is not invertible over Z",
+    ]
+
+
+@pytest.mark.parametrize("factor", [3, -1])
+def test_gluing_z2_sheaves_along_a_unit_is_gluing_along_1(factor):
+    def glued(J):
+        X1, X2 = triangle("f1", ["a", "b", "c"]), triangle("f2", ["a", "b", "c"])
+        shared = {c for c in X1.cells if X1.dim(c) < 2}
+        spec = identity_spec(X1, constant_sheaf(X1, 1, moduli=(2,)), X2, constant_sheaf(X2, 1, moduli=(2,)), shared)
+        spec.stalk_isos = {c: intmat(J) for c in shared}
+        bad, inverses = spec._checked()
+        assert bad == []
+        # each inverse undoes J modulo 2
+        assert all((J[0][0] * K[0, 0] - 1) % 2 == 0 for K in inverses.values())
+        _, F, _ = glue(spec)
+        return [str(cohomology(F, k).group) for k in range(3)]
+
+    assert glued([[factor]]) == glued([[1]]) == ["Z/2", "0", "Z/2"]
 
 
 # ---------------------------------------------------------------------------
