@@ -11,6 +11,10 @@ p -> [[a, b], [c, d]] p + (x, y), with Python ints and a translation of ints
 when integral, else Fractions.  affine_compose, affine_inverse,
 affine_identity, dual_matrix, fixed_covector, star_transports, vertex_wheel
 and AffineSurface.crossing only convert to and from numpy (A, t) pairs.
+
+Each invariant of a surface has one entry point, which takes the surface:
+build_R_sheaf keeps R on it, and lagrangian_moduli and dhat read R and its
+cohomology from there.
 """
 
 from dataclasses import dataclass, field
@@ -308,6 +312,7 @@ def validate_affine(S):
             bad.append("elliptic_edge mark on non-boundary-edge %s" % (cell,))
         if mark.kind == "elliptic_vertex" and X.dim(cell) != 0:
             bad.append("elliptic_vertex mark on non-vertex %s" % (cell,))
+    bad.extend("chern entry on non-face %s" % (f,) for f in S.chern_cocycle if X.dim(f) != 2)
     for v in X.cells_of_dim(0):
         mark = S.mark(v)
         faces, _, _, _, wheel = _star_walk(S, v)
@@ -664,8 +669,9 @@ def dhat(S, cls, ses=None, target=None):
     the translations of the affine holonomy, whose class is the radiance
     obstruction.  T is read off the class's sheaf when it records them, else
     off build_R_sheaf(S), and no I is built.  ses is accepted and not read,
-    since callers that built the sequence still pass it.  target is only a
-    shortcut: its default, H^{k+1} of R.constants, is computed once per R.
+    and target is only a shortcut: its default, H^{k+1} of R.constants, is
+    kept by R.constants.  No caller in torusbase passes either; both stay for
+    callers that built the sequence and its target already.
     In top degree on a surface the target vanishes and the map is zero.
     """
     R = cls.sheaf if isinstance(cls.sheaf, _MonodromySheaf) else build_R_sheaf(S)
@@ -686,20 +692,15 @@ def lagrangian_moduli(S):
     """(dim H^2(O, R-coefficients), rank of the dhat image of H^1(O, R)).
 
     Presents the symplectic moduli H^2(O, R)/dhat(H^1(O, R-sheaf)) as an
-    ambient dimension and a lattice rank.
+    ambient dimension and a lattice rank.  R and H^1(R) are the ones S keeps.
+    No I is built: dhat reads T off R, and T_1, built first, checks the
+    translations as build_I_sheaf does, once per R, even when H^1(R) is 0.
     """
-    return _lagrangian_moduli(S, cohomology(build_R_sheaf(S), 1))
-
-
-def _lagrangian_moduli(S, h1):
-    """lagrangian_moduli on top of h1, H^1 of the monodromy sheaf R of S,
-    computed already.  No I is built: dhat reads T off R, and T_1, built
-    first, checks the translations as build_I_sheaf does, once per R."""
-    R = h1.sheaf
+    R = build_R_sheaf(S)
+    h1 = cohomology(R, 1)
     R._translation_columns(1)
-    hA = cohomology(R.constants, 2)
-    dim = hA.presentation.dimension
-    images = [list(dhat(S, CohomologyClass(R, 1, g), target=hA)[1]) for g in h1.generator_cocycles()]
+    dim = cohomology(R.constants, 2).presentation.dimension
+    images = [list(dhat(S, CohomologyClass(R, 1, g))[1]) for g in h1.generator_cocycles()]
     if not images or dim == 0:
         return dim, 0
     return dim, q_rank(fracmat(images))

@@ -3,11 +3,13 @@
 Every entry bundles a payload (affine surface, complex + sheaf, polytope, or
 gluing specification) with the invariants it is expected to reproduce, each
 tagged by provenance, so the whole catalog can be re-verified mechanically.
+verify computes each invariant through its public entry point, with no
+cache of its own: an affine entry's invariants share R through the surface
+that keeps it, and a gluing entry's share one obstruction, computed first.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .affine import (
     AffineSurface,
@@ -497,32 +499,17 @@ def sphere_morse_graph_half(sign):
     sign +1 is the part above the cut (two maxima joined through a saddle to
     the cut vertex h); sign -1 the mirror half below.
     """
-    if sign > 0:
-        cells = {"m1": 0, "m2": 0, "a": 0, "h": 0, "u1": 1, "u2": 1, "mid": 1}
-        incidence = {
-            ("u1", "a"): -1, ("u1", "m1"): 1,
-            ("u2", "a"): -1, ("u2", "m2"): 1,
-            ("mid", "h"): -1, ("mid", "a"): 1,
-        }
-        stalks = {
-            "m1": Stalk(1), "m2": Stalk(1), "a": Stalk(0), "h": Stalk(1),
-            "u1": Stalk(1), "u2": Stalk(1), "mid": Stalk(1),
-        }
-        one = intmat([[1]])
-        restrictions = {("m1", "u1"): one, ("m2", "u2"): one, ("h", "mid"): one}
-    else:
-        cells = {"n1": 0, "n2": 0, "b": 0, "h": 0, "l1": 1, "l2": 1, "mid": 1}
-        incidence = {
-            ("l1", "b"): -1, ("l1", "n1"): 1,
-            ("l2", "b"): -1, ("l2", "n2"): 1,
-            ("mid", "h"): -1, ("mid", "b"): 1,
-        }
-        stalks = {
-            "n1": Stalk(1), "n2": Stalk(1), "b": Stalk(0), "h": Stalk(1),
-            "l1": Stalk(1), "l2": Stalk(1), "mid": Stalk(1),
-        }
-        one = intmat([[1]])
-        restrictions = {("n1", "l1"): one, ("n2", "l2"): one, ("h", "mid"): one}
+    m, a, u = ("m", "a", "u") if sign > 0 else ("n", "b", "l")
+    m1, m2, u1, u2 = m + "1", m + "2", u + "1", u + "2"
+    cells = {m1: 0, m2: 0, a: 0, "h": 0, u1: 1, u2: 1, "mid": 1}
+    incidence = {
+        (u1, a): -1, (u1, m1): 1,
+        (u2, a): -1, (u2, m2): 1,
+        ("mid", "h"): -1, ("mid", a): 1,
+    }
+    stalks = {c: Stalk(0 if c == a else 1) for c in cells}
+    one = intmat([[1]])
+    restrictions = {(m1, u1): one, (m2, u2): one, ("h", "mid"): one}
     X = CellComplex(cells=cells, incidence=incidence)
     return X, CellularSheaf(X, "Z", stalks, restrictions)
 
@@ -688,13 +675,13 @@ def _int_parameter(name, arg):
 
 def build(name):
     """Build a named catalog entry; parameters follow a colon (ff_disk:2)."""
-    base, _, arg = name.partition(":")
+    base, colon, arg = name.partition(":")
+    if colon and base in catalog_names() and base not in ("flat_torus", "ff_disk"):
+        raise CatalogError("catalog entry %r takes no parameter" % (base,))
     if base == "flat_torus":
         m = _int_parameter(name, arg)
         S = flat_torus_surface(m)
-        from math import gcd
-
-        g = gcd(abs(m), 0)
+        g = abs(m)
         h1 = "Z^4" if g == 0 else ("Z^3" if g == 1 else "Z^3 ⊕ Z/%d" % g)
         return CatalogEntry(
             name=name,
@@ -886,44 +873,47 @@ class VerifyReport:
         return "\n".join([head] + ["  " + str(l) for l in self.lines])
 
 
-def _compute_invariant(entry, inv, R, obstruction):
-    """The value of the invariant inv of entry; R() is the monodromy sheaf of
-    an affine entry, obstruction() the gluing obstruction report of a gluing
-    entry."""
+def _compute_invariant(entry, inv, obstruction):
+    """The value of the invariant inv of entry; obstruction is the gluing
+    obstruction report of a gluing entry."""
     from .complexes import classify_surface, pi1_presentation
-    from .surgery import _chern_class_coordinates
+    from .surgery import chern_class_coordinates
     from .affine import (
-        _lagrangian_moduli,
         affine_area,
         boundary_word_holonomy,
         affine_eq,
         affine_identity,
+        lagrangian_moduli,
         monodromy_rep,
         torus_bundle_h1,
         unipotent_power,
     )
 
-    if entry.kind == "affine":
-        S = entry.payload
-        X = S.base
+    if entry.kind in ("affine", "complex"):
+        if entry.kind == "affine":
+            X, ff = entry.payload.base, entry.payload.focus_focus_count()
+        else:
+            X, ff = entry.payload, len(entry.extras.get("focus_focus_orbits", ()))
         if inv == "H2(O,Z)":
             return str(cohomology(constant_sheaf(X, 1), 2).group)
-        if inv.startswith("H") and inv.endswith("(O,R)"):
-            return str(cohomology(R(), int(inv[1])).group)
-        if inv == "moduli":
-            return _lagrangian_moduli(S, cohomology(R(), 1))
-        if inv == "H1(M4)":
-            return str(torus_bundle_h1(_chern_class_coordinates(S, cohomology(R(), 2))))
-        if inv == "chern":
-            return tuple(int(c) for c in _chern_class_coordinates(S, cohomology(R(), 2)))
-        if inv == "area":
-            return affine_area(S)
         if inv == "classify":
-            return classify_surface(X, S.focus_focus_count()).kind
+            return classify_surface(X, ff).kind
         if inv == "euler":
             return X.euler_characteristic()
         if inv == "focus_focus":
-            return S.focus_focus_count()
+            return ff
+    if entry.kind == "affine":
+        S = entry.payload
+        if inv.startswith("H") and inv.endswith("(O,R)"):
+            return str(cohomology(build_R_sheaf(S), int(inv[1])).group)
+        if inv == "moduli":
+            return lagrangian_moduli(S)
+        if inv == "H1(M4)":
+            return str(torus_bundle_h1(chern_class_coordinates(S)))
+        if inv == "chern":
+            return tuple(int(c) for c in chern_class_coordinates(S))
+        if inv == "area":
+            return affine_area(S)
         if inv == "monodromy_unipotent_k":
             rep = monodromy_rep(S)
             out = set()
@@ -939,16 +929,6 @@ def _compute_invariant(entry, inv, R, obstruction):
             from .polytopes import delzant_check
 
             return delzant_check(entry.extras["polytope"]).ok
-    if entry.kind == "complex":
-        Q = entry.payload
-        if inv == "classify":
-            return classify_surface(Q, len(entry.extras.get("focus_focus_orbits", ()))).kind
-        if inv == "focus_focus":
-            return len(entry.extras["focus_focus_orbits"])
-        if inv == "H2(O,Z)":
-            return str(cohomology(constant_sheaf(Q, 1), 2).group)
-        if inv == "euler":
-            return Q.euler_characteristic()
     if entry.kind == "sheaf":
         X, F = entry.payload
         if inv.startswith("H") and inv.endswith("(sheaf)"):
@@ -959,34 +939,30 @@ def _compute_invariant(entry, inv, R, obstruction):
         if inv == "edge_stalks":
             return tuple(F.rank(c) for c in X.cells_of_dim(1))
     if entry.kind == "gluing":
-        rep = obstruction()
         if inv == "obstruction_group":
-            return str(rep.group)
+            return str(obstruction.group)
         if inv == "obstruction_nonzero":
-            return not rep.vanishes
+            return not obstruction.vanishes
         if inv == "verdict":
-            return "non-realizable" if not rep.vanishes else "gluable"
+            return "non-realizable" if not obstruction.vanishes else "gluable"
     raise CatalogError("no computation for invariant %r on %s" % (inv, entry.name))
 
 
 def verify(entry):
     """Recompute every expected invariant and diff against the expectation.
-    The invariants of an affine entry share its monodromy sheaf R, asked of
-    build_R_sheaf at most once, and through R each H^k(R); those of a gluing
-    entry share its gluing obstruction, computed at most once."""
+    The invariants of an affine entry share the monodromy sheaf R its surface
+    keeps, and through R each H^k(R); those of a gluing entry share its
+    gluing obstruction, computed once."""
     from .surgery import gluing_obstruction
 
-    R = lru_cache(None)(lambda: build_R_sheaf(entry.payload))
-
-    @lru_cache(None)
-    def obstruction():
+    obstruction = None
+    if entry.kind == "gluing":
         fb = entry.payload
-        return gluing_obstruction(fb["spec"], fb["class_minus"], fb["class_plus"])
-
+        obstruction = gluing_obstruction(fb["spec"], fb["class_minus"], fb["class_plus"])
     lines = []
     for inv in sorted(entry.expected):
         exp = entry.expected[inv]
-        got = _compute_invariant(entry, inv, R, obstruction)
+        got = _compute_invariant(entry, inv, obstruction)
         lines.append(
             VerifyLine(
                 invariant=inv,

@@ -6,6 +6,9 @@ the images of both pieces' H^2, applied to the difference of the supplied
 restricted classes.  A rational part (the same quotient with constant
 rational coefficients) is reported alongside, so the topological and
 symplectic obstructions stay distinguishable.
+
+chern_class_coordinates and realizability_report_2d read the monodromy sheaf
+R, and its cohomology, off the surface that keeps them (build_R_sheaf).
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +18,8 @@ import numpy as np
 
 from .affine import (
     AffineSurface,
-    _lagrangian_moduli,
     build_R_sheaf,
+    lagrangian_moduli,
     monodromy_rep,
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
@@ -27,6 +30,8 @@ from .sheaves import (
     _descend,
     _induced,
     _stalk_iso_violations,
+    class_from_components,
+    class_reduce,
     cohomology,
     constant_sheaf,
     restriction_on_cohomology,
@@ -231,20 +236,9 @@ def dehn_reglue(S, disk_faces, twist):
 
 def chern_class_coordinates(S):
     """Canonical coordinates of the carried Chern cocycle in H^2(O, R-sheaf)."""
-    return _chern_class_coordinates(S, cohomology(build_R_sheaf(S), 2))
-
-
-def _chern_class_coordinates(S, h2):
-    """chern_class_coordinates in h2, H^2 of the monodromy sheaf R of S,
-    computed already."""
-    R = h2.sheaf
-    vec = R.zero_cochain(2)
-    off, _ = R.offsets(2)
-    for f, val in S.chern_cocycle.items():
-        i = off[f]
-        vec[i] = int(val[0])
-        vec[i + 1] = int(val[1])
-    return h2.coordinates(vec)
+    R = build_R_sheaf(S)
+    components = {f: [int(v[0]), int(v[1])] for f, v in S.chern_cocycle.items()}
+    return class_reduce(class_from_components(R, 2, components))
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +268,9 @@ def realizability_report_2d(S):
         rep = validate(S.base)
         if not rep.valid:
             raise SurgeryError("base complex invalid")
-        R = build_R_sheaf(S)
         details = {
-            "H2(O, R)": str(cohomology(R, 2).group),
-            "moduli (dim, lattice rank)": _lagrangian_moduli(S, cohomology(R, 1)),
+            "H2(O, R)": str(cohomology(build_R_sheaf(S), 2).group),
+            "moduli (dim, lattice rank)": lagrangian_moduli(S),
             "focus_focus_points": S.focus_focus_count(),
         }
         if S.base.is_connected():

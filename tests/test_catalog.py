@@ -38,19 +38,18 @@ def test_every_payload_validates():
 
 @pytest.mark.parametrize("name", ["flat_torus:3"] + catalog_names())
 def test_verify_builds_the_monodromy_sheaf_at_most_once(monkeypatch, name):
-    from torusbase import affine, catalog, surgery
+    from torusbase import affine
 
     entry = build(name)
     if entry.kind != "affine":
         pytest.skip("%s has no monodromy sheaf" % name)
-    calls, build_R_sheaf = [], affine.build_R_sheaf
+    calls, build_anew = [], affine._build_R_sheaf
 
     def counting(S):
         calls.append(S)
-        return build_R_sheaf(S)
+        return build_anew(S)
 
-    for module in (affine, catalog, surgery):
-        monkeypatch.setattr(module, "build_R_sheaf", counting)
+    monkeypatch.setattr(affine, "_build_R_sheaf", counting)
     assert verify(entry).ok
     assert len(calls) <= 1  # none when no expected invariant needs R
 

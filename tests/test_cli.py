@@ -193,6 +193,24 @@ def test_catalog_parameter_not_an_integer(capsys):
     assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("name", ["sphere_24ff:2", "rp2_12ff:x", "kodaira_thurston:5"])
+def test_catalog_parameter_on_an_entry_that_takes_none(capsys, name):
+    assert main(["catalog", name]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "takes no parameter" in err
+
+
+def test_chern_entry_on_a_non_face_is_a_violation(tmp_path, capsys):
+    S = flat_torus_surface(1)
+    edge = S.base.cells_of_dim(1)[0]
+    S.chern_cocycle = {edge: (1, 0)}
+    path = tmp_path / "chern_on_edge.json"
+    path.write_text(serialize.dumps(serialize.encode_document(complex=S.base, affine=S)))
+    assert main(["check", str(path)]) == 1
+    assert "chern entry on non-face %s" % (edge,) in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("sheaf", ["Z^x", "Z^-1", "Z^", "Zx"])
 def test_bad_constant_sheaf_rank(torus_file, capsys, sheaf):
     capsys.readouterr()

@@ -8,13 +8,14 @@ the two are freed only by the cyclic garbage collector.
 """
 
 import gc
+import sys
 import weakref
 
 from torusbase import affine, sheaves
 from torusbase.affine import build_R_sheaf, lagrangian_moduli, rechart
-from torusbase.catalog import flat_torus_surface
+from torusbase.catalog import build, flat_torus_surface, verify
 from torusbase.sheaves import cohomology, constant_sheaf
-from torusbase.surgery import chern_class_coordinates
+from torusbase.surgery import chern_class_coordinates, realizability_report_2d
 
 
 def test_a_surface_keeps_its_monodromy_sheaf():
@@ -80,3 +81,29 @@ def test_a_returned_generator_is_the_callers_own():
     assert [g.tolist() for g in again.generator_cocycles()] == want
     assert [again.coordinates(g) for g in again.generator_cocycles()] == coords
     assert [h.coordinates(g) for g in h.generator_cocycles()] == coords
+
+
+def _count_calls(monkeypatch, module, name):
+    """Calls to module.name, counted in every torusbase namespace holding it."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.split(".")[0] == "torusbase" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_the_public_invariants_are_the_ones_asked(monkeypatch):
+    from torusbase import surgery
+
+    moduli = _count_calls(monkeypatch, affine, "lagrangian_moduli")
+    chern = _count_calls(monkeypatch, surgery, "chern_class_coordinates")
+    assert verify(build("flat_torus:3")).ok
+    assert moduli and chern
+    del moduli[:]
+    realizability_report_2d(flat_torus_surface())
+    assert len(moduli) == 1

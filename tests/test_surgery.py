@@ -269,16 +269,15 @@ def test_non_invertible_stalk_iso_is_a_surgery_error():
 
 
 def test_realizability_report_builds_the_monodromy_sheaf_once(monkeypatch):
-    from torusbase import affine, surgery
+    from torusbase import affine
 
-    calls = []
+    calls, build_anew = [], affine._build_R_sheaf
 
     def counting(S):
         calls.append(S)
-        return build_R_sheaf(S)
+        return build_anew(S)
 
-    monkeypatch.setattr(affine, "build_R_sheaf", counting)
-    monkeypatch.setattr(surgery, "build_R_sheaf", counting)
+    monkeypatch.setattr(affine, "_build_R_sheaf", counting)
     rep = realizability_report_2d(flat_torus_surface())
     assert rep.details["moduli (dim, lattice rank)"] == (1, 1)
     assert len(calls) == 1

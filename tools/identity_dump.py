@@ -46,12 +46,15 @@ ff_disk:2 and 3, and prints the bytes of its ``catalog NAME --export`` file
 and the stdout of ``catalog NAME --verify``; then the bytes of the
 ``fake_base_space`` piece export.  For every export it prints the exit code,
 stdout and stderr of ``monodromy``, ``check`` and ``cohomology --sheaf Z
---degree 2`` on the file, so the document encoder, writer and decoder run
-on every shape of document.
+--degree 2`` on the file, and of ``moduli`` on every export with an affine
+section, so the document encoder, writer and decoder run on every shape of
+document.  Last come the exit code, stdout and stderr of ``catalog
+sphere_24ff:2``, a parameter on an entry that takes none.
 """
 
 import contextlib
 import io
+import json
 import os
 import random
 import sys
@@ -375,9 +378,15 @@ def dump_cli(out):
                 out.append("== cli %s export\n%s" % (name, fh.read()))
             if name in light:
                 out.append("== cli %s verify\n%s" % (name, run_cli(["catalog", name, "--verify"])[1]))
-            for argv in (["monodromy"], ["check"], ["cohomology", "--sheaf", "Z", "--degree", "2"]):
+            verbs = [["monodromy"], ["check"], ["cohomology", "--sheaf", "Z", "--degree", "2"]]
+            with open(path, encoding="utf-8") as fh:
+                if "affine" in json.load(fh):
+                    verbs.append(["moduli"])
+            for argv in verbs:
                 code, stdout, stderr = run_cli(argv[:1] + [path] + argv[1:])
                 out.append("== cli %s %s exit %d\n%s%s" % (name, argv[0], code, stdout, stderr))
+    for argv in (["catalog", "sphere_24ff:2"],):
+        out.append("== cli %s exit %d\n%s%s" % ((" ".join(argv),) + run_cli(argv)))
 
 
 def main():
