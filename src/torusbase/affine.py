@@ -679,7 +679,7 @@ def dhat(S, cls, ses=None, target=None):
     hA = target if target is not None else cohomology(R.constants, k + 1)
     if R.cochain_rank(k) == 0 or hA.presentation.n == 0:
         return hA, tuple(Fraction(0) for _ in range(hA.presentation.dimension))
-    c = {j: Fraction(v) for j, v in enumerate(cls.cocycle) if v != 0}
+    c = {j: v for j, v in enumerate(cls.cocycle) if v != 0}
     if _apply_columns(R._differential_columns(k), c):
         raise AffineError("zig-zag left the constant subsheaf; not a cocycle")
     a = hA.sheaf.zero_cochain(k + 1)

@@ -664,8 +664,9 @@ def _exp(value, provenance):
 
 
 def _int_parameter(name, arg):
-    """The integer parameter after the colon of a catalog name, 1 if absent."""
-    if not arg:
+    """The integer parameter after the colon of a catalog name, 1 without a
+    colon; an empty parameter is not an integer."""
+    if ":" not in name:
         return 1
     try:
         return int(arg)

@@ -19,12 +19,16 @@ not the storage, fixes its D, U and V, so those coordinates did not move
 when the loop left dense arrays.  Everything else (hnf, kernel, the lattice
 functions, rref, q_rank, q_kernel, LinearSystem over Q, QuotientSpace,
 EchelonBasis, the inverses) runs one echelon loop, _echelon, touching only
-nonzero entries: it gives the row Hermite normal form over Z and the reduced
-row echelon form over Q.  There is one inverse, _inverse, read off that loop
-over Z (of a unimodular matrix) or over Q; unimodular_inverse, the inverse
-of the Smith transform in PresentedGroup.generators and the stalk iso check
-of sheaves over Q all call it (over Z that check inverts modulo the stalk
-torsion, off _echelon_with_transform).  Row convention: matrices act on column vectors;
+nonzero entries: a forward elimination, each row cleared only at the pivots
+left of its own, then one back pass that reduces above the pivots.  It gives
+the row Hermite normal form over Z and the reduced row echelon form over Q,
+both unique; the row transform it carries along (hnf's U, kernel's basis,
+LinearSystem's E over Q) is one representative.  There is one inverse,
+_inverse, read off that loop over Z (of a unimodular matrix) or over Q;
+unimodular_inverse, the inverse of the Smith transform in
+PresentedGroup.generators and the stalk iso check of sheaves over Q all call
+it (over Z that check inverts modulo the stalk torsion, off
+_echelon_with_transform).  Row convention: matrices act on column vectors;
 relation subgroups/subspaces are given by rows.
 
 Over Z an entry point takes an integral Fraction as its int and raises
@@ -484,35 +488,31 @@ def _echelon(rows, width, ring):
 
     rows are {column: entry} dicts without zeros.  Only columns below width
     can hold a pivot; columns from width on ride along (hnf and LinearSystem
-    keep their row transform there).  Rows are inserted sparsest first and
-    reduced left to right.  A row takes its first column without a pivot row
-    as its pivot (scaled to 1 over Q, made positive over Z); its entries at
-    later pivots are cleared (Q) or reduced into [0, pivot) (Z), and so is
-    its pivot in the pivot rows already there.  Over Z an entry f before it
-    that the pivot d there does not divide meets that pivot row in the
-    extended-gcd step (row, pivot) -> (a row + b pivot, d/g row - f/g pivot),
-    of determinant -1, with a f + b d = g = gcd(f, d); as that step and the
-    reductions can leave entries out of range, a last pass reduces them
-    again, pivots left to right.  The result, the reduced row echelon form
-    over Q and the row Hermite normal form over Z, is unique.
+    keep their row transform there).  The loop has two phases (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4).
+
+    Forward: rows are inserted sparsest first and cleared left to right at
+    the pivots they meet, up to their first column without a pivot row,
+    which becomes their pivot (scaled to 1 over Q, made positive over Z).
+    Over Z an entry f that the pivot d there does not divide meets that
+    pivot row in the extended-gcd step (row, pivot) -> (a row + b pivot,
+    d/g row - f/g pivot), of determinant -1, with a f + b d = g = gcd(f, d);
+    the entries the row gains come from the old pivot row.
+
+    Back: the rows are finalized in descending pivot order, each reduced
+    left to right against the rows already final: its entries at their
+    pivots are cleared (Q) or brought into [0, pivot) (Z).
+
+    The pivot rows below width, the reduced row echelon form over Q and the
+    row Hermite normal form over Z, are unique; their ride-along columns
+    (a row transform) and those of the null rows are one representative.
 
     Returns (pivot_rows, null_rows): pivot_rows maps each pivot column to
-    its row, in column order; null_rows are the reduced rows with no entry
-    below width.  The input dicts are not modified.
+    its row, in column order; null_rows are the rows with no entry below
+    width.  The input dicts are not modified.
     """
     pivot_rows = {}
     null_rows = []
-    # holders[c]: the pivot rows that held an entry at column c < width when
-    # they were last written, an index like snf's; an entry that cancels
-    # leaves a stale holder, which the membership tests below skip.  A pivot
-    # row holds no entry left of its pivot.
-    holders = {}
-
-    def hold(o, cols):
-        for c in cols:
-            if c < width:
-                holders.setdefault(c, set()).add(o)
-
     for row in sorted(rows, key=len):
         row = dict(row)
         todo = [c for c in row if c < width]
@@ -525,43 +525,38 @@ def _echelon(rows, width, ring):
                 continue  # cancelled, or a column met twice
             piv = pivot_rows.get(p)
             if piv is None:
-                if lead is None:
-                    lead = p
-                    if ring == "Q" and f != 1:
-                        row = {c: v / f for c, v in row.items()}
-                    elif ring == "Z" and f < 0:
-                        row = {c: -v for c, v in row.items()}
-                continue
+                lead = p
+                break
             d = piv[p]
-            if lead is None and ring == "Z" and f % d:
+            if ring == "Z" and f % d:
                 g, a, b = _xgcd(f, d)
                 pivot_rows[p] = {c: a * v for c, v in row.items()}
                 _axpy(pivot_rows[p], b, piv)
-                hold(p, pivot_rows[p])
                 row = {c: d // g * v for c, v in row.items()}
                 _axpy(row, -(f // g), piv)
-            elif not _reduce(row, p, piv, ring):
-                continue  # already in range
+            else:
+                _reduce(row, p, piv, ring)
             for c in piv:
                 if p < c < width:
                     heapq.heappush(todo, c)
         if lead is None:
             null_rows.append(row)
-            continue
-        for o in list(holders.get(lead, ())):
-            other = pivot_rows[o]
-            if lead in other and _reduce(other, lead, row, ring):
-                hold(o, (c for c in row if c in other))
-        pivot_rows[lead] = row
-        hold(lead, row)
+        elif ring == "Q" and f != 1:
+            pivot_rows[lead] = {c: v / f for c, v in row.items()}
+        else:
+            pivot_rows[lead] = {c: -v for c, v in row.items()} if f < 0 else row
     order = sorted(pivot_rows)
-    if ring == "Z":
-        for p in order:
-            piv = pivot_rows[p]
-            for o in holders[p]:
-                other = pivot_rows[o]
-                if o != p and p in other and _reduce(other, p, piv, ring):
-                    hold(o, (c for c in piv if c > p and c in other))
+    for p in reversed(order):
+        row = pivot_rows[p]
+        todo = [c for c in row if c > p and c in pivot_rows]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            piv = pivot_rows[c]
+            if _reduce(row, c, piv, ring):
+                for e in piv:
+                    if e > c and e in pivot_rows:
+                        heapq.heappush(todo, e)
     return {p: pivot_rows[p] for p in order}, null_rows
 
 

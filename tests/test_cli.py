@@ -193,6 +193,14 @@ def test_catalog_parameter_not_an_integer(capsys):
     assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("name", ["flat_torus:", "ff_disk:"])
+def test_catalog_parameter_empty(capsys, name):
+    assert main(["catalog", name]) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "is not an integer" in err
+
+
 @pytest.mark.parametrize("name", ["sphere_24ff:2", "rp2_12ff:x", "kodaira_thurston:5"])
 def test_catalog_parameter_on_an_entry_that_takes_none(capsys, name):
     assert main(["catalog", name]) == 2

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusbase.affine import build_R_sheaf
+from torusbase.catalog import build, catalog_names
 from torusbase.exact import (
     AbelianGroup,
     LinearSystem,
@@ -42,6 +44,7 @@ from torusbase.exact import (
     _substitute,
     _xgcd,
 )
+from torusbase.surgery import glue
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
@@ -570,9 +573,10 @@ def test_snf_diagonal_matches_sympy():
 # ---------------------------------------------------------------------------
 # Back-substitution and the echelon loop visit only what they must:
 # _substitute walks a heap of the pivots the vector reaches, and _echelon
-# keeps an index from each column to the pivot rows holding it, instead of
-# scanning every pivot row when a row is inserted and in the last Z pass.
-# The loops they replaced are kept here, verbatim, as the references.
+# clears an inserted row only at the pivots left of its lead and reduces
+# above the pivots once, in a back pass, instead of reducing every earlier
+# pivot row at each new lead and again in a last Z pass.  The loops they
+# replaced are kept here, verbatim, as the references.
 
 
 def reference_substitute(x, pivot_rows):
@@ -641,18 +645,85 @@ def reference_echelon(rows, width, ring):
     return {p: pivot_rows[p] for p in order}, null_rows
 
 
+def _combination(coef, rows):
+    """The sum of coef[i] * rows[i] as a sparse row, zeros dropped."""
+    out = {}
+    for i, f in coef.items():
+        for c, v in rows[i].items():
+            out[c] = out.get(c, 0) + f * v
+    return {c: v for c, v in out.items() if v != 0}
+
+
+def assert_echelon_matches_reference(rows, n, ring):
+    """_echelon and _echelon_with_transform of the sparse rows of width n
+    against reference_echelon.
+
+    Without ride-along columns the result is compared whole.  With the
+    transform, the pivot columns, the pivot rows below n (the HNF over Z, the
+    RREF over Q: unique) and the number of null rows are compared.  The
+    transform is one representative, so it is checked instead: each row's
+    transform takes the input to its part below n, the null rows' transforms
+    span what the reference's span, and all m transforms together have the
+    identity as echelon form (over Z: the transform is unimodular).  Where
+    the input is square and invertible over the ring the transform is the
+    unique inverse, and the whole result is compared; the return value says
+    whether it was."""
+    m = len(rows)
+    got, want = _echelon(rows, n, ring), reference_echelon(rows, n, ring)
+    assert list(got[0].items()) == list(want[0].items())
+    assert got[1] == want[1]
+    one = 1 if ring == "Z" else Fraction(1)
+    pivots, null = _echelon_with_transform(rows, n, ring)
+    ref_pivots, ref_null = reference_echelon([{**row, n + i: one} for i, row in enumerate(rows)], n, ring)
+
+    def below(row):
+        return {c: v for c, v in row.items() if c < n}
+
+    def transform(row):
+        return {c - n: v for c, v in row.items() if c >= n}
+
+    assert list(pivots) == list(ref_pivots)
+    assert all(below(pivots[p]) == below(ref_pivots[p]) for p in pivots)
+    assert len(null) == len(ref_null) and not any(below(row) for row in null)
+    for row in list(pivots.values()) + null:
+        assert _combination(transform(row), rows) == below(row)
+    spans = [reference_echelon([transform(row) for row in r], m, ring)[0] for r in (null, ref_null)]
+    assert spans[0] == spans[1]
+    T = [transform(row) for row in list(pivots.values()) + null]
+    assert reference_echelon(T, m, ring)[0] == {i: {i: one} for i in range(m)}
+    invertible = m == n == len(ref_pivots) and all(row[p] == 1 for p, row in ref_pivots.items())
+    if invertible:
+        assert list(pivots.items()) == list(ref_pivots.items()) and null == ref_null
+    return invertible
+
+
 def test_indexed_echelon_matches_the_scanning_loop():
+    invertible = 0
     for M in sparse_cases() + smith_cases():
-        m, n = M.shape
         for ring in ("Z", "Q"):
-            rows = _sparse_rows(M, ring)
-            one = 1 if ring == "Z" else Fraction(1)
-            with_transform = [{**row, n + i: one} for i, row in enumerate(rows)]
-            for given in (rows, with_transform):
-                got, want = _echelon(given, n, ring), reference_echelon(given, n, ring)
-                assert list(got[0].items()) == list(want[0].items())
-                assert got[1] == want[1]
-            assert _echelon_with_transform(rows, n, ring) == reference_echelon(with_transform, n, ring)
+            invertible += assert_echelon_matches_reference(_sparse_rows(M, ring), M.shape[1], ring)
+    assert invertible > 20
+
+
+def test_echelon_matches_the_scanning_loop_on_catalog_differentials():
+    """The rows of every d_k^T of R and its constants for every affine
+    entry, of every sheaf entry's own sheaf and of the glued fake base."""
+    sheaves = []
+    for name in catalog_names():
+        entry = build(name)
+        if entry.kind == "affine":
+            R = build_R_sheaf(entry.payload)
+            sheaves += [R, R.constants]
+        elif entry.kind == "sheaf":
+            sheaves.append(entry.payload[1])
+        elif entry.kind == "gluing":
+            sheaves.append(glue(entry.payload["spec"])[1])
+    rings = set()
+    for F in sheaves:
+        for k in range(F.base.dimension + 1):
+            assert_echelon_matches_reference(F._differential_columns(k), F.cochain_rank(k + 1), F.ring)
+        rings.add(F.ring)
+    assert rings == {"Z", "Q"}
 
 
 def _probes(rng, pivot_rows, n, ring):

@@ -13,7 +13,10 @@ the entry's own sheaf for sheaf entries, then constant Q, Z and Z/2) and for
 the glued sheaf of ``fake_base_space`` it prints, in every degree: the group,
 the coordinate orders, the relations, the generator cocycles, and the
 presentation coefficients and coordinates of seeded combinations of the
-generators shifted by seeded coboundaries.  Affine entries add the moduli,
+generators shifted by seeded coboundaries, and the echelon form of the rows
+of the transposed differential d_k^T: ``lattice_hnf`` over Z, ``rref`` with
+its pivot columns over Q, one line per nonzero row, its nonzero entries by
+column.  Affine entries add the moduli,
 the Chern coordinates and the realizability report; ``fake_base_space`` adds
 the document (complex and sheaf, as ``encode_document`` writes it) of the
 glued sheaf and of both pieces, every stalk iso of its gluing spec and its
@@ -88,7 +91,7 @@ from torusbase.catalog import (  # noqa: E402
 )
 from torusbase.cli import main as cli_main  # noqa: E402
 from torusbase.errors import TorusbaseError  # noqa: E402
-from torusbase.exact import eye, fracvec, intmat, unimodular_inverse  # noqa: E402
+from torusbase.exact import eye, fracvec, intmat, lattice_hnf, rref, unimodular_inverse  # noqa: E402
 from torusbase.sheaves import (  # noqa: E402
     CohomologyClass,
     SheafMap,
@@ -140,6 +143,18 @@ def dump_sheaf(label, F, seed, out):
                 v = v + F.coboundary(k - 1, c)
             coef = h.to_presentation_coords(v)
             out.append("  coef %s -> %s" % (fmt(coef), tuple(str(x) for x in h.coordinates(v))))
+        D = F.differential(k).T
+        if F.ring == "Z":
+            out.extend("  hnf d^T " + nonzeros(r) for r in lattice_hnf(D))
+        else:
+            E, pivots = rref(D)
+            out.append("  rref d^T pivots %s" % (pivots,))
+            out.extend("  rref d^T " + nonzeros(r) for r in E[:len(pivots)])
+
+
+def nonzeros(row):
+    """The nonzero entries of a matrix row as column:repr pairs."""
+    return " ".join("%d:%r" % (c, v) for c, v in enumerate(row) if v != 0)
 
 
 def constants(X):
