@@ -29,6 +29,7 @@ from .errors import TorusbaseError, ValidationReport
 from .exact import (
     PresentedGroup,
     _apply_columns,
+    _dense,
     eye,
     fracmat,
     fracvec,
@@ -44,6 +45,7 @@ from .sheaves import (
     SheafMap,
     ShortExactSequence,
     Stalk,
+    _block_columns,
     cohomology,
     constant_sheaf,
     validate_sheaf,
@@ -355,11 +357,10 @@ class MonodromyRep:
     images: list  # GL(2,Z) matrices, one per loop
 
 
-def monodromy_rep(S, basepoint=None):
-    """Holonomy of generating face loops; images recorded up to conjugation."""
+def monodromy_rep(S):
+    """Holonomy of generating face loops based at the first face, up to conjugation."""
     X = S.base
-    if basepoint is None:
-        basepoint = X.cells_of_dim(2)[0]
+    basepoint = X.cells_of_dim(2)[0]
     loops = dual_loops(X, basepoint)
     lin = {e: _lin(tr.A) for e, tr in S.transitions.items()}
     images = []
@@ -375,7 +376,7 @@ def monodromy_rep(S, basepoint=None):
     return MonodromyRep(basepoint=basepoint, loops=loops, images=images)
 
 
-def boundary_word_holonomy(S, basepoint=None):
+def boundary_word_holonomy(S):
     """Global relator of the monodromy presentation, as a holonomy product.
 
     Cutting the surface open along the co-tree edges leaves a disk whose
@@ -390,8 +391,7 @@ def boundary_word_holonomy(S, basepoint=None):
     from .complexes import _dual_tree
 
     X = S.base
-    if basepoint is None:
-        basepoint = X.cells_of_dim(2)[0]
+    basepoint = X.cells_of_dim(2)[0]
     walk = boundary_traversal(X, basepoint, record_tree=True)
     tree, _ = _dual_tree(X, basepoint)
     transport = {basepoint: _IDENTITY}
@@ -485,23 +485,19 @@ class _MonodromySheaf(CellularSheaf):
 
     def _translation_columns(self, k):
         """T_k: C^k(R) -> C^{k+1}(O; Q), the constant part of d_I on (0, c), as
-        sparse columns {row: Fraction}, cached: coordinate i of sigma holds
-        -[tau : sigma] (t^T R(sigma <= tau))_i at each coface tau with a
-        translation t.  The first T built checks the translations, so none is
-        read off an I that is not a sheaf.  Do not modify them."""
+        sparse columns {row: Fraction} put together by _block_columns from one
+        block -[tau : sigma] t^T R(sigma <= tau) per pair with a translation t,
+        cached.  The first T built checks the translations, so none is read
+        off an I that is not a sheaf.  Do not modify them."""
         if k not in self._translation_cols:
             if not self._translation_cols:
                 _check_translations(self)
-            row = {tau: r for r, tau in enumerate(self.cochain_cells(k + 1))}
-            off, n = self.offsets(k)
-            cols = [{} for _ in range(n)]
-            for sigma in self.cochain_cells(k):
-                for tau, sign in self.base.cofaces_of(sigma):
-                    t = self._shifts.get((sigma, tau), ())
-                    for i, x in enumerate(_pairing(t, self.restriction(sigma, tau).tolist())):
-                        if x:
-                            cols[off[sigma] + i][row[tau]] = -sign * x
-            self._translation_cols[k] = cols
+            X, blocks = self.base, []
+            for (sigma, tau), t in self._shifts.items():
+                if X.dim(sigma) == k:
+                    pull = _pairing(t, self.restriction(sigma, tau).tolist())
+                    blocks.append((sigma, tau, -X.incidence[tau, sigma], _qmat([pull])))
+            self._translation_cols[k] = _block_columns(self, k, self.constants, k + 1, blocks)
         return self._translation_cols[k]
 
 
@@ -682,10 +678,8 @@ def dhat(S, cls, ses=None, target=None):
     c = {j: v for j, v in enumerate(cls.cocycle) if v != 0}
     if _apply_columns(R._differential_columns(k), c):
         raise AffineError("zig-zag left the constant subsheaf; not a cocycle")
-    a = hA.sheaf.zero_cochain(k + 1)
-    for i, v in _apply_columns(R._translation_columns(k), c).items():
-        a[i] = v
-    return hA, hA.coordinates(a)
+    a = _apply_columns(R._translation_columns(k), c)
+    return hA, hA.coordinates(_dense([a], (1, hA.sheaf.cochain_rank(k + 1)), hA.sheaf.ring)[0])
 
 
 def lagrangian_moduli(S):

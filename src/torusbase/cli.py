@@ -91,6 +91,7 @@ def _named_sheaf(args, doc):
     if name == "document":
         if doc.sheaf is None:
             raise DocumentError("document has no sheaf section")
+        _require_valid("sheaf", validate_sheaf(doc.sheaf))
         return doc.sheaf
     if name == "R":
         if doc.affine is None:

@@ -179,7 +179,7 @@ class Seg:
     head: object
 
 
-def complex_from_polygons(polygons, extra_vertices=()):
+def complex_from_polygons(polygons):
     """Build a 2-complex from faces given as cyclic vertex sequences.
 
     polygons: {face_id: [step, ...]} traversed with the face's chosen
@@ -188,7 +188,7 @@ def complex_from_polygons(polygons, extra_vertices=()):
     (v, Seg(...)) pinning the edge from v to the next vertex to an explicit
     id with a fixed orientation.
     """
-    cells = {v: 0 for v in extra_vertices}
+    cells = {}
     incidence = {}
     words = {}
     for f, cycle in polygons.items():

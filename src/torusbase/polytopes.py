@@ -2,8 +2,8 @@
 
 Polytopes are stored as irredundant halfspaces <a, x> <= b with primitive
 integer normals a and rational b.  Vertex enumeration is exact, by solving
-all n-subsets of facet equalities; dimension is capped at 3, which keeps the
-brute force cheap and covers every worked example.
+all n-subsets of facet equalities; dimension runs from 1 to 3, which keeps
+the brute force cheap and covers every worked example.
 """
 
 import itertools
@@ -34,8 +34,8 @@ class LatticePolytope:
     halfspaces: list  # [(normal tuple of ints, bound Fraction), ...]
 
     def __post_init__(self):
-        if self.dimension > 3:
-            raise PolytopeError("dimension capped at 3")
+        if not 1 <= self.dimension <= 3:
+            raise PolytopeError("dimension must be 1, 2 or 3")
         fixed = []
         for a, b in self.halfspaces:
             if len(a) != self.dimension:
@@ -120,14 +120,14 @@ def _has_recession_ray(P):
 
 
 def _edges(P, v):
-    """The edges leaving vertex v, as (w - v, its primitive direction) for
-    each vertex w that shares an edge with v."""
+    """The edges leaving vertex v, as (w - v, its primitive direction) for each
+    vertex w whose facets shared with v cut out a line (none in dimension 1)."""
     for w in vertices(P):
         if w.point == v.point:
             continue
         shared = set(v.facets) & set(w.facets)
         rows = [P.halfspaces[i][0] for i in shared]
-        if rows and q_rank(fracmat(rows)) == P.dimension - 1:
+        if (q_rank(fracmat(rows)) if rows else 0) == P.dimension - 1:
             d = [wi - vi for wi, vi in zip(w.point, v.point)]
             den = 1
             for x in d:

@@ -8,14 +8,16 @@ Stalks over Z may carry torsion: a stalk is rank many generators where
 generator i has order moduli[i] (0 meaning infinite).  This is needed for
 mod-n coefficient sheaves and their Bockstein connecting maps.
 
-Sheaf maps, exact sequences and maps on cohomology run on sparse rows, as
-cohomology does; every InducedMap comes from _induced.  Results of one sheaf
-in one degree are one group (the presentation is a function of the two), so
-maps between them compose.  Lattices are compared through their Hermite
-normal form rows, which are unique.  A connecting map lifts through each
-cochain map by back-substitution (SheafMap._lifter): its representative may
-depend on the lift, its canonical coordinates do not.  Squares of stalk maps
-commute modulo the torsion of the target stalk.
+Every cochain map is put together from stalk blocks by _block_columns, as
+sparse columns: the differential, sheaf maps, restrictions, automorphisms,
+R's translation map and the gluing overlap pull.  Maps on cohomology read
+them on the sparse cocycle rows; every InducedMap comes from _induced.
+Results of one sheaf in one degree are one group, so maps between them
+compose.  Lattices are compared through their Hermite normal form rows,
+which are unique.  A connecting map lifts through each cochain map by
+back-substitution (SheafMap._lifter): its representative may depend on the
+lift, its canonical coordinates do not.  Squares of stalk maps commute
+modulo the torsion of the target stalk.
 """
 
 from dataclasses import dataclass
@@ -85,7 +87,6 @@ class CellularSheaf:
             raise SheafError("stalks over Q carry no torsion moduli")
         self.restrictions = dict(restrictions)
         self._offsets = {}
-        self._diff_rows = {}
         self._diff_cols = {}
         self._diff = {}
         self._groups = {}  # k -> (cocycle basis, presentation) of H^k
@@ -135,41 +136,23 @@ class CellularSheaf:
             )
         return R
 
-    def _differential_rows(self, k):
-        """d_k as sparse rows {column: entry}, one per coordinate of C^{k+1},
-        assembled from the restriction blocks and cached.  The entries are
-        ints over Z and Fractions over Q.  Do not modify them."""
-        if k not in self._diff_rows:
-            off_k, _ = self.offsets(k)
-            off_k1, n_k1 = self.offsets(k + 1)
-            conv = int if self.ring == "Z" else Fraction
-            rows = [{} for _ in range(n_k1)]
-            for tau in self.cochain_cells(k + 1):
-                i = off_k1[tau]
-                for sigma, sign in self.base.faces_of(tau):
-                    # each (sigma, tau) block has columns of its own
-                    j = off_k[sigma]
-                    for r, line in enumerate(self._block(sigma, tau).tolist()):
-                        row = rows[i + r]
-                        for c, v in enumerate(line):
-                            x = sign * v
-                            if x != 0:
-                                row[j + c] = conv(x)
-            self._diff_rows[k] = rows
-        return self._diff_rows[k]
-
     def _differential_columns(self, k):
-        """d_k as sparse columns {row: entry}, one per coordinate of C^k: the
-        transpose of _differential_rows(k), cached.  Do not modify them."""
+        """d_k as sparse columns {row: entry}, one per coordinate of C^k, from
+        the restriction blocks by _block_columns, cached.  Do not modify them."""
         if k not in self._diff_cols:
-            self._diff_cols[k] = _transpose(self._differential_rows(k), self.cochain_rank(k))
+            blocks = (
+                (sigma, tau, sign, self._block(sigma, tau))
+                for tau in self.cochain_cells(k + 1)
+                for sigma, sign in self.base.faces_of(tau)
+            )
+            self._diff_cols[k] = _block_columns(self, k, self, k + 1, blocks)
         return self._diff_cols[k]
 
     def differential(self, k):
-        """d_k as a dense matrix: the view of _differential_rows(k), cached."""
+        """d_k as a dense matrix: the view of _differential_columns(k), cached."""
         if k not in self._diff:
-            shape = (self.cochain_rank(k + 1), self.cochain_rank(k))
-            self._diff[k] = _dense(self._differential_rows(k), shape, self.ring)
+            m, n = self.cochain_rank(k + 1), self.cochain_rank(k)
+            self._diff[k] = _dense(_transpose(self._differential_columns(k), m), (m, n), self.ring)
         return self._diff[k]
 
     def coboundary(self, k, vec):
@@ -177,10 +160,8 @@ class CellularSheaf:
         of vec.  Equal to differential(k).dot(vec), but the dense
         differential is never built."""
         x = {j: v for j, v in enumerate(vec) if v != 0}
-        out = self.zero_cochain(k + 1)
-        for i, v in _apply_columns(self._differential_columns(k), x).items():
-            out[i] = v
-        return out
+        dx = _apply_columns(self._differential_columns(k), x)
+        return _dense([dx], (1, self.cochain_rank(k + 1)), self.ring)[0]
 
     def moduli_rows(self, k):
         """Rows spanning the torsion lattice of C^k (Z sheaves only)."""
@@ -198,6 +179,25 @@ class CellularSheaf:
         orders = {j: m for row in self._torsion_rows(k + 1) for j, m in row.items()}
         dx = self.coboundary(k, vec)
         return all(v % orders[j] == 0 if j in orders else v == 0 for j, v in enumerate(dx))
+
+
+def _block_columns(source, k, target, l, blocks):
+    """The map C^k(source) -> C^l(target) as sparse columns {row: entry}: for
+    each (sigma, tau, sign, M) in blocks, no two at one pair, sign * M at tau's
+    rows and sigma's columns.  The nonzero entries are ints over Z and
+    Fractions over Q, in the target's ring."""
+    soff, n = source.offsets(k)
+    toff, _ = target.offsets(l)
+    conv = int if target.ring == "Z" else Fraction
+    cols = [{} for _ in range(n)]
+    for sigma, tau, sign, M in blocks:
+        i, j = toff[tau], soff[sigma]
+        for r, line in enumerate(M.tolist()):
+            for c, v in enumerate(line):
+                x = sign * v
+                if x != 0:
+                    cols[j + c][i + r] = conv(x)
+    return cols
 
 
 def _stalk_torsion_rows(stalk, offset=0):
@@ -340,7 +340,7 @@ class CohomologyResult:
             self._cocycles, self._pg = F._groups[k]
             return
         n = F.cochain_rank(k)
-        d = F._differential_rows(k)
+        d = _transpose(F._differential_columns(k), F.cochain_rank(k + 1))
         if F.ring == "Z":
             pivot_rows, _ = _echelon(_preimage_rows(d, n, F._torsion_rows(k + 1)), n, "Z")
             quotient = PresentedGroup
@@ -382,14 +382,14 @@ class CohomologyResult:
         """The cocycles of the canonical generators: each generator's
         presentation coordinates applied to the sparse cocycle basis."""
         rows = list(self._cocycles._rows.values())
+        shape = (1, self.sheaf.cochain_rank(self.degree))
         gens = []
         for g in self._pg.generators():
-            v = self.sheaf.zero_cochain(self.degree)
+            v = {}
             for row, f in zip(rows, g):
                 if f:
-                    for c, e in row.items():
-                        v[c] += f * e
-            gens.append(v)
+                    _axpy(v, f, row)
+            gens.append(_dense([v], shape, self.sheaf.ring)[0])
         return gens
 
 
@@ -462,7 +462,6 @@ class SheafMap:
         self.source = source
         self.target = target
         self.blocks = dict(blocks)
-        self._rows = {}
         self._cols = {}
 
     def block(self, cell):
@@ -486,26 +485,13 @@ class SheafMap:
         message = "map does not commute with restriction (%s, %s)"
         return ValidationReport(_iso_violations(X, self.source, self.target, same, blocks, message))
 
-    def _cochain_rows(self, k):
-        """The cochain map in degree k as sparse rows (ints over Z, Fractions
-        over Q), assembled from the blocks and cached.  Do not modify them."""
-        if k not in self._rows:
-            soff, _ = self.source.offsets(k)
-            toff, tn = self.target.offsets(k)
-            conv = int if self.source.ring == "Z" else Fraction
-            rows = [{} for _ in range(tn)]
-            for cell in self.source.cochain_cells(k):
-                i, j = toff[cell], soff[cell]
-                for r, line in enumerate(self.block(cell).tolist()):
-                    rows[i + r].update((j + c, conv(v)) for c, v in enumerate(line) if v != 0)
-            self._rows[k] = rows
-        return self._rows[k]
-
     def _cochain_columns(self, k):
-        """The transpose of _cochain_rows(k), one sparse column per coordinate
-        of the source's k-cochains, cached.  Do not modify them."""
+        """The cochain map in degree k as sparse columns, one per coordinate of
+        the source's k-cochains, put together from the blocks by
+        _block_columns and cached.  Do not modify them."""
         if k not in self._cols:
-            self._cols[k] = _transpose(self._cochain_rows(k), self.source.cochain_rank(k))
+            blocks = ((cell, cell, 1, self.block(cell)) for cell in self.source.cochain_cells(k))
+            self._cols[k] = _block_columns(self.source, k, self.target, k, blocks)
         return self._cols[k]
 
     def _lifter(self, k):
@@ -528,9 +514,9 @@ class SheafMap:
         return lift, [_cut(row, width, n) for row in null]
 
     def cochain_matrix(self, k):
-        """The cochain map in degree k as a dense matrix: the view of _cochain_rows(k)."""
-        shape = (self.target.cochain_rank(k), self.source.cochain_rank(k))
-        return _dense(self._cochain_rows(k), shape, self.source.ring)
+        """The cochain map in degree k as a dense matrix: the view of _cochain_columns(k)."""
+        m, n = self.target.cochain_rank(k), self.source.cochain_rank(k)
+        return _dense(_transpose(self._cochain_columns(k), m), (m, n), self.source.ring)
 
     def induced(self, source, target):
         """This map on cohomology, between results of its own sheaves in one degree."""
@@ -740,10 +726,9 @@ def restrict_sheaf(F, sub):
 def restriction_on_cohomology(F, sub, k):
     """Induced map H^k(base) -> H^k(sub) for a full subcomplex."""
     G = restrict_sheaf(F, sub)
-    off, n = F.offsets(k)
-    # one sparse row per coordinate of G's k-cochains, picking F's coordinate there
-    keep = [{off[c] + r: 1} for c in G.cochain_cells(k) for r in range(G.rank(c))]
-    pick = _transpose(keep, n)
+    # F's k-cochains cut to sub: the identity at each k-cell of sub
+    blocks = ((c, c, 1, eye(G.rank(c), G.ring)) for c in G.cochain_cells(k))
+    pick = _block_columns(F, k, G, k, blocks)
     return _induced(cohomology(F, k), cohomology(G, k), lambda x: _apply_columns(pick, x)), G
 
 
@@ -895,18 +880,13 @@ def automorphism_action(aut, cls):
         raise SheafError("not an automorphism: %s" % rep)
     F = aut.sheaf
     k = cls.degree
-    X = F.base
-    eps = _infer_signs(X, aut.cell_map)
+    eps = _infer_signs(F.base, aut.cell_map)
     if eps is None:
         raise SheafError("cell map does not commute with incidence signs")
-    out = F.zero_cochain(k)
-    off, _ = F.offsets(k)
-    for c in F.cochain_cells(k):
-        img = aut.cell_map[c]
-        vals = aut.stalk_isos[c].dot(cls.component(c))
-        i = off[img]
-        out[i:i + F.rank(img)] = out[i:i + F.rank(img)] + eps[c] * vals
-    return CohomologyClass(F, k, out)
+    blocks = ((c, aut.cell_map[c], eps[c], aut.stalk_isos[c]) for c in F.cochain_cells(k))
+    x = {j: v for j, v in enumerate(cls.cocycle) if v != 0}
+    out = _apply_columns(_block_columns(F, k, F, k, blocks), x)
+    return CohomologyClass(F, k, _dense([out], (1, F.cochain_rank(k)), F.ring)[0])
 
 
 def orbit_of_class(action_mats, start_coords, max_word_length=6):

@@ -24,9 +24,10 @@ from .affine import (
 )
 from .complexes import CellComplex, disjoint_union, identify_cells, validate
 from .errors import TorusbaseError
-from .exact import PresentedGroup, QuotientSpace, _apply_columns, _sparse_rows, eye
+from .exact import PresentedGroup, QuotientSpace, _apply_columns, eye
 from .sheaves import (
     CellularSheaf,
+    _block_columns,
     _descend,
     _induced,
     _stalk_iso_violations,
@@ -129,14 +130,9 @@ def _overlap_quotient(F1, F2, overlap, cell_map, inverse_isos):
     """
     f1, G = restriction_on_cohomology(F1, overlap, 2)
     h_over = f1.target
-    off2, n2 = F2.offsets(2)
-    offo, _ = G.offsets(2)
     # F2's 2-cochains pulled to the overlap: a sparse column per coordinate of F2's
-    pull = [{} for _ in range(n2)]
-    for c, J in inverse_isos.items():
-        for r, row in enumerate(_sparse_rows(J, G.ring)):
-            for j, v in row.items():
-                pull[off2[cell_map[c]] + j][offo[c] + r] = v
+    blocks = ((cell_map[c], c, 1, J) for c, J in inverse_isos.items())
+    pull = _block_columns(F2, 2, G, 2, blocks)
     f2 = _induced(cohomology(F2, 2), h_over, lambda x: _apply_columns(pull, x))
     quotient = PresentedGroup if G.ring == "Z" else QuotientSpace
     return h_over, quotient(h_over.presentation.n, f1.image_rows() + f2.image_rows())

@@ -594,3 +594,38 @@ def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert len(built) == 8  # the parser and its seven subparsers, once
     assert "flat_torus" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_cohomology_on_an_invalid_sheaf_exits_one(tmp_path, capsys, degree):
+    path, raw = _export(tmp_path, "twisted_product_base")
+    block = next(M for _, _, M in raw["sheaf"]["restrictions"] if len(M) == 2 and len(M[0]) == 2)
+    block[0][0] = "3"
+    path.write_text(serialize.dumps(raw))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 1
+    assert "do not commute" in capsys.readouterr().out
+    assert main(["cohomology", str(path), "--degree", str(degree)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert err.startswith("error: sheaf invalid: ") and "do not commute" in err
+
+
+@pytest.mark.parametrize("verb", ["check", "delzant"])
+@pytest.mark.parametrize("dimension", ["0", "-1"])
+def test_polytope_of_dimension_below_one_exits_one(tmp_path, capsys, verb, dimension):
+    path = tmp_path / "point.json"
+    path.write_text(serialize.dumps({"format": "torusbase/1", "polytope": {"dimension": dimension, "halfspaces": []}}))
+    assert main([verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "dimension must be 1, 2 or 3" in err
+
+
+def test_interval_passes_check_and_delzant(tmp_path, capsys):
+    path = tmp_path / "interval.json"
+    raw = {"format": "torusbase/1", "polytope": {"dimension": "1", "halfspaces": [[["-1"], "0"], [["1"], "1"]]}}
+    path.write_text(serialize.dumps(raw))
+    assert main(["check", str(path)]) == 0
+    assert main(["delzant", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ok (polytope)", "pass"]

@@ -18,6 +18,7 @@ from torusbase.exact import (
     LinearSystem,
     PresentedGroup,
     QuotientSpace,
+    _transpose,
     intmat,
     intvec,
     lattice_eq,
@@ -207,7 +208,8 @@ def _assert_same_differentials(F):
         got, want = F.differential(k), reference_differential(F, k)
         assert got.shape == want.shape
         assert all(type(a) is type(b) and a == b for a, b in zip(got.flat, want.flat))
-        assert [{j: v for j, v in enumerate(r) if v != 0} for r in want.tolist()] == F._differential_rows(k)
+        rows = _transpose(F._differential_columns(k), F.cochain_rank(k + 1))
+        assert [{j: v for j, v in enumerate(r) if v != 0} for r in want.tolist()] == rows
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -161,3 +161,16 @@ def test_delzant_fail_index_two_corner():
         vertex_blowup(P, (Fraction(0), Fraction(0)), Fraction(1, 4))
     Q = LatticePolytope(2, [((0, -1), 0), ((-1, 1), 0), ((1, 0), 2)])
     assert delzant_check(Q).ok
+
+
+@pytest.mark.parametrize("dimension", [0, -1, 4])
+def test_dimension_outside_one_to_three_rejected(dimension):
+    with pytest.raises(PolytopeError, match="dimension must be 1, 2 or 3"):
+        LatticePolytope(dimension, [])
+
+
+def test_interval_is_delzant():
+    # in dimension 1 the two vertices share no facet, yet the interval is their edge
+    P = LatticePolytope(1, [((-1,), 0), ((1,), 3)])
+    assert [v.point for v in vertices(P)] == [(0,), (3,)]
+    assert delzant_check(P).ok

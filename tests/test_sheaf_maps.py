@@ -29,6 +29,7 @@ from torusbase.exact import (
     LinearSystem,
     _axpy,
     _dense,
+    _transpose,
     eye,
     fracmat,
     intmat,
@@ -587,7 +588,8 @@ def test_lift_solves_modulo_the_target_torsion():
     for label, ses, _ in _SEQUENCES[:40] + list(_i_sequences()):
         for f in (ses.i, ses.p):
             for k in range(ses.B.base.dimension + 1):
-                rows, torsion = f._cochain_rows(k), f.target._torsion_rows(k)
+                rows = _transpose(f._cochain_columns(k), f.target.cochain_rank(k))
+                torsion = f.target._torsion_rows(k)
                 lift, kernel = f._lifter(k)
                 for _ in range(3):
                     b = {j: rng.randint(-3, 3) for j in range(f.source.cochain_rank(k))}

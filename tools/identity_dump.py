@@ -43,6 +43,11 @@ of ``fake_base_space`` and the report of its gluing spec.  Raw connecting-map
 matrices are not printed: they hold the coefficients of a representative,
 which may move with the lift; the canonical coordinates may not.
 
+The automorphism section prints, for -1 on the constant Z sheaf of every
+catalog base complex (both pieces of ``fake_base_space``) and for the quarter
+rotation of ``flat_torus`` on R, whose cell map is not the identity, the
+canonical coordinates of the push of every H^k generator.
+
 The CLI section runs ``torusbase.cli.main`` in-process for every light
 catalog entry (all but ``fake_base_space``), flat_torus:-2, 2 and 3 and
 ff_disk:2 and 3, and prints the bytes of its ``catalog NAME --export`` file
@@ -74,6 +79,7 @@ from torusbase.affine import (  # noqa: E402
     build_I_sheaf,
     build_R_sheaf,
     dhat,
+    dual_matrix,
     fixed_covector,
     lagrangian_moduli,
     monodromy_rep,
@@ -90,12 +96,15 @@ from torusbase.catalog import (  # noqa: E402
     klein_affine_surface,
 )
 from torusbase.cli import main as cli_main  # noqa: E402
+from torusbase.complexes import edge_between  # noqa: E402
 from torusbase.errors import TorusbaseError  # noqa: E402
 from torusbase.exact import eye, fracvec, intmat, lattice_hnf, rref, unimodular_inverse  # noqa: E402
 from torusbase.sheaves import (  # noqa: E402
     CohomologyClass,
+    SheafAutomorphism,
     SheafMap,
     ShortExactSequence,
+    automorphism_action,
     cohomology,
     connecting_map,
     constant_sheaf,
@@ -294,20 +303,24 @@ def split(X):
     return ShortExactSequence(i=i, p=p)
 
 
+def catalog_bases(entry):
+    """(label suffix, complex) for the base complex of a catalog entry, or
+    both pieces of a gluing entry."""
+    if entry.kind == "affine":
+        return [("", entry.payload.base)]
+    if entry.kind == "complex":
+        return [("", entry.payload)]
+    if entry.kind == "sheaf":
+        return [("", entry.payload[0])]
+    return [(" " + piece, entry.payload[piece][0]) for piece in ("piece_minus", "piece_plus")]
+
+
 def map_sequences():
     for name in catalog_names():
         entry = build(name)
         if entry.kind == "affine":
             yield "%s I" % name, build_I_sheaf(entry.payload)[1]
-            bases = [("", entry.payload.base)]
-        elif entry.kind == "complex":
-            bases = [("", entry.payload)]
-        elif entry.kind == "sheaf":
-            bases = [("", entry.payload[0])]
-        else:
-            pieces = ("piece_minus", "piece_plus")
-            bases = [(" " + piece, entry.payload[piece][0]) for piece in pieces]
-        for piece, X in bases:
+        for piece, X in catalog_bases(entry):
             yield "%s%s mod 2" % (name, piece), bockstein(X, 2)
             yield "%s%s mod 3" % (name, piece), bockstein(X, 3)
             yield "%s%s split" % (name, piece), split(X)
@@ -374,6 +387,43 @@ def dump_overlaps(out):
             dump_map("restrict%s H^%d" % (tag, k), f, out)
 
 
+def flat_torus_rotation():
+    """The quarter rotation of flat_torus on R, with a cell map that is not
+    the identity: vertex (i, j) goes to (-j, i), face (i, j) to (-j - 1, i)."""
+    S = flat_torus_surface()
+    n = 3
+
+    def rot(c):
+        if c[0] == "v":
+            return ("v", -c[2] % n, c[1])
+        if c[0] == "f":
+            return ("f", (-c[2] - 1) % n, c[1])
+        return edge_between(rot(c[1]), rot(c[2]))
+
+    D = dual_matrix(intmat([[0, -1], [1, 0]]))
+    return SheafAutomorphism(build_R_sheaf(S), {c: rot(c) for c in S.base.cells}, {c: D for c in S.base.cells})
+
+
+def automorphisms():
+    """-1 on the constant Z sheaf of every catalog base, then the flat torus rotation."""
+    for name in catalog_names():
+        for piece, X in catalog_bases(build(name)):
+            minus = {c: intmat([[-1]]) for c in X.cells}
+            yield "%s%s -1" % (name, piece), SheafAutomorphism(constant_sheaf(X, 1), {c: c for c in X.cells}, minus)
+    yield "flat_torus rotation", flat_torus_rotation()
+
+
+def dump_automorphism(label, aut, out):
+    """The canonical coordinates of the push of every H^k generator."""
+    F = aut.sheaf
+    out.append("== automorphism %s valid %s" % (label, aut.validate().valid))
+    for k in range(F.base.dimension + 1):
+        h = cohomology(F, k)
+        for g in h.generator_cocycles():
+            moved = automorphism_action(aut, CohomologyClass(F, k, g))
+            out.append("  H^%d %s -> %s" % (k, fmt(g), tuple(str(x) for x in h.coordinates(moved.cocycle))))
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of the CLI on argv."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -413,6 +463,8 @@ def main():
     for n, (label, ses) in enumerate(map_sequences()):
         dump_sequence(label, ses, 500 + n, out)
     dump_overlaps(out)
+    for label, aut in automorphisms():
+        dump_automorphism(label, aut, out)
     dump_cli(out)
     sys.stdout.write("\n".join(out) + "\n")
 
