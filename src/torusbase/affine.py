@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -467,36 +468,53 @@ class _MonodromySheaf(CellularSheaf):
     _shifts[(sigma, tau)] is the translation part t of the affine transport
     whose dual gives the frame of R(sigma <= tau): tr.t for (e, to_face), the
     star walk's transport for (v, e); absent (zero) for (e, from_face) and
-    boundary edges.  build_I_sheaf twists R by them, so it walks no star;
-    dhat reads its translation cochain map T off them, so it builds no I.
-    constants, the A of 0 -> Q -> I -> R_Q -> 0, is built once per R, so
-    build_I_sheaf, dhat and lagrangian_moduli share each H^k(O; Q).
+    boundary edges.  R pairs them with its blocks once, on ints over one
+    denominator (_pairings); build_I_sheaf twists R by that table, so it
+    walks no star, and dhat reads its translation cochain map T off it, so
+    it builds no I.  Both read it through _checked_pairings: a check that
+    passed runs once per R.  constants, the A of 0 -> Q -> I -> R_Q -> 0, is
+    built once per R, so build_I_sheaf, dhat and lagrangian_moduli share
+    each H^k(O; Q).  Do not modify _shifts.
     """
 
     def __init__(self, base, stalks, restrictions, shifts):
         super().__init__(base, "Z", stalks, restrictions)
         self._shifts = shifts
         self._translation_cols = {}
+        self._translations_checked = False
 
     @cached_property
     def constants(self):
         """The constant Q sheaf of R's base, built on first use."""
         return constant_sheaf(self.base, 1, "Q")
 
+    @cached_property
+    def _pairings(self):
+        """(den, {(sigma, tau): den t^T R(sigma <= tau)}) for each translation
+        t, as ints over den, the least common denominator of them all."""
+        den = lcm(*(s.denominator for t in self._shifts.values() for s in t))
+        return den, {
+            key: _pull([s.numerator * (den // s.denominator) for s in t], self.restriction(*key).tolist())
+            for key, t in self._shifts.items()
+        }
+
+    def _checked_pairings(self):
+        """_pairings, once _check_translations has passed on R."""
+        if not self._translations_checked:
+            _check_translations(self)
+        return self._pairings
+
     def _translation_columns(self, k):
         """T_k: C^k(R) -> C^{k+1}(O; Q), the constant part of d_I on (0, c), as
         sparse columns {row: Fraction} put together by _block_columns from one
         block -[tau : sigma] t^T R(sigma <= tau) per pair with a translation t,
-        cached.  The first T built checks the translations, so none is read
-        off an I that is not a sheaf.  Do not modify them."""
+        cached, read off the checked pairings.  Do not modify them."""
         if k not in self._translation_cols:
-            if not self._translation_cols:
-                _check_translations(self)
+            den, pairs = self._checked_pairings()
             X, blocks = self.base, []
-            for (sigma, tau), t in self._shifts.items():
+            for (sigma, tau), pull in pairs.items():
                 if X.dim(sigma) == k:
-                    pull = _pairing(t, self.restriction(sigma, tau).tolist())
-                    blocks.append((sigma, tau, -X.incidence[tau, sigma], _qmat([pull])))
+                    blocks.append((sigma, tau, -X.incidence[tau, sigma], _qmat([[Fraction(x, den) for x in pull]])))
             self._translation_cols[k] = _block_columns(self, k, self.constants, k + 1, blocks)
         return self._translation_cols[k]
 
@@ -562,23 +580,7 @@ def _build_R_sheaf(S):
 
 def _pull(t, ints):
     """t^T M for a vector t and the integer rows ints of M."""
-    return [sum(s * x for s, x in zip(t, col)) for col in zip(*ints)]
-
-
-def _pairing(t, ints):
-    """t^T M over Q, for a translation t and the integer rows ints of M."""
-    den = lcm(*(s.denominator for s in t))
-    return [Fraction(x, den) for x in _pull([s.numerator * (den // s.denominator) for s in t], ints)]
-
-
-def _twist(M, t, frac):
-    """(M over Q, [[1, -t^T M], [0, M]] over Q): an R block and its I block.
-
-    frac maps each integer entry of M, and 0 and 1, to its Fraction."""
-    ints = M.tolist()
-    top = [-x for x in _pairing(t, ints)]
-    rows = [[frac[x] for x in row] for row in ints]
-    return _qmat(rows), _qmat([[frac[1]] + top] + [[frac[0]] + row for row in rows])
+    return [sum(map(mul, t, col)) for col in zip(*ints)]
 
 
 def _qmat(rows):
@@ -600,30 +602,38 @@ def build_I_sheaf(S):
     where t is the translation of the affine transport that gives the frame
     of R(sigma <= tau): tr.t for (e, to_face), 0 for (e, from_face) and for
     boundary edges, and the star walk's transport from the vertex frame to
-    the edge frame for (v, e).  I is checked by _check_translations.
+    the edge frame for (v, e), read off R's pairing table; I is checked by
+    _check_translations once per R, not again after lagrangian_moduli.
     """
     return _build_I_sheaf(build_R_sheaf(S))
 
 
 def _build_I_sheaf(R):
-    """build_I_sheaf on top of the monodromy sheaf R, built already."""
-    _check_translations(R)
+    """build_I_sheaf on top of the monodromy sheaf R, built already.  Each
+    distinct R block and pairing, and each stalk rank's embedding and
+    projection, is made once, in Fractions, and shared."""
+    den, pairs = R._checked_pairings()
     X = R.base
-    frac = {x: Fraction(x) for M in R.restrictions.values() for x in M.flat}
-    frac.update({0: Fraction(0), 1: Fraction(1)})
-    rq, restrictions = {}, {}
+    shared, rq, restrictions = {}, {}, {}
     for key, M in R.restrictions.items():
-        rq[key], restrictions[key] = _twist(M, R._shifts.get(key, ()), frac)
+        block = tuple(map(tuple, M.tolist())), tuple(pairs.get(key, [0] * M.shape[1]))
+        if block not in shared:
+            rows = [[Fraction(x) for x in row] for row in block[0]]
+            top = [Fraction(-x, den) for x in block[1]]
+            shared[block] = _qmat(rows), _qmat([[Fraction(1)] + top] + [[Fraction(0)] + row for row in rows])
+        rq[key], restrictions[key] = shared[block]
     RQ = CellularSheaf(X, "Q", {c: R.stalk(c) for c in X.cells}, rq)
     stalks = {c: Stalk(1 + R.rank(c)) for c in X.cells}
     I = CellularSheaf(X, "Q", stalks, restrictions)
-    QQ = R.constants
     # i embeds the constants, p projects onto the covectors
-    iblocks, pblocks = {}, {}
+    by_rank, iblocks, pblocks = {}, {}, {}
     for c in X.cells:
-        e = eye(1 + R.rank(c), "Q")
-        iblocks[c], pblocks[c] = e[:, :1].copy(), e[1:].copy()
-    return I, ShortExactSequence(i=SheafMap(QQ, I, iblocks), p=SheafMap(I, RQ, pblocks))
+        r = R.rank(c)
+        if r not in by_rank:
+            e = eye(1 + r, "Q")
+            by_rank[r] = e[:, :1].copy(), e[1:].copy()
+        iblocks[c], pblocks[c] = by_rank[r]
+    return I, ShortExactSequence(i=SheafMap(R.constants, I, iblocks), p=SheafMap(I, RQ, pblocks))
 
 
 def _check_translations(R):
@@ -632,20 +642,20 @@ def _check_translations(R):
     R's squares commute (build_R_sheaf validated them), so I's do exactly
     when, for every sigma < tau < rho, t_{sigma tau}^T R_{sigma tau} +
     t_{tau rho}^T R_{tau rho} R_{sigma tau} is the same for every tau: ints
-    over one denominator, violations listed as validate_sheaf lists them.
+    over one denominator off R's pairing table, violations listed as
+    validate_sheaf lists them.  R remembers only a check that passed.
     """
     X = R.base
-    den = lcm(*(s.denominator for t in R._shifts.values() for s in t))
-    shift = {key: [s.numerator * (den // s.denominator) for s in t] for key, t in R._shifts.items()}
+    _, pairs = R._pairings
     bad = []
     for rho in (c for c in X._order if X.cells.get(c, 0) >= 2):
         rows = {}
         for tau, _ in X.faces_of(rho):
-            w = _pull(shift.get((tau, rho), ()), R.restriction(tau, rho).tolist())
+            w = pairs.get((tau, rho), ())
             for sigma, _ in X.faces_of(tau):
-                t = shift.get((sigma, tau))
-                u = [a + b for a, b in zip(t, w)] if t else w
-                rows.setdefault(sigma, []).append((tau, _pull(u, R.restriction(sigma, tau).tolist())))
+                u = _pull(w, R.restriction(sigma, tau).tolist())
+                t = pairs.get((sigma, tau))
+                rows.setdefault(sigma, []).append((tau, [a + b for a, b in zip(t, u)] if t else u))
         for sigma, ((base_tau, base), *others) in rows.items():
             tau = next((tau for tau, row in others if row != base), None)
             if tau is not None:
@@ -654,6 +664,7 @@ def _check_translations(R):
                 )
     if bad:
         raise AffineError("affine-function sheaf invalid: %s" % ValidationReport(bad))
+    R._translations_checked = True
 
 
 def dhat(S, cls, ses=None, target=None):
@@ -687,8 +698,9 @@ def lagrangian_moduli(S):
 
     Presents the symplectic moduli H^2(O, R)/dhat(H^1(O, R-sheaf)) as an
     ambient dimension and a lattice rank.  R and H^1(R) are the ones S keeps.
-    No I is built: dhat reads T off R, and T_1, built first, checks the
-    translations as build_I_sheaf does, once per R, even when H^1(R) is 0.
+    No I is built: dhat reads T off R's pairing table, and T_1, built first,
+    checks the translations as build_I_sheaf does, once per R, even when
+    H^1(R) is 0.
     """
     R = build_R_sheaf(S)
     h1 = cohomology(R, 1)

@@ -2,15 +2,17 @@
 
 Inside this module a matrix is a list of sparse rows, {column: entry} dicts
 holding no zeros, with a width: python ints (arbitrary precision) over Z,
-fractions.Fraction over Q.  numpy object arrays appear at the public
-boundary: a function that takes or returns a matrix or a vector takes or
-returns a numpy array of dtype=object and converts it once, on the way in or
-out.  kernel still computes on such a result: it slices the dense transform
-of hnf.  LinearSystem solves over Z with the dense U and V of snf; nothing in
-the library calls it, and the tests keep it as the Smith-form reference
-solve for cohomology coordinates and connecting maps.  PresentedGroup and
-QuotientSpace also take their relations as sparse rows, which is how
-sheaves.CohomologyResult hands them over.
+fractions.Fraction over Q.  Only _echelon works otherwise: it eliminates a
+Q row as a primitive integer row and makes Fractions at its return.  numpy
+object arrays appear at the public boundary: a function that takes or
+returns a matrix or a vector takes or returns a numpy array of dtype=object
+and converts it once, on the way in or out.  kernel still computes on such
+a result: it slices the dense transform of hnf.  LinearSystem solves over Z
+with the dense U and V of snf; nothing in the library calls it, and the
+tests keep it as the Smith-form reference solve for cohomology coordinates
+and connecting maps.  PresentedGroup and QuotientSpace also take their
+relations as sparse rows, which is how sheaves.CohomologyResult hands them
+over.
 
 There are two eliminations, both on sparse rows.  _smith, the Smith form
 loop behind snf, follows a written pivot rule (see snf) that fixes the Z
@@ -48,6 +50,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -423,8 +426,6 @@ def solve(M, b, ring="Z"):
 # ---------------------------------------------------------------------------
 # Echelon elimination on sparse rows
 
-_ONE = Fraction(1)
-
 
 def _sparse_rows(M, ring):
     """The rows of M as {column: nonzero entry} dicts, ints over Z, Fractions
@@ -465,16 +466,6 @@ def _axpy(row, f, other):
             row.pop(c, None)  # absent when f is 0
 
 
-def _reduce(row, p, piv, ring):
-    """Take the multiple t of the pivot row piv (pivot at column p) out of row
-    that clears row[p] over Q and leaves it in [0, piv[p]) over Z; return t."""
-    t = row.get(p, 0)
-    t = t // piv[p] if ring == "Z" else t
-    if t:
-        _axpy(row, -t, piv)
-    return t
-
-
 def _xgcd(f, d):
     """(g, a, b) with a * f + b * d = g = gcd(f, d) > 0, for d != 0."""
     if f % d == 0:
@@ -483,38 +474,61 @@ def _xgcd(f, d):
     return g, b, a - f // d * b
 
 
+def _primitive(row):
+    """The row of ints or Fractions, denominators cleared, over its content."""
+    den = lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _cross(row, f, d, piv):
+    """(d/g) row - (f/g) piv with g = gcd(f, d), made primitive: row cleared
+    at the pivot d of piv, where it holds f, without fractions."""
+    g = gcd(f, d)
+    out = {c: d // g * v for c, v in row.items()}
+    _axpy(out, -(f // g), piv)
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
 def _echelon(rows, width, ring):
     """Row echelon elimination on sparse rows, over Z or Q.
 
     rows are {column: entry} dicts without zeros.  Only columns below width
     can hold a pivot; columns from width on ride along (hnf and LinearSystem
     keep their row transform there).  The loop has two phases (Cohen, A
-    Course in Computational Algebraic Number Theory, 2.4).
+    Course in Computational Algebraic Number Theory, 2.4), on Python ints
+    for both rings: a Q row enters as a primitive integer row (Bareiss,
+    Math. Comp. 22, 1968), and only at the return are Q rows made Fractions,
+    each pivot row divided by its lead.
 
     Forward: rows are inserted sparsest first and cleared left to right at
     the pivots they meet, up to their first column without a pivot row,
-    which becomes their pivot (scaled to 1 over Q, made positive over Z).
-    Over Z an entry f that the pivot d there does not divide meets that
-    pivot row in the extended-gcd step (row, pivot) -> (a row + b pivot,
-    d/g row - f/g pivot), of determinant -1, with a f + b d = g = gcd(f, d);
-    the entries the row gains come from the old pivot row.
-
+    which becomes their pivot, made positive.  An entry f that the pivot d
+    divides is cleared by subtracting f/d times the pivot row.  Else, over
+    Q, the row becomes (d/g) row - (f/g) pivot, made primitive (_cross);
+    over Z, the row meets the pivot row in the extended-gcd step (row,
+    pivot) -> (a row + b pivot, d/g row - f/g pivot), of determinant -1,
+    with a f + b d = g = gcd(f, d), gaining entries from the old pivot row.
     Back: the rows are finalized in descending pivot order, each reduced
     left to right against the rows already final: its entries at their
-    pivots are cleared (Q) or brought into [0, pivot) (Z).
+    pivots are cleared as above (Q) or brought into [0, pivot) (Z).
 
     The pivot rows below width, the reduced row echelon form over Q and the
     row Hermite normal form over Z, are unique; their ride-along columns
-    (a row transform) and those of the null rows are one representative.
+    (a row transform) are one representative.  A Q row is a multiple of the
+    one the same moves on Fractions give: the null rows span what theirs do.
 
     Returns (pivot_rows, null_rows): pivot_rows maps each pivot column to
     its row, in column order; null_rows are the rows with no entry below
     width.  The input dicts are not modified.
     """
+    q = ring == "Q"
     pivot_rows = {}
     null_rows = []
     for row in sorted(rows, key=len):
-        row = dict(row)
+        row = _primitive(row) if q else dict(row)
         todo = [c for c in row if c < width]
         heapq.heapify(todo)
         lead = None
@@ -528,21 +542,21 @@ def _echelon(rows, width, ring):
                 lead = p
                 break
             d = piv[p]
-            if ring == "Z" and f % d:
+            if not f % d:
+                _axpy(row, -(f // d), piv)
+            elif q:
+                row = _cross(row, f, d, piv)
+            else:
                 g, a, b = _xgcd(f, d)
                 pivot_rows[p] = {c: a * v for c, v in row.items()}
                 _axpy(pivot_rows[p], b, piv)
                 row = {c: d // g * v for c, v in row.items()}
                 _axpy(row, -(f // g), piv)
-            else:
-                _reduce(row, p, piv, ring)
             for c in piv:
                 if p < c < width:
                     heapq.heappush(todo, c)
         if lead is None:
-            null_rows.append(row)
-        elif ring == "Q" and f != 1:
-            pivot_rows[lead] = {c: v / f for c, v in row.items()}
+            null_rows.append({c: Fraction(v) for c, v in row.items()} if q else row)
         else:
             pivot_rows[lead] = {c: -v for c, v in row.items()} if f < 0 else row
     order = sorted(pivot_rows)
@@ -553,17 +567,25 @@ def _echelon(rows, width, ring):
         while todo:
             c = heapq.heappop(todo)
             piv = pivot_rows[c]
-            if _reduce(row, c, piv, ring):
-                for e in piv:
-                    if e > c and e in pivot_rows:
-                        heapq.heappush(todo, e)
+            f, d = row.get(c, 0), piv[c]
+            if q and f % d:
+                row = pivot_rows[p] = _cross(row, f, d, piv)
+            elif f // d:
+                _axpy(row, -(f // d), piv)
+            else:
+                continue
+            for e in piv:
+                if e > c and e in pivot_rows:
+                    heapq.heappush(todo, e)
+    for p in order if q else ():
+        row = pivot_rows[p]
+        pivot_rows[p] = {c: Fraction(v, row[p]) for c, v in row.items()}
     return {p: pivot_rows[p] for p in order}, null_rows
 
 
 def _echelon_with_transform(rows, width, ring):
     """_echelon of [rows | I]: the identity columns record the row transform."""
-    one = 1 if ring == "Z" else _ONE
-    return _echelon([{**row, width + i: one} for i, row in enumerate(rows)], width, ring)
+    return _echelon([{**row, width + i: 1} for i, row in enumerate(rows)], width, ring)
 
 
 def _inverse(rows, n, ring):
@@ -601,7 +623,7 @@ def _apply_columns(cols, x):
 def _kernel_rows(pivot_rows, n):
     """The kernel of a reduced row echelon form with n columns, one sparse
     vector per free column j: 1 at j, -R[r, j] at pivot r, 0 elsewhere."""
-    out = {j: {j: _ONE} for j in range(n) if j not in pivot_rows}
+    out = {j: {j: Fraction(1)} for j in range(n) if j not in pivot_rows}
     for p, row in pivot_rows.items():
         for c, v in row.items():
             if c in out:
@@ -788,6 +810,8 @@ class QuotientSpace:
     def __init__(self, n, relations=None):
         self.n = n
         if isinstance(relations, np.ndarray):
+            if relations.shape[0] and relations.shape[1] != n:
+                raise ValueError("relation width mismatch")
             relations = _sparse_rows(relations, "Q")
         self._rows = _echelon(relations or [], n, "Q")[0]
         self._free = [j for j in range(n) if j not in self._rows]
@@ -801,6 +825,8 @@ class QuotientSpace:
         return AbelianGroup(free_rank=self.dimension)
 
     def reduce(self, x):
+        if len(x) != self.n:
+            raise ValueError("dimension mismatch: len(x) != n")
         x = {j: Fraction(v) for j, v in enumerate(x) if v != 0}
         _substitute(x, self._rows)
         return tuple(x.get(j, Fraction(0)) for j in self._free)

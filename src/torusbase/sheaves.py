@@ -184,19 +184,19 @@ class CellularSheaf:
 def _block_columns(source, k, target, l, blocks):
     """The map C^k(source) -> C^l(target) as sparse columns {row: entry}: for
     each (sigma, tau, sign, M) in blocks, no two at one pair, sign * M at tau's
-    rows and sigma's columns.  The nonzero entries are ints over Z and
-    Fractions over Q, in the target's ring."""
+    rows and sigma's columns, in the target's ring: each entry times the sign
+    as it is, and over Q an int entry made a Fraction."""
     soff, n = source.offsets(k)
     toff, _ = target.offsets(l)
-    conv = int if target.ring == "Z" else Fraction
+    z = target.ring == "Z"
     cols = [{} for _ in range(n)]
     for sigma, tau, sign, M in blocks:
         i, j = toff[tau], soff[sigma]
         for r, line in enumerate(M.tolist()):
             for c, v in enumerate(line):
-                x = sign * v
-                if x != 0:
-                    cols[j + c][i + r] = conv(x)
+                x = v if sign == 1 else -v if sign == -1 else sign * v
+                if x:
+                    cols[j + c][i + r] = int(x) if z else Fraction(x) if type(x) is int else x
     return cols
 
 
@@ -459,6 +459,8 @@ class SheafMap:
     def __init__(self, source, target, blocks):
         if source.base is not target.base:
             raise SheafError("sheaf map requires a common base complex")
+        if source.ring != target.ring:
+            raise SheafError("sheaf map requires a common ring")
         self.source = source
         self.target = target
         self.blocks = dict(blocks)

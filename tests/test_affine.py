@@ -1021,6 +1021,21 @@ def test_a_perturbed_translation_of_R_is_reported(pick, monkeypatch):
     assert _check_text(lambda: affine.lagrangian_moduli(S)) == want
 
 
+def test_the_translation_check_runs_once_per_R(monkeypatch):
+    import torusbase.affine as affine
+
+    S = flat_torus_surface(1, size=3)
+    calls = []
+    real = affine._check_translations
+    monkeypatch.setattr(affine, "_check_translations", lambda R: calls.append(R) or real(R))
+    assert lagrangian_moduli(S) == (1, 1)
+    assert calls == [build_R_sheaf(S)]
+    # the I sheaf and the moduli again read the table the check passed on
+    build_I_sheaf(S)
+    assert lagrangian_moduli(S) == (1, 1)
+    assert calls == [build_R_sheaf(S)]
+
+
 def test_moduli_build_no_I_sheaf(monkeypatch):
     import torusbase.affine as affine
     from torusbase.surgery import realizability_report_2d

@@ -10,13 +10,14 @@ exactly, entry types included.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from test_complexes import circle, grid_torus
 from test_stalk_isos import _scaling
 
 from torusbase import sheaves, surgery
-from torusbase.affine import _pairing, build_R_sheaf, dual_matrix
+from torusbase.affine import build_R_sheaf, dual_matrix
 from torusbase.catalog import build, catalog_names, flat_torus_surface
 from torusbase.complexes import _infer_signs, edge_between
 from torusbase.exact import _sparse_rows, _transpose, eye, fracmat, intmat
@@ -29,6 +30,17 @@ from torusbase.sheaves import (
     restriction_on_cohomology,
 )
 from torusbase.surgery import gluing_obstruction
+
+
+def _pull(t, ints):
+    """t^T M for a vector t and the integer rows ints of M."""
+    return [sum(s * x for s, x in zip(t, col)) for col in zip(*ints)]
+
+
+def _pairing(t, ints):
+    """t^T M over Q, for a translation t and the integer rows ints of M."""
+    den = lcm(*(s.denominator for s in t))
+    return [Fraction(x, den) for x in _pull([s.numerator * (den // s.denominator) for s in t], ints)]
 
 
 def _old_translation_columns(self, k):

@@ -34,15 +34,12 @@ from torusbase.exact import (
     unimodular_inverse,
 )
 from torusbase.exact import (
-    _axpy,
     _dense,
     _echelon,
     _echelon_with_transform,
     _kernel_rows,
-    _reduce,
     _sparse_rows,
     _substitute,
-    _xgcd,
 )
 from torusbase.surgery import glue
 
@@ -279,6 +276,18 @@ def test_quotient_space():
     )
 
 
+def test_quotient_space_checks_its_inputs_as_presented_group_does():
+    # the same errors, in the same words, for both
+    for make in (lambda: PresentedGroup(2, intmat([[1, 2, 3]])), lambda: QuotientSpace(2, fracmat([[1, 2, 3]]))):
+        with pytest.raises(ValueError, match="relation width mismatch"):
+            make()
+    for G in (PresentedGroup(2, intmat([[1, 1]])), QuotientSpace(2, fracmat([[1, 1]]))):
+        for x in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError, match=r"dimension mismatch: len\(x\) != n"):
+                G.reduce(x)
+    assert QuotientSpace(2, fracmat([[1, 1]])).reduce([1, 2]) == (Fraction(1),)
+
+
 def test_linear_system_reuse():
     M = intmat([[2, 4], [6, 8]])
     sys = LinearSystem(M)
@@ -323,6 +332,33 @@ def sparse_cases():
     rng = random.Random(31)
     cases = [np.empty((0, 4), dtype=object), np.empty((3, 0), dtype=object), np.empty((0, 0), dtype=object)]
     cases += [random_sparse_int(rng, rng.randint(0, 9), rng.randint(0, 9)) for _ in range(400)]
+    return cases
+
+
+def rational_cases():
+    """Seeded rational matrices, entries with denominators 1..6, some with
+    zero rows, zero columns and rows that depend on others."""
+    rng = random.Random(43)
+    cases = []
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.5 else Fraction(0) for _ in range(n)]
+            for _ in range(m)
+        ]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(3)
+            i, j, k = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+            if kind == 0:
+                rows[i] = [Fraction(0)] * n
+            elif kind == 1:
+                col = rng.randrange(n)
+                for r in rows:
+                    r[col] = Fraction(0)
+            else:
+                f = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                rows[i] = [f * a + b for a, b in zip(rows[j], rows[k])]
+        cases.append(fracmat(rows))
     return cases
 
 
@@ -576,7 +612,36 @@ def test_snf_diagonal_matches_sympy():
 # clears an inserted row only at the pivots left of its lead and reduces
 # above the pivots once, in a back pass, instead of reducing every earlier
 # pivot row at each new lead and again in a last Z pass.  The loops they
-# replaced are kept here, verbatim, as the references.
+# replaced are kept here, verbatim, as the references, with the helpers
+# they call, so the references share no code with the loops they check.
+
+
+def _axpy(row, f, other):
+    """row += f * other in place, dropping the entries that cancel."""
+    for c, v in other.items():
+        x = row.get(c, 0) + f * v
+        if x != 0:
+            row[c] = x
+        else:
+            row.pop(c, None)  # absent when f is 0
+
+
+def _reduce(row, p, piv, ring):
+    """Take the multiple t of the pivot row piv (pivot at column p) out of row
+    that clears row[p] over Q and leaves it in [0, piv[p]) over Z; return t."""
+    t = row.get(p, 0)
+    t = t // piv[p] if ring == "Z" else t
+    if t:
+        _axpy(row, -t, piv)
+    return t
+
+
+def _xgcd(f, d):
+    """(g, a, b) with a * f + b * d = g = gcd(f, d) > 0, for d != 0."""
+    if f % d == 0:
+        return abs(d), 0, 1 if d > 0 else -1
+    g, a, b = _xgcd(d, f % d)
+    return g, b, a - f // d * b
 
 
 def reference_substitute(x, pivot_rows):
@@ -702,7 +767,44 @@ def test_indexed_echelon_matches_the_scanning_loop():
     for M in sparse_cases() + smith_cases():
         for ring in ("Z", "Q"):
             invertible += assert_echelon_matches_reference(_sparse_rows(M, ring), M.shape[1], ring)
+    for M in rational_cases():
+        invertible += assert_echelon_matches_reference(_sparse_rows(M, "Q"), M.shape[1], "Q")
     assert invertible > 20
+
+
+def _fraction_arithmetic(run):
+    """The names of the Fraction operations (_add, _sub, _mul, _div,
+    _floordiv) called while run() runs, seen with sys.setprofile; making a
+    Fraction is not one."""
+    import fractions
+    import sys
+
+    names = {"_add", "_sub", "_mul", "_div", "_floordiv"}
+    seen = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name in names and code.co_filename == fractions.__file__:
+            seen.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_the_echelon_loop_does_no_fraction_arithmetic_over_Q():
+    assert _fraction_arithmetic(lambda: Fraction(1, 2) + Fraction(1, 3)) == ["_add"]
+    results = []
+    for M in rational_cases()[:60]:
+        rows, n = _sparse_rows(M, "Q"), M.shape[1]
+        for run in (_echelon, _echelon_with_transform):
+            assert _fraction_arithmetic(lambda: results.append(run(rows, n, "Q"))) == []
+    entries = [v for pivots, null in results for row in list(pivots.values()) + null for v in row.values()]
+    assert all(type(v) is Fraction for v in entries)
+    assert any(v.denominator > 1 for v in entries)
 
 
 def test_echelon_matches_the_scanning_loop_on_catalog_differentials():

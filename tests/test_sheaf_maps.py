@@ -796,3 +796,14 @@ def test_induced_maps_need_their_own_sheaves_in_one_degree():
         for exact_at in (sheaves.rank_exact_at, sheaves.torsion_exact_at):
             with pytest.raises(SheafError, match="not composable"):
                 exact_at(f, g)
+
+
+def test_a_sheaf_map_needs_one_ring():
+    # a Z source and a Q target, or the reverse, would give induced matrices
+    # that mix ints and Fractions
+    X = circle(3)
+    Z, Q = constant_sheaf(X, 1), constant_sheaf(X, 1, "Q")
+    for source, target in ((Z, Q), (Q, Z)):
+        with pytest.raises(SheafError, match="sheaf map requires a common ring"):
+            SheafMap(source, target, {c: eye(1, source.ring) for c in X.cells})
+    assert SheafMap(Q, Q, {c: eye(1, "Q") for c in X.cells}).validate().valid

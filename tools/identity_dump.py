@@ -48,6 +48,13 @@ catalog base complex (both pieces of ``fake_base_space``) and for the quarter
 rotation of ``flat_torus`` on R, whose cell map is not the identity, the
 canonical coordinates of the push of every H^k generator.
 
+The rational section eliminates seeded rational matrices (denominators up
+to 6, some with zero rows, zero columns and dependent rows), so elimination
+over Q meets entries that are not integers: for each it prints ``rref``
+(rows and pivot columns), ``q_rank``, the ``QuotientSpace`` coordinates of
+seeded rational vectors, and a ``LinearSystem`` solve over Q of a solvable
+and of a seeded right-hand side.
+
 The CLI section runs ``torusbase.cli.main`` in-process for every light
 catalog entry (all but ``fake_base_space``), flat_torus:-2, 2 and 3 and
 ff_disk:2 and 3, and prints the bytes of its ``catalog NAME --export`` file
@@ -98,7 +105,18 @@ from torusbase.catalog import (  # noqa: E402
 from torusbase.cli import main as cli_main  # noqa: E402
 from torusbase.complexes import edge_between  # noqa: E402
 from torusbase.errors import TorusbaseError  # noqa: E402
-from torusbase.exact import eye, fracvec, intmat, lattice_hnf, rref, unimodular_inverse  # noqa: E402
+from torusbase.exact import (  # noqa: E402
+    LinearSystem,
+    QuotientSpace,
+    eye,
+    fracmat,
+    fracvec,
+    intmat,
+    lattice_hnf,
+    q_rank,
+    rref,
+    unimodular_inverse,
+)
 from torusbase.sheaves import (  # noqa: E402
     CohomologyClass,
     SheafAutomorphism,
@@ -424,6 +442,48 @@ def dump_automorphism(label, aut, out):
             out.append("  H^%d %s -> %s" % (k, fmt(g), tuple(str(x) for x in h.coordinates(moved.cocycle))))
 
 
+def rational_matrices():
+    """Seeded rational matrices, entries with denominators 1..6, some with
+    zero rows, zero columns and rows that depend on others, each with the
+    rng that draws its probes."""
+    rng = random.Random(900)
+    for i in range(150):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+            for _ in range(m)
+        ]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.randrange(3)
+            a, b, c = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+            if kind == 0:
+                rows[a] = [Fraction(0)] * n
+            elif kind == 1:
+                col = rng.randrange(n)
+                for r in rows:
+                    r[col] = Fraction(0)
+            else:
+                f = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                rows[a] = [f * x + y for x, y in zip(rows[b], rows[c])]
+        yield "rational %d" % i, fracmat(rows), random.Random(1000 + i)
+
+
+def dump_rational(label, M, rng, out):
+    m, n = M.shape
+    E, pivots = rref(M)
+    out.append("== %s %dx%d q_rank %d pivots %s" % (label, m, n, q_rank(M), pivots))
+    out.extend("  rref " + nonzeros(r) for r in E[:len(pivots)])
+    Q = QuotientSpace(n, M)
+    for _ in range(3):
+        x = fracvec([Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)])
+        out.append("  coords %s -> %s" % (fmt(x), tuple(str(v) for v in Q.reduce(x))))
+    # M x for a seeded x is solvable; a seeded b need not be
+    x = fracvec([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+    for b in (M.dot(x), fracvec([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)])):
+        y = LinearSystem(M).solve(b, "Q")
+        out.append("  solve %s -> %s" % (fmt(b), None if y is None else [repr(v) for v in y]))
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of the CLI on argv."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -465,6 +525,8 @@ def main():
     dump_overlaps(out)
     for label, aut in automorphisms():
         dump_automorphism(label, aut, out)
+    for label, M, rng in rational_matrices():
+        dump_rational(label, M, rng, out)
     dump_cli(out)
     sys.stdout.write("\n".join(out) + "\n")
 
