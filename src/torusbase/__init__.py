@@ -7,7 +7,7 @@ Delzant polytope surgeries, and base-level gluing.
 """
 
 from .errors import TorusbaseError
-from .exact import AbelianGroup, SmithDecomposition, cokernel, hnf, snf, solve
+from .exact import AbelianGroup, SmithDecomposition, hnf, snf
 from .complexes import (
     CellComplex,
     GroupPresentation,

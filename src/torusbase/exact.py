@@ -10,7 +10,9 @@ and converts it once, on the way in or out.  kernel still computes on such
 a result: it slices the dense transform of hnf.  LinearSystem solves over Z
 with the dense U and V of snf; nothing in the library calls it, and the
 tests keep it as the Smith-form reference solve for cohomology coordinates
-and connecting maps.  PresentedGroup and QuotientSpace also take their
+and connecting maps.  Each job has one path: the dense wrappers the tests
+compare against (cokernel, rref, q_kernel, the lattice functions) live in
+tests/reference.py.  PresentedGroup and QuotientSpace also take their
 relations as sparse rows, which is how sheaves.CohomologyResult hands them
 over.
 
@@ -18,9 +20,9 @@ There are two eliminations, both on sparse rows.  _smith, the Smith form
 loop behind snf, follows a written pivot rule (see snf) that fixes the Z
 coordinates of PresentedGroup and the Z solves of LinearSystem; the rule,
 not the storage, fixes its D, U and V, so those coordinates did not move
-when the loop left dense arrays.  Everything else (hnf, kernel, the lattice
-functions, rref, q_rank, q_kernel, LinearSystem over Q, QuotientSpace,
-EchelonBasis, the inverses) runs one echelon loop, _echelon, touching only
+when the loop left dense arrays.  Everything else (hnf, kernel, the preimage
+lattice, q_rank, LinearSystem over Q, the relations of PresentedGroup,
+QuotientSpace, the inverses) runs one echelon loop, _echelon, touching only
 nonzero entries: a forward elimination, each row cleared only at the pivots
 left of its own, then one back pass that reduces above the pivots.  It gives
 the row Hermite normal form over Z and the reduced row echelon form over Q,
@@ -28,14 +30,15 @@ both unique; the row transform it carries along (hnf's U, kernel's basis,
 LinearSystem's E over Q) is one representative.  There is one inverse,
 _inverse, read off that loop over Z (of a unimodular matrix) or over Q;
 unimodular_inverse, the inverse of the Smith transform in
-PresentedGroup.generators and the stalk iso check of sheaves over Q all call
-it (over Z that check inverts modulo the stalk torsion, off
-_echelon_with_transform).  Row convention: matrices act on column vectors;
+PresentedGroup.generators, the Delzant corner check of polytopes and the
+stalk iso check of sheaves over Q all call it (over Z that check inverts
+modulo the stalk torsion, off _echelon_with_transform).  Row convention: matrices act on column vectors;
 relation subgroups/subspaces are given by rows.
 
-Over Z an entry point takes an integral Fraction as its int and raises
+Over Z an entry point, and the coordinates of EchelonBasis.coefficients and
+PresentedGroup.reduce, take an integral Fraction as its int and raise
 ValueError naming an entry that is not an integer, rather than truncating
-it.
+it (_integral).
 
 Coordinates.  A basis in echelon form (EchelonBasis: the HNF rows of a
 lattice over Z, the kernel vectors of an RREF over Q) gives the coefficients
@@ -57,18 +60,18 @@ import numpy as np
 
 def intmat(rows):
     """Build an object-dtype integer matrix from nested sequences."""
-    rows = [[int(x) for x in r] for r in rows]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged matrix")
-    a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            a[i, j] = x
-    return a
+    return _matrix(rows, int)
 
 
 def fracmat(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
+    return _matrix(rows, Fraction)
+
+
+def _matrix(rows, kind):
+    """The object matrix of the nested sequences rows, each entry made kind."""
+    rows = [[kind(x) for x in r] for r in rows]
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
     a = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
     for i, r in enumerate(rows):
         for j, x in enumerate(r):
@@ -92,17 +95,11 @@ def eye(n, ring="Z"):
 
 
 def intvec(xs):
-    a = np.empty(len(xs), dtype=object)
-    for i, x in enumerate(xs):
-        a[i] = int(x)
-    return a
+    return _matrix([xs], int)[0]
 
 
 def fracvec(xs):
-    a = np.empty(len(xs), dtype=object)
-    for i, x in enumerate(xs):
-        a[i] = Fraction(x)
-    return a
+    return _matrix([xs], Fraction)[0]
 
 
 def zerovec(n, ring="Z"):
@@ -119,6 +116,8 @@ def mat_eq(A, B):
 
 def inv2(A):
     """Inverse of a 2x2 integer matrix of determinant +-1."""
+    if A.shape != (2, 2):
+        raise ValueError("matrix is not 2x2")
     d = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
@@ -320,12 +319,6 @@ class AbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def cokernel(M):
-    """Z^cols modulo the row span of M, in canonical form."""
-    dec = snf(M)
-    return AbelianGroup(M.shape[1] - dec.rank, tuple(d for d in dec.diagonal if d > 1))
-
-
 # ---------------------------------------------------------------------------
 # Kernels and linear systems
 
@@ -367,6 +360,8 @@ class LinearSystem:
 
     def solve(self, b, ring="Z"):
         """A particular solution or None; exact in the requested ring."""
+        if len(b) != self.M.shape[0]:
+            raise ValueError("dimension mismatch: len(b) != rows of M")
         if self._rational:
             if ring != "Q":
                 raise ValueError("rational system solves over Q only")
@@ -392,9 +387,7 @@ class LinearSystem:
 
     def _solve_rational(self, b):
         """The solution with free variables 0: x[pivot r] = (E b)[r]."""
-        m, n = self.M.shape
-        if len(b) != m:
-            raise ValueError("dimension mismatch: len(b) != rows of M")
+        n = self.M.shape[1]
         c = {}
         for i, bi in enumerate(b):
             if bi != 0:
@@ -409,34 +402,23 @@ class LinearSystem:
                 x[p] = c[r]
         return x
 
-    def kernel_columns(self):
-        if self._rational:
-            n = self.M.shape[1]
-            return EchelonBasis(n, _kernel_rows(self._rows, n), "Q").matrix()
-        return self.dec.V[:, self.rank:].copy()
-
-
-def solve(M, b, ring="Z"):
-    """Solve M x = b exactly; returns a vector or None when unsolvable."""
-    if len(b) != M.shape[0]:
-        raise ValueError("dimension mismatch: len(b) != rows of M")
-    return LinearSystem(M).solve(b, ring)
-
 
 # ---------------------------------------------------------------------------
 # Echelon elimination on sparse rows
 
 
 def _sparse_rows(M, ring):
-    """The rows of M as {column: nonzero entry} dicts, ints over Z, Fractions
+    """The rows of M as sparse vectors (see _sparse_vector)."""
+    return [_sparse_vector(row, ring) for row in M.tolist()]
+
+
+def _sparse_vector(x, ring):
+    """The sequence x as a {index: nonzero entry} dict, ints over Z, Fractions
     over Q.  Over Z an entry that is not an int must be integral (an integral
     Fraction is taken as its int); else ValueError names it."""
     if ring == "Q":
-        return [{j: Fraction(x) for j, x in enumerate(row) if x != 0} for row in M.tolist()]
-    return [
-        {j: x if type(x) is int else _integral(x) for j, x in enumerate(row) if x != 0}
-        for row in M.tolist()
-    ]
+        return {j: Fraction(v) for j, v in enumerate(x) if v != 0}
+    return {j: v if type(v) is int else _integral(v) for j, v in enumerate(x) if v != 0}
 
 
 def _integral(x):
@@ -665,60 +647,12 @@ def _substitute(x, pivot_rows):
     return coef
 
 
-def rref(M):
-    """Reduced row echelon form over Q. Returns (R, pivot_columns)."""
-    m, n = M.shape
-    pivot_rows, _ = _echelon(_sparse_rows(M, "Q"), n, "Q")
-    return _dense(pivot_rows.values(), (m, n), "Q"), list(pivot_rows)
-
-
 def q_rank(M):
     return len(_echelon(_sparse_rows(M, "Q"), M.shape[1], "Q")[0])
 
 
-def q_kernel(M):
-    """Columns spanning the rational kernel of M."""
-    return EchelonBasis.kernel(M).matrix()
-
-
 # ---------------------------------------------------------------------------
 # Lattices (subgroups of Z^n given by spanning rows)
-
-
-def lattice_hnf(rows):
-    """Canonical basis (HNF rows, zero rows dropped) of the row lattice."""
-    n = rows.shape[1]
-    pivot_rows, _ = _echelon(_sparse_rows(rows, "Z"), n, "Z")
-    return _dense(pivot_rows.values(), (len(pivot_rows), n))
-
-
-def lattice_eq(A, B):
-    return mat_eq(lattice_hnf(A), lattice_hnf(B))
-
-
-def lattice_member(rows, v):
-    return EchelonBasis.lattice(rows).coefficients(v) is not None
-
-
-def stack_rows(*mats):
-    mats = [m for m in mats if m.shape[0] > 0]
-    if not mats:
-        raise ValueError("nothing to stack")
-    n = mats[0].shape[1]
-    out = zeros(sum(m.shape[0] for m in mats), n)
-    r = 0
-    for m in mats:
-        out[r:r + m.shape[0]] = m
-        r += m.shape[0]
-    return out
-
-
-def preimage_lattice(M, target_rows):
-    """Rows spanning {x in Z^n : M x lies in the row lattice of target_rows}."""
-    n = M.shape[1]
-    rows = _preimage_rows(_sparse_rows(M, "Z"), n, _sparse_rows(target_rows, "Z"))
-    pivot_rows, _ = _echelon(rows, n, "Z")
-    return _dense(pivot_rows.values(), (len(pivot_rows), n))
 
 
 def _preimage_rows(rows, n, target):
@@ -774,13 +708,13 @@ class PresentedGroup:
         """Canonical coordinate tuple of the class of x."""
         if len(x) != self.n:
             raise ValueError("dimension mismatch: len(x) != n")
-        x = list(x)
+        x = [v if type(v) is int else _integral(v) for v in x]
         out = []
         for row, d in zip(self._T, self._orders):
             if d == 1:
                 continue
             z = sum(v * x[j] for j, v in row.items())
-            out.append(int(z % d) if d > 1 else int(z))
+            out.append(z % d if d else z)
         return tuple(out)
 
     def coordinate_orders(self):
@@ -827,7 +761,7 @@ class QuotientSpace:
     def reduce(self, x):
         if len(x) != self.n:
             raise ValueError("dimension mismatch: len(x) != n")
-        x = {j: Fraction(v) for j, v in enumerate(x) if v != 0}
+        x = _sparse_vector(x, "Q")
         _substitute(x, self._rows)
         return tuple(x.get(j, Fraction(0)) for j in self._free)
 
@@ -855,7 +789,7 @@ class EchelonBasis:
     read by back-substitution (see _substitute), so no system is solved.
 
     Vector i is a sparse {column: entry} row kept under its pivot column, in
-    pivot order; the vectors are the columns of matrix().
+    pivot order.
     """
 
     def __init__(self, n, pivot_rows, ring):
@@ -864,31 +798,15 @@ class EchelonBasis:
         self._rows = pivot_rows
         self._index = {p: i for i, p in enumerate(pivot_rows)}
 
-    @classmethod
-    def lattice(cls, M):
-        """The lattice spanned by the rows of M: its row Hermite normal form,
-        each row under its leading column."""
-        n = M.shape[1]
-        return cls(n, _echelon(_sparse_rows(M, "Z"), n, "Z")[0], "Z")
-
-    @classmethod
-    def kernel(cls, M):
-        """The rational kernel of M: per free column of its reduced row
-        echelon form, the vector that is 1 there and 0 at every other free
-        column, under that column."""
-        n = M.shape[1]
-        return cls(n, _kernel_rows(_echelon(_sparse_rows(M, "Q"), n, "Q")[0], n), "Q")
-
     def __len__(self):
         return len(self._rows)
 
-    def matrix(self):
-        return _dense(self._rows.values(), (len(self._rows), self.n), self.ring).T
-
     def coefficients(self, x):
         """The coefficient vector of x, or None when x is not in the span
-        (over Z: not in the lattice the vectors span)."""
-        coef = self._coefficients({j: v for j, v in enumerate(x) if v != 0})
+        (over Z: not in the lattice the vectors span, and an entry of x that
+        is not an integer is a ValueError)."""
+        x = _sparse_vector(x, "Z") if self.ring == "Z" else {j: v for j, v in enumerate(x) if v != 0}
+        coef = self._coefficients(x)
         if coef is None:
             return None
         out = zerovec(len(self._rows), self.ring)

@@ -9,10 +9,10 @@ the brute force cheap and covers every worked example.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import TorusbaseError
-from .exact import eye, fracmat, intmat, lattice_eq, q_rank, rref
+from .exact import _echelon, _inverse, _kernel_rows
 
 
 class PolytopeError(TorusbaseError):
@@ -56,13 +56,19 @@ class Vertex:
     facets: tuple  # indices of active halfspaces
 
 
+def _sparse(rows):
+    """The rows of ints or Fractions as {column: nonzero entry} dicts."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
 def _solve_square(rows, rhs):
+    """The solution of the square system rows x = rhs, or None when it is
+    singular: the reduced row echelon form of [rows | rhs] is then [I | x]."""
     n = len(rows)
-    M = fracmat([list(r) + [rhs[i]] for i, r in enumerate(rows)])
-    R, pivots = rref(M)
-    if pivots != list(range(n)):
+    pivot_rows, _ = _echelon(_sparse((*r, b) for r, b in zip(rows, rhs)), n, "Q")
+    if len(pivot_rows) != n:
         return None
-    return tuple(R[i, n] for i in range(n))
+    return tuple(row.get(n, Fraction(0)) for row in pivot_rows.values())
 
 
 def vertices(P):
@@ -100,17 +106,12 @@ def _has_recession_ray(P):
     # sample candidate rays from facet intersections and check <a, d> <= 0
     n = P.dimension
     for subset in itertools.combinations(range(len(P.halfspaces)), n - 1):
-        rows = [P.halfspaces[i][0] for i in subset]
+        rows = _sparse(P.halfspaces[i][0] for i in subset)
         if not rows:
             continue
-        M = fracmat(rows)
-        from .exact import q_kernel
-
-        K = q_kernel(M)
-        for j in range(K.shape[1]):
-            d = [K[i, j] for i in range(n)]
+        for d in _kernel_rows(_echelon(rows, n, "Q")[0], n).values():
             for sgn in (1, -1):
-                ray = [sgn * x for x in d]
+                ray = [sgn * d.get(i, 0) for i in range(n)]
                 if any(x != 0 for x in ray) and all(
                     sum(Fraction(ai) * x for ai, x in zip(a, ray)) <= 0
                     for a, b in P.halfspaces
@@ -126,12 +127,10 @@ def _edges(P, v):
         if w.point == v.point:
             continue
         shared = set(v.facets) & set(w.facets)
-        rows = [P.halfspaces[i][0] for i in shared]
-        if (q_rank(fracmat(rows)) if rows else 0) == P.dimension - 1:
+        rows = _sparse(P.halfspaces[i][0] for i in shared)
+        if len(_echelon(rows, P.dimension, "Q")[0]) == P.dimension - 1:
             d = [wi - vi for wi, vi in zip(w.point, v.point)]
-            den = 1
-            for x in d:
-                den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
+            den = lcm(*(Fraction(x).denominator for x in d))
             yield d, primitive([Fraction(x) * den for x in d])
 
 
@@ -145,8 +144,9 @@ def edge_directions(P, v):
 
 
 def _unimodular_corner(dirs, n):
-    """n edge directions that span Z^n (a Z^n basis)."""
-    return len(dirs) == n and lattice_eq(intmat(dirs), eye(n))
+    """n edge directions that span Z^n (a Z^n basis): the Hermite normal form
+    of a unimodular matrix is I, so it has an inverse over Z."""
+    return _inverse(_sparse(dirs), n, "Z") is not None
 
 
 @dataclass

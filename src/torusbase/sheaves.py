@@ -163,13 +163,9 @@ class CellularSheaf:
         dx = _apply_columns(self._differential_columns(k), x)
         return _dense([dx], (1, self.cochain_rank(k + 1)), self.ring)[0]
 
-    def moduli_rows(self, k):
-        """Rows spanning the torsion lattice of C^k (Z sheaves only)."""
-        rows = self._torsion_rows(k)
-        return _dense(rows, (len(rows), self.cochain_rank(k)))
-
     def _torsion_rows(self, k):
-        """moduli_rows(k) as new sparse rows, one {column: order} per torsion generator."""
+        """Sparse rows spanning the torsion lattice of C^k, new on each call,
+        one {column: order} per torsion generator (none over Q)."""
         off, _ = self.offsets(k)
         cells = self.cochain_cells(k)
         return [r for c in cells for r in _stalk_torsion_rows(self.stalk(c), off[c])]
@@ -514,11 +510,6 @@ class SheafMap:
             return {c: -v for c, v in _cut(x, width, n).items()}
 
         return lift, [_cut(row, width, n) for row in null]
-
-    def cochain_matrix(self, k):
-        """The cochain map in degree k as a dense matrix: the view of _cochain_columns(k)."""
-        m, n = self.target.cochain_rank(k), self.source.cochain_rank(k)
-        return _dense(_transpose(self._cochain_columns(k), m), (m, n), self.source.ring)
 
     def induced(self, source, target):
         """This map on cohomology, between results of its own sheaves in one degree."""

@@ -13,6 +13,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from reference import cochain_matrix, moduli_rows
 from torusbase.affine import (
     affine_eq,
     affine_identity,
@@ -344,8 +345,8 @@ def les_maps(ses, top):
     res = lru_cache(None)(cohomology)
     out = []
     for k in range(top + 1):
-        out.append(induced_map(res(ses.A, k), res(ses.B, k), ses.i.cochain_matrix(k).dot))
-        out.append(induced_map(res(ses.B, k), res(ses.C, k), ses.p.cochain_matrix(k).dot))
+        out.append(induced_map(res(ses.A, k), res(ses.B, k), cochain_matrix(ses.i, k).dot))
+        out.append(induced_map(res(ses.B, k), res(ses.C, k), cochain_matrix(ses.p, k).dot))
         if k < top:
             out.append(induced_map(res(ses.C, k), res(ses.A, k + 1), _delta_fn(ses, k)))
     return out
@@ -362,11 +363,11 @@ def _delta_fn(ses, k):
     from torusbase.exact import LinearSystem
 
     ring = ses.A.ring
-    p_k = ses.p.cochain_matrix(k)
-    i_k1 = ses.i.cochain_matrix(k + 1)
+    p_k = cochain_matrix(ses.p, k)
+    i_k1 = cochain_matrix(ses.i, k + 1)
     dB = ses.B.differential(k)
-    sys_p = LinearSystem(_augment(p_k, ses.C.moduli_rows(k)) if ring == "Z" else p_k)
-    sys_i = LinearSystem(_augment(i_k1, ses.B.moduli_rows(k + 1)) if ring == "Z" else i_k1)
+    sys_p = LinearSystem(_augment(p_k, moduli_rows(ses.C, k)) if ring == "Z" else p_k)
+    sys_i = LinearSystem(_augment(i_k1, moduli_rows(ses.B, k + 1)) if ring == "Z" else i_k1)
     nB = ses.B.cochain_rank(k)
     nA = ses.A.cochain_rank(k + 1)
 

@@ -38,7 +38,7 @@ from torusbase.catalog import (
     klein_affine_surface,
     sphere_24ff_surface,
 )
-from torusbase.exact import AbelianGroup, PresentedGroup, eye, fracvec, intmat, zeros
+from torusbase.exact import AbelianGroup, LinearSystem, PresentedGroup, eye, fracvec, intmat, zeros
 from torusbase.sheaves import (
     CellularSheaf,
     CohomologyClass,
@@ -619,7 +619,8 @@ def _old_fixed_covector(W):
     its generator is taken to be its HNF row, whose first nonzero entry is
     positive.
     """
-    from torusbase.exact import kernel, lattice_hnf
+    from reference import lattice_hnf
+    from torusbase.exact import kernel
 
     L = lattice_hnf(kernel((W - eye(2)).T).T)
     if L.shape[0] != 1:
@@ -890,11 +891,9 @@ _CONJUGATE_SHEAR = [[0, 1], [-1, 2]]
     ],
 )
 def test_chartless_focus_focus_with_fixed_point(t, A):
-    from torusbase.exact import solve
-
     S = chartless_ff_disk(t, A)
     W, s = vertex_wheel(S, "c")
-    assert solve(eye(2) - W, s, "Q") is not None
+    assert LinearSystem(eye(2) - W).solve(s, "Q") is not None
     assert validate_affine(S).valid
 
 
@@ -908,12 +907,11 @@ _NO_FIXED_POINT = [
 
 @pytest.mark.parametrize("t, A", _NO_FIXED_POINT)
 def test_chartless_focus_focus_without_fixed_point(t, A):
-    from torusbase.exact import solve
     from torusbase.surgery import realizability_report_2d
 
     S = chartless_ff_disk(t, A)
     W, s = vertex_wheel(S, "c")
-    assert solve(eye(2) - W, s, "Q") is None
+    assert LinearSystem(eye(2) - W).solve(s, "Q") is None
     rep = validate_affine(S)
     assert not rep.valid
     assert rep.violations == ["wheel at focus-focus vertex c has no fixed point"]

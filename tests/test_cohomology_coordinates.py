@@ -8,23 +8,14 @@ the same coordinates, for every catalog entry and every degree.
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
+from reference import basis_matrix, lattice_basis, lattice_eq, moduli_rows, preimage_lattice
 from torusbase.affine import build_R_sheaf
-from torusbase.catalog import build, catalog_names
-from torusbase.exact import (
-    EchelonBasis,
-    LinearSystem,
-    PresentedGroup,
-    QuotientSpace,
-    _transpose,
-    intmat,
-    intvec,
-    lattice_eq,
-    preimage_lattice,
-    zeros,
-)
+from torusbase.catalog import build, catalog_names, grid_torus_complex
+from torusbase.exact import LinearSystem, PresentedGroup, QuotientSpace, _transpose, intmat, intvec, zeros
 from torusbase.sheaves import SheafError, cohomology, constant_sheaf
 
 
@@ -50,18 +41,10 @@ def _sheaves(name):
     return tuple(out)
 
 
-def _columns(M):
-    return [M[:, j] for j in range(M.shape[1])]
-
-
-def _rows(M):
-    return [M[i] for i in range(M.shape[0])]
-
-
 def _reference_relations(F, k, basis, ref):
     """Coefficients of the coboundaries and the stalk torsion of C^k."""
-    gens = _columns(F.differential(k - 1)) if k >= 1 else []
-    gens += _rows(F.moduli_rows(k))
+    gens = list(F.differential(k - 1).T) if k >= 1 else []
+    gens += list(moduli_rows(F, k))
     rows = []
     for g in gens:
         coef = ref.solve(g, F.ring)
@@ -77,7 +60,7 @@ def _check_sheaf(F, seed):
     rng = random.Random(seed)
     for k in range(-1, F.base.dimension + 2):
         h = cohomology(F, k)
-        basis = h._cocycles.matrix()
+        basis = basis_matrix(h._cocycles)
         ref = LinearSystem(basis)
         z = basis.shape[1]
         if z:
@@ -139,7 +122,7 @@ def test_inexact_division_by_an_hnf_pivot_is_rejected():
     # pivots 2 wherever e_j itself is not a mod-2 cocycle
     F = dict(_sheaves("klein_affine"))["Z/2"]
     k = 1
-    H = preimage_lattice(F.differential(k), F.moduli_rows(k + 1))
+    H = preimage_lattice(F.differential(k), moduli_rows(F, k + 1))
     h = cohomology(F, k)
     found = 0
     for i in range(H.shape[0]):
@@ -158,7 +141,7 @@ def test_inexact_division_by_an_hnf_pivot_is_rejected():
 
 
 def test_echelon_basis_back_substitution():
-    B = EchelonBasis.lattice(intmat([[2, 1, 0], [0, 3, 1], [0, 0, 0]]))
+    B = lattice_basis(intmat([[2, 1, 0], [0, 3, 1], [0, 0, 0]]))
     assert len(B) == 2
     assert list(B.coefficients(intvec([2, 1, 0]))) == [1, 0]
     assert list(B.coefficients(intvec([4, 5, 1]))) == [2, 1]
@@ -167,7 +150,19 @@ def test_echelon_basis_back_substitution():
     assert B.coefficients(intvec([1, 0, 0])) is None  # 1 / 2 is inexact
     assert B.coefficients(intvec([2, 2, 0])) is None  # then 1 / 3
     assert B.coefficients(intvec([0, 3, 2])) is None  # off the span
-    assert [list(c) for c in _columns(B.matrix())] == [[2, 1, 0], [0, 3, 1]]
+    assert [list(c) for c in basis_matrix(B).T] == [[2, 1, 0], [0, 3, 1]]
+
+
+def test_z_coordinates_name_a_fraction_rather_than_truncate_it():
+    F = constant_sheaf(grid_torus_complex(3, 3), 1)
+    H = cohomology(F, 1)
+    g = H.generator_cocycles()[0]
+    for h, v in ((H, g * Fraction(1, 2)), (cohomology(F, 0), F.zero_cochain(0) + Fraction(1, 2))):
+        with pytest.raises(ValueError, match="1/2"):
+            h.coordinates(v)
+    with pytest.raises(ValueError, match="1.5"):
+        PresentedGroup(2, intmat([[2, 0]])).reduce([1.5, 0])
+    assert H.coordinates(g * Fraction(2)) == H.coordinates(2 * g) != H.coordinates(0 * g)
 
 
 def test_rational_stalks_carry_no_torsion():
@@ -230,7 +225,7 @@ def test_generator_cocycles_match_the_dense_basis_product(name):
         for k in range(F.base.dimension + 1):
             h = cohomology(F, k)
             got = h.generator_cocycles()
-            want = [h._cocycles.matrix().dot(g) for g in h.presentation.generators()]
+            want = [basis_matrix(h._cocycles).dot(g) for g in h.presentation.generators()]
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert len(a) == len(b)

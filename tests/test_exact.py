@@ -7,40 +7,13 @@ import pytest
 
 from torusbase.affine import build_R_sheaf
 from torusbase.catalog import build, catalog_names
-from torusbase.exact import (
-    AbelianGroup,
-    LinearSystem,
-    PresentedGroup,
-    QuotientSpace,
-    SmithDecomposition,
-    cokernel,
-    eye,
-    fracmat,
-    hnf,
-    intmat,
-    intvec,
-    kernel,
-    lattice_eq,
-    lattice_hnf,
-    lattice_member,
-    mat_eq,
-    preimage_lattice,
-    q_kernel,
-    q_rank,
-    rref,
-    snf,
-    solve,
-    stack_rows,
-    unimodular_inverse,
-)
-from torusbase.exact import (
-    _dense,
-    _echelon,
-    _echelon_with_transform,
-    _kernel_rows,
-    _sparse_rows,
-    _substitute,
-)
+from reference import lattice_hnf, lattice_member, stack_rows
+from torusbase.exact import AbelianGroup, EchelonBasis, LinearSystem, PresentedGroup, QuotientSpace
+from torusbase.exact import SmithDecomposition, eye, fracmat, fracvec, hnf, intmat, intvec, inv2, kernel
+from torusbase.exact import mat_eq, q_rank, snf, unimodular_inverse
+from torusbase.exact import _dense, _echelon, _echelon_with_transform, _kernel_rows, _preimage_rows
+from torusbase.exact import _sparse_rows, _substitute
+from torusbase.sheaves import _same_lattice
 from torusbase.surgery import glue
 
 
@@ -107,24 +80,26 @@ def test_snf_examples():
 
 
 def test_cokernel_examples():
-    assert cokernel(intmat([[0, 0], [0, 0]])) == AbelianGroup(2)
-    assert cokernel(intmat([[2, 0], [0, 3]])) == AbelianGroup(0, (6,))
-    assert cokernel(intmat([[2, 4], [6, 8]])) == AbelianGroup(0, (2, 4))
+    assert PresentedGroup(2, intmat([[0, 0], [0, 0]])).group == AbelianGroup(2)
+    assert PresentedGroup(2, intmat([[2, 0], [0, 3]])).group == AbelianGroup(0, (6,))
+    assert PresentedGroup(2, intmat([[2, 4], [6, 8]])).group == AbelianGroup(0, (2, 4))
 
 
 def test_solve_examples():
-    x = solve(eye(2), intvec([3, 5]))
+    x = LinearSystem(eye(2)).solve(intvec([3, 5]))
     assert list(x) == [3, 5]
-    assert solve(intmat([[2]]), intvec([1]), "Z") is None
-    xq = solve(intmat([[2]]), intvec([1]), "Q")
+    assert LinearSystem(intmat([[2]])).solve(intvec([1]), "Z") is None
+    xq = LinearSystem(intmat([[2]])).solve(intvec([1]), "Q")
     assert list(xq) == [Fraction(1, 2)]
-    x = solve(intmat([[2, 4], [6, 8]]), intvec([2, 6]), "Z")
+    x = LinearSystem(intmat([[2, 4], [6, 8]])).solve(intvec([2, 6]), "Z")
     assert list(intmat([[2, 4], [6, 8]]).dot(x)) == [2, 6]
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve(intmat([[1, 2]]), intvec([1, 2]))
+    # both rings check len(b) themselves, before any product with the matrix
+    for M, ring in ((intmat([[1, 2]]), "Z"), (intmat([[1, 2]]), "Q"), (fracmat([[1, 2]]) / 2, "Q")):
+        with pytest.raises(ValueError, match=r"dimension mismatch: len\(b\) != rows of M"):
+            LinearSystem(M).solve(intvec([1, 2]), ring)
 
 
 def test_snf_random_invariants():
@@ -171,7 +146,7 @@ def test_cokernel_unimodular_invariance():
         m, n = M.shape
         L = random_unimodular(rng, m)
         R = random_unimodular(rng, n)
-        assert cokernel(M) == cokernel(L.dot(M).dot(R))
+        assert PresentedGroup(n, M).group == PresentedGroup(n, L.dot(M).dot(R)).group
 
 
 def random_unimodular(rng, n, steps=12):
@@ -193,10 +168,11 @@ def test_solve_substitution_random():
         m, n = M.shape
         x0 = intvec([rng.randint(-4, 4) for _ in range(n)])
         b = M.dot(x0)
-        x = solve(M, b, "Z")
+        system = LinearSystem(M)
+        x = system.solve(b, "Z")
         assert x is not None
         assert all(v == w for v, w in zip(M.dot(x), b))
-        xq = solve(M, b, "Q")
+        xq = system.solve(b, "Q")
         assert all(Fraction(v) == Fraction(w) for v, w in zip(M.dot(xq), b))
 
 
@@ -221,22 +197,21 @@ def test_unimodular_inverse():
 
 def test_rref_and_qkernel():
     M = fracmat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    R, pivots = rref(M)
-    assert pivots == [0, 1]
-    K = q_kernel(M)
-    assert K.shape[1] == 1
-    assert all(x == 0 for x in M.dot(K).flat)
+    pivot_rows, _ = _echelon(_sparse_rows(M, "Q"), 3, "Q")
+    assert list(pivot_rows) == [0, 1]
+    (k,) = _kernel_rows(pivot_rows, 3).values()
+    assert all(x == 0 for x in M.dot(_dense([k], (1, 3), "Q")[0]))
 
 
 def test_lattice_helpers():
-    L1 = intmat([[2, 0], [0, 3]])
-    L2 = intmat([[2, 3], [2, -3], [0, 6]])
-    assert lattice_eq(L1, lattice_hnf(L1))
-    assert not lattice_eq(L1, L2)
-    assert lattice_member(L1, intvec([4, 3]))
-    assert not lattice_member(L1, intvec([1, 0]))
-    P = preimage_lattice(intmat([[1, 0], [0, 1]]), L1)
-    assert lattice_eq(P, L1)
+    L1 = _sparse_rows(intmat([[2, 0], [0, 3]]), "Z")
+    L2 = _sparse_rows(intmat([[2, 3], [2, -3], [0, 6]]), "Z")
+    H1 = _echelon(L1, 2, "Z")[0]
+    assert _same_lattice(L1, list(H1.values()), 2)
+    assert not _same_lattice(L1, L2, 2)
+    assert EchelonBasis(2, H1, "Z").coefficients(intvec([4, 3])) is not None
+    assert EchelonBasis(2, H1, "Z").coefficients(intvec([1, 0])) is None
+    assert _same_lattice(_preimage_rows([{0: 1}, {1: 1}], 2, L1), L1, 2)
 
 
 def test_presented_group():
@@ -419,7 +394,7 @@ def test_lattice_member_sparse():
         v = x.dot(M)
         assert lattice_member(M, v)
         e = intvec([rng.randint(-1, 1) for _ in range(n)])
-        assert lattice_member(M, e) == (solve(M.T, e, "Z") is not None)
+        assert lattice_member(M, e) == (LinearSystem(M.T).solve(e, "Z") is not None)
 
 
 def test_unimodular_inverse_rejects_determinant_two():
@@ -452,8 +427,18 @@ def test_snf_rejects_a_fraction():
 
 def test_cokernel_rejects_a_fraction():
     with pytest.raises(ValueError, match="5/2"):
-        cokernel(_object_matrix([[Fraction(5, 2)]]))
-    assert cokernel(_object_matrix([[Fraction(4)]])) == AbelianGroup(0, (4,))
+        PresentedGroup(1, _object_matrix([[Fraction(5, 2)]]))
+    assert PresentedGroup(1, _object_matrix([[Fraction(4)]])).group == AbelianGroup(0, (4,))
+
+
+def test_matrix_and_vector_builders_share_one_body():
+    for make in (intmat, fracmat):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            make([[1, 2], [3]])
+    assert repr([intvec([1, Fraction(2)]).tolist(), fracvec([1]).tolist()]) == "[[1, 2], [Fraction(1, 1)]]"
+    assert mat_eq(inv2(intmat([[2, 1], [1, 1]])), intmat([[1, -1], [-1, 2]]))
+    with pytest.raises(ValueError, match="not 2x2"):
+        inv2(eye(3))
 
 
 def test_kernel_rejects_a_fraction():

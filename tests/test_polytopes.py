@@ -1,16 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from torusbase.polytopes import (
-    LatticePolytope,
-    PolytopeError,
-    delzant_check,
-    stratum_cut,
-    vertex_blowup,
-    vertices,
-)
+from reference import lattice_eq, q_kernel, rref
+from test_exact import det
+from torusbase.exact import eye, fracmat, intmat
+from torusbase.polytopes import LatticePolytope, PolytopeError, delzant_check, stratum_cut, vertex_blowup, vertices
+from torusbase.polytopes import _has_recession_ray, _solve_square, _unimodular_corner
 
 
 def unit_square():
@@ -174,3 +172,57 @@ def test_interval_is_delzant():
     P = LatticePolytope(1, [((-1,), 0), ((1,), 3)])
     assert [v.point for v in vertices(P)] == [(0,), (3,)]
     assert delzant_check(P).ok
+
+
+# _solve_square, _has_recession_ray and _unimodular_corner call the echelon
+# loop directly.  The references are the bodies they had on rref, q_kernel
+# and lattice_eq, which tests/reference.py keeps.
+
+
+def reference_solve_square(rows, rhs):
+    n = len(rows)
+    R, pivots = rref(fracmat([list(r) + [rhs[i]] for i, r in enumerate(rows)]))
+    return tuple(R[i, n] for i in range(n)) if pivots == list(range(n)) else None
+
+
+def reference_has_recession_ray(P):
+    for subset in itertools.combinations(range(len(P.halfspaces)), P.dimension - 1):
+        K = q_kernel(fracmat([P.halfspaces[i][0] for i in subset])) if subset else fracmat([])
+        for j in range(K.shape[1]):
+            for ray in (list(K[:, j]), list(-K[:, j])):
+                if any(x != 0 for x in ray) and all(
+                    sum(Fraction(ai) * x for ai, x in zip(a, ray)) <= 0 for a, b in P.halfspaces
+                ):
+                    return True
+    return False
+
+
+def test_square_solves_and_corners_match_the_references():
+    rng = random.Random(71)
+    dets, singular = set(), 0
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        rhs = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+        got = _solve_square(rows, rhs)
+        assert got == reference_solve_square(rows, rhs)
+        assert got is None or all(type(x) is Fraction for x in got)
+        singular += got is None
+        d = det(rows)
+        dets.add(d)
+        assert _unimodular_corner(rows, n) == lattice_eq(intmat(rows), eye(n)) == (d in (1, -1))
+        assert not _unimodular_corner(rows[1:], n) and not _unimodular_corner(rows + rows[:1], n)
+    assert {1, -1, 2, -2} <= dets and singular > 50
+
+
+def test_recession_rays_match_the_reference():
+    rng = random.Random(73)
+    found = set()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        normals = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 3))]
+        P = LatticePolytope(n, [(a, rng.randint(0, 3)) for a in normals if any(a)])
+        got = _has_recession_ray(P)
+        assert got == reference_has_recession_ray(P)
+        found.add(got)
+    assert found == {True, False}

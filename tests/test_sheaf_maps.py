@@ -18,30 +18,16 @@ from functools import lru_cache
 
 import pytest
 
-from test_acceptance import _delta_fn, les_maps, random_ses, small_complexes
+from reference import _respects_moduli, cochain_matrix, kernel_columns, lattice_eq, lattice_hnf, lattice_member
+from reference import moduli_rows, preimage_lattice, stack_rows
+from test_acceptance import _augment, _delta_fn, les_maps, random_ses, small_complexes
 from test_complexes import circle, grid_torus, klein_grid, point, rp2_complex
 
 from torusbase import sheaves
 from torusbase.affine import build_I_sheaf, build_R_sheaf
 from torusbase.catalog import build
 from torusbase.errors import ValidationReport
-from torusbase.exact import (
-    LinearSystem,
-    _axpy,
-    _dense,
-    _transpose,
-    eye,
-    fracmat,
-    intmat,
-    lattice_eq,
-    lattice_hnf,
-    lattice_member,
-    mat_eq,
-    preimage_lattice,
-    q_rank,
-    stack_rows,
-    zeros,
-)
+from torusbase.exact import LinearSystem, _axpy, _dense, _transpose, eye, fracmat, intmat, mat_eq, q_rank, zeros
 from torusbase.sheaves import (
     CellularSheaf,
     SheafAutomorphism,
@@ -60,22 +46,6 @@ from torusbase.sheaves import (
 
 # ---------------------------------------------------------------------------
 # The dense reference, verbatim
-
-
-def _respects_moduli(M, src_stalk, dst_stalk):
-    for i in range(src_stalk.rank):
-        m = src_stalk.order(i)
-        if not m:
-            continue
-        for r in range(dst_stalk.rank):
-            d = dst_stalk.order(r)
-            v = M[r, i] * m
-            if d == 0:
-                if v != 0:
-                    return False
-            elif v % d != 0:
-                return False
-    return True
 
 
 def _stalk_moduli_rows(stalk):
@@ -218,7 +188,7 @@ class _OldInducedMap:
 
 
 def is_cocycle(self, k, vec):
-    return lattice_member(self.moduli_rows(k + 1), self.coboundary(k, vec))
+    return lattice_member(moduli_rows(self, k + 1), self.coboundary(k, vec))
 
 
 def image_dimension(f):
@@ -256,8 +226,8 @@ def connecting_map(ses, k, rng=None, check=True):
 
     p_k = ses.p.cochain_matrix(k)
     i_k1 = ses.i.cochain_matrix(k + 1)
-    sys_p = LinearSystem(_augment(p_k, C.moduli_rows(k)))
-    sys_i = LinearSystem(_augment(i_k1, B.moduli_rows(k + 1)))
+    sys_p = LinearSystem(_augment(p_k, moduli_rows(C, k)))
+    sys_i = LinearSystem(_augment(i_k1, moduli_rows(B, k + 1)))
     nB = B.cochain_rank(k)
     nA = A.cochain_rank(k + 1)
 
@@ -267,7 +237,7 @@ def connecting_map(ses, k, rng=None, check=True):
             raise SheafError("cannot lift cocycle through p")
         b = sol[:nB]
         if rng is not None:
-            K = sys_p.kernel_columns()
+            K = kernel_columns(sys_p)
             for j in range(K.shape[1]):
                 b = b + rng.randint(-2, 2) * K[:nB, j]
         dbv = B.coboundary(k, b)
@@ -277,18 +247,6 @@ def connecting_map(ses, k, rng=None, check=True):
         return sol2[:nA]
 
     return induced_map(hC, hA, delta)
-
-
-def _augment(M, extra_rows_as_cols):
-    """Columns of M plus torsion relation columns, for solving mod torsion."""
-    L = extra_rows_as_cols
-    if L.shape[0] == 0:
-        return M
-    out = zeros(M.shape[0], M.shape[1] + L.shape[0])
-    out[:, :M.shape[1]] = M
-    for i in range(L.shape[0]):
-        out[:, M.shape[1] + i] = L[i]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +362,7 @@ def test_torsion_rows_match_reference():
     X = grid_torus()
     F = CellularSheaf(X, "Z", {c: stalks[len(c) % 6] for c in X.cells}, {})
     for k in range(3):
-        ref = F.moduli_rows(k)
+        ref = moduli_rows(F, k)
         assert mat_eq(_dense(F._torsion_rows(k), ref.shape), ref)
 
 
@@ -436,7 +394,7 @@ def test_cochain_matrix_matches_reference():
     for label, ses, _ in _SEQUENCES + list(_i_sequences()):
         for f in (ses.i, ses.p):
             for k in range(ses.B.base.dimension + 2):
-                got, ref = f.cochain_matrix(k), _OldSheafMap(f).cochain_matrix(k)
+                got, ref = cochain_matrix(f, k), _OldSheafMap(f).cochain_matrix(k)
                 assert _typed(got) == _typed(ref), (label, k)
 
 
@@ -764,9 +722,9 @@ def test_library_les_composes_and_is_exact(make):
 def test_connecting_map_composes_with_numpy_induced_maps():
     ses = _mod2_rp2()
     for k in (0, 1):
-        p = induced_map(cohomology(ses.B, k), cohomology(ses.C, k), ses.p.cochain_matrix(k).dot)
+        p = induced_map(cohomology(ses.B, k), cohomology(ses.C, k), cochain_matrix(ses.p, k).dot)
         hA, hB = cohomology(ses.A, k + 1), cohomology(ses.B, k + 1)
-        i = induced_map(hA, hB, ses.i.cochain_matrix(k + 1).dot)
+        i = induced_map(hA, hB, cochain_matrix(ses.i, k + 1).dot)
         delta = sheaves.connecting_map(ses, k)
         assert sheaves.rank_exact_at(p, delta) and sheaves.torsion_exact_at(p, delta)
         assert sheaves.rank_exact_at(delta, i) and sheaves.torsion_exact_at(delta, i)
@@ -779,7 +737,7 @@ def test_sheaf_map_induced_matches_the_numpy_adapter(make):
         for k in range(ses.B.base.dimension + 1):
             hs, ht = cohomology(f.source, k), cohomology(f.target, k)
             got = f.induced(hs, ht).matrix
-            want = induced_map(hs, ht, f.cochain_matrix(k).dot).matrix
+            want = induced_map(hs, ht, cochain_matrix(f, k).dot).matrix
             assert got.shape == want.shape and repr(got.tolist()) == repr(want.tolist())
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import _respects_moduli
 from test_acceptance import les_maps
 from test_complexes import circle, grid_torus, klein_grid, octa_sphere, point, rp2_complex
 
@@ -327,23 +328,8 @@ def test_orbit_enumeration_gcd():
 # validate_sheaf against its reference.  The functions below are the check
 # validate_sheaf made before it compared the squares over one denominator
 # per block: Fraction or int object-array products of the restrictions,
-# compared entry by entry.  Kept verbatim as the reference.
-
-
-def _respects_moduli(M, src_stalk, dst_stalk):
-    for i in range(src_stalk.rank):
-        m = src_stalk.order(i)
-        if not m:
-            continue
-        for r in range(dst_stalk.rank):
-            d = dst_stalk.order(r)
-            v = M[r, i] * m
-            if d == 0:
-                if v != 0:
-                    return False
-            elif v % d != 0:
-                return False
-    return True
+# compared entry by entry.  Kept verbatim as the reference; their torsion
+# check, _respects_moduli, is in tests/reference.py.
 
 
 def _validate_sheaf_reference(F):

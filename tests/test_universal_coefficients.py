@@ -11,7 +11,8 @@ lattice.
 import pytest
 
 from torusbase.catalog import build, catalog_names
-from torusbase.exact import AbelianGroup, cokernel, snf
+from reference import cokernel
+from torusbase.exact import AbelianGroup, snf
 from torusbase.sheaves import cohomology, constant_sheaf
 from torusbase.surgery import glue
 

@@ -7,7 +7,8 @@ by running this script in two checkouts and comparing the outputs:
     (cd ../parent && PYTHONHASHSEED=0 python3 tools/identity_dump.py) > old.txt
     cmp old.txt new.txt
 
-The script imports the package from the ``src/`` next to it, so each
+The script imports the package from the ``src/`` next to it, and the dense
+wrappers ``lattice_hnf`` and ``rref`` from ``tests/reference.py``, so each
 checkout dumps its own code.  For every catalog entry (R for affine entries,
 the entry's own sheaf for sheaf entries, then constant Q, Z and Z/2) and for
 the glued sheaf of ``fake_base_space`` it prints, in every degree: the group,
@@ -79,7 +80,9 @@ from functools import lru_cache
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+from reference import lattice_hnf, rref  # noqa: E402
 from torusbase import serialize  # noqa: E402
 from torusbase.affine import (  # noqa: E402
     boundary_word_holonomy,
@@ -112,9 +115,7 @@ from torusbase.exact import (  # noqa: E402
     fracmat,
     fracvec,
     intmat,
-    lattice_hnf,
     q_rank,
-    rref,
     unimodular_inverse,
 )
 from torusbase.sheaves import (  # noqa: E402
