@@ -151,14 +151,17 @@ def _inverse(m):
     return L, tuple(-x for x in _apply((L, (0, 0)), m[1]))
 
 
-def _crossing(S, edge, from_face):
-    """(transport, face reached) for crossing edge out of from_face."""
+def _crossing(S, edge, from_face, table):
+    """(transport, face reached) for crossing edge out of from_face.  table,
+    edge -> transport, is the caller's: each transition's (A, t) is
+    converted at most once per table."""
     tr = S.transitions[edge]
-    if tr.from_face == from_face:
-        return _transport(tr.A, tr.t), tr.to_face
-    if tr.to_face == from_face:
-        return _inverse(_transport(tr.A, tr.t)), tr.from_face
-    raise AffineError("face %s is not a side of edge %s" % (from_face, edge))
+    if from_face not in (tr.from_face, tr.to_face):
+        raise AffineError("face %s is not a side of edge %s" % (from_face, edge))
+    m = table.get(edge)
+    if m is None:
+        m = table[edge] = _transport(tr.A, tr.t)
+    return (m, tr.to_face) if tr.from_face == from_face else (_inverse(m), tr.from_face)
 
 
 def affine_compose(m2, m1):
@@ -197,7 +200,7 @@ class AffineSurface:
 
     def crossing(self, edge, from_face):
         """Affine map for crossing edge out of from_face."""
-        m, other = _crossing(self, edge, from_face)
+        m, other = _crossing(self, edge, from_face, {})
         return _arrays(m), other
 
     def focus_focus_vertices(self):
@@ -209,28 +212,30 @@ class AffineSurface:
 
 def star_transports(S, v):
     """Affine transports from the first star face's frame to every star face."""
-    faces, edges, closed, T, _ = _star_walk(S, v)
+    faces, edges, closed, T, _ = _star_walk(S, v, {})
     return faces, edges, closed, [_arrays(m) for m in T]
 
 
 def vertex_wheel(S, v):
     """Total affine holonomy around an interior vertex, or None on boundary."""
-    wheel = _star_walk(S, v)[4]
+    wheel = _star_walk(S, v, {})[4]
     return None if wheel is None else _arrays(wheel)
 
 
-def _star_walk(S, v):
-    """star_transports and the wheel of v (None on the boundary), as transports."""
+def _star_walk(S, v, table):
+    """star_transports and the wheel of v (None on the boundary), as
+    transports.  table is _crossing's, owned by the caller: one for all the
+    vertices of a surface, so each transition is converted once."""
     faces, edges, closed = vertex_star_cycle(S.base, v)
     T = [_IDENTITY]
     for i, e in enumerate(edges if not closed else edges[:-1]):
-        m, other = _crossing(S, e, faces[i])
+        m, other = _crossing(S, e, faces[i], table)
         if other != faces[i + 1]:
             raise AffineError("star walk mismatch at %s" % (v,))
         T.append(_compose(m, T[i]))
     if not closed:
         return faces, edges, closed, T, None
-    m, other = _crossing(S, edges[-1], faces[-1])
+    m, other = _crossing(S, edges[-1], faces[-1], table)
     if other != faces[0]:
         raise AffineError("star walk does not close at %s" % (v,))
     return faces, edges, closed, T, _compose(m, T[-1])
@@ -252,8 +257,15 @@ def _unipotent_power(L):
     return gcd(a - 1, b, c, d - 1)
 
 
+def _in_cell_order(found):
+    """The messages of the (cell, message) pairs found, by cell in cell order;
+    the messages of one cell keep their order."""
+    return [msg for _, msg in sorted(found, key=lambda p: cell_key(p[0]))]
+
+
 def validate_affine(S):
-    """All affine invariants: transitions, chart positions, vertex wheels."""
+    """All affine invariants: transitions, chart positions, vertex wheels,
+    each kind of violation listed in cell order."""
     from .complexes import validate as validate_complex
 
     bad = []
@@ -268,14 +280,15 @@ def validate_affine(S):
     # cover the face's vertices and agree with the transitions
     for f, ch in S.charts.items():
         if X.dim(f) != 2:
-            bad.append("chart on non-face %s" % (f,))
+            bad.append((f, "chart on non-face %s" % (f,)))
             continue
         verts = {w for e, _ in X.faces_of(f) for w, _ in X.faces_of(e)}
         missing = verts - set(ch)
         if missing:
-            bad.append("chart of %s misses vertices %s" % (f, sorted(missing, key=cell_key)))
+            bad.append((f, "chart of %s misses vertices %s" % (f, sorted(missing, key=cell_key))))
     if bad:
-        return ValidationReport(bad)
+        return ValidationReport(_in_cell_order(bad))
+    table = {}  # _crossing's, shared by the chart checks and every star walk
     for e in X.cells_of_dim(1):
         cofs = [g for g, _ in X.cofaces_of(e)]
         if len(cofs) == 2:
@@ -290,7 +303,7 @@ def validate_affine(S):
             if d not in (1, -1):
                 bad.append("transition of %s is not unimodular" % (e,))
             if tr.from_face in S.charts and tr.to_face in S.charts:
-                m = _transport(tr.A, tr.t)
+                m = table[e] = _transport(tr.A, tr.t)
                 for u, _ in X.faces_of(e):
                     src = S.charts[tr.from_face][u]
                     dst = S.charts[tr.to_face][u]
@@ -302,23 +315,25 @@ def validate_affine(S):
             bad.append("boundary edge %s carries a transition" % (e,))
     if bad:
         return ValidationReport(bad)
+    marks = []
     for cell, mark in S.markings.items():
         if mark.kind == "focus_focus" and X.dim(cell) != 0:
-            bad.append("focus_focus mark on non-vertex %s" % (cell,))
+            marks.append((cell, "focus_focus mark on non-vertex %s" % (cell,)))
         if mark.kind in ("hyperbolic_edge", "hyperbolic_vertex"):
-            bad.append(
-                "hyperbolic mark on %s: hyperbolic strata live on graph bases only" % (cell,)
+            marks.append(
+                (cell, "hyperbolic mark on %s: hyperbolic strata live on graph bases only" % (cell,))
             )
         if mark.kind == "elliptic_edge" and (
             X.dim(cell) != 1 or len(X.cofaces_of(cell)) != 1
         ):
-            bad.append("elliptic_edge mark on non-boundary-edge %s" % (cell,))
+            marks.append((cell, "elliptic_edge mark on non-boundary-edge %s" % (cell,)))
         if mark.kind == "elliptic_vertex" and X.dim(cell) != 0:
-            bad.append("elliptic_vertex mark on non-vertex %s" % (cell,))
-    bad.extend("chern entry on non-face %s" % (f,) for f in S.chern_cocycle if X.dim(f) != 2)
+            marks.append((cell, "elliptic_vertex mark on non-vertex %s" % (cell,)))
+    bad = _in_cell_order(marks)
+    bad += _in_cell_order((f, "chern entry on non-face %s" % (f,)) for f in S.chern_cocycle if X.dim(f) != 2)
     for v in X.cells_of_dim(0):
         mark = S.mark(v)
-        faces, _, _, _, wheel = _star_walk(S, v)
+        faces, _, _, _, wheel = _star_walk(S, v, table)
         if wheel is None:
             if mark.kind == "focus_focus":
                 bad.append("focus-focus mark on boundary vertex %s" % (v,))
@@ -396,11 +411,12 @@ def boundary_word_holonomy(S):
     walk = boundary_traversal(X, basepoint, record_tree=True)
     tree, _ = _dual_tree(X, basepoint)
     transport = {basepoint: _IDENTITY}
+    table = {}
 
     def T(face):
         if face not in transport:
             parent, e = tree[face]
-            step, other = _crossing(S, e, parent)
+            step, other = _crossing(S, e, parent, table)
             if other != face:
                 raise AffineError("tree walk mismatch at %s" % (e,))
             transport[face] = _compose(step, T(parent))
@@ -412,7 +428,7 @@ def boundary_word_holonomy(S):
             raise AffineError("boundary word holonomy requires a closed surface")
         if kind == "tree":
             continue
-        step, other = _crossing(S, e, f)
+        step, other = _crossing(S, e, f, table)
         if other != g:
             raise AffineError("walk mismatch at %s" % (e,))
         based = _compose(_inverse(T(g)), _compose(step, T(f)))
@@ -489,12 +505,17 @@ class _MonodromySheaf(CellularSheaf):
         return constant_sheaf(self.base, 1, "Q")
 
     @cached_property
+    def _rows(self):
+        """Each restriction's integer rows, lists of ints, read off once per R."""
+        return {key: M.tolist() for key, M in self.restrictions.items()}
+
+    @cached_property
     def _pairings(self):
         """(den, {(sigma, tau): den t^T R(sigma <= tau)}) for each translation
         t, as ints over den, the least common denominator of them all."""
         den = lcm(*(s.denominator for t in self._shifts.values() for s in t))
         return den, {
-            key: _pull([s.numerator * (den // s.denominator) for s in t], self.restriction(*key).tolist())
+            key: _pull([s.numerator * (den // s.denominator) for s in t], self._rows[key])
             for key, t in self._shifts.items()
         }
 
@@ -556,8 +577,9 @@ def _build_R_sheaf(S):
             restrictions[(e, tr.from_face)] = eye(2)
             restrictions[(e, tr.to_face)] = dual_matrix(tr.A)
             shifts[(e, tr.to_face)] = tr.t
+    table = {}
     for v in X.cells_of_dim(0):
-        faces, _, _, T, wheel = _star_walk(S, v)
+        faces, _, _, T, wheel = _star_walk(S, v, table)
         xi = None
         if S.mark(v).kind == "focus_focus":
             xi = None if wheel is None else _fixed_covector(wheel[0])
@@ -615,8 +637,8 @@ def _build_I_sheaf(R):
     den, pairs = R._checked_pairings()
     X = R.base
     shared, rq, restrictions = {}, {}, {}
-    for key, M in R.restrictions.items():
-        block = tuple(map(tuple, M.tolist())), tuple(pairs.get(key, [0] * M.shape[1]))
+    for key, ints in R._rows.items():
+        block = tuple(map(tuple, ints)), tuple(pairs.get(key, [0] * len(ints[0])))
         if block not in shared:
             rows = [[Fraction(x) for x in row] for row in block[0]]
             top = [Fraction(-x, den) for x in block[1]]
@@ -653,7 +675,7 @@ def _check_translations(R):
         for tau, _ in X.faces_of(rho):
             w = pairs.get((tau, rho), ())
             for sigma, _ in X.faces_of(tau):
-                u = _pull(w, R.restriction(sigma, tau).tolist())
+                u = _pull(w, R._rows[(sigma, tau)])
                 t = pairs.get((sigma, tau))
                 rows.setdefault(sigma, []).append((tau, [a + b for a, b in zip(t, u)] if t else u))
         for sigma, ((base_tau, base), *others) in rows.items():

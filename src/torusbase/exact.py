@@ -35,10 +35,10 @@ stalk iso check of sheaves over Q all call it (over Z that check inverts
 modulo the stalk torsion, off _echelon_with_transform).  Row convention: matrices act on column vectors;
 relation subgroups/subspaces are given by rows.
 
-Over Z an entry point, and the coordinates of EchelonBasis.coefficients and
-PresentedGroup.reduce, take an integral Fraction as its int and raise
-ValueError naming an entry that is not an integer, rather than truncating
-it (_integral).
+Over Z an entry point, intmat, intvec, and the coordinates of
+EchelonBasis.coefficients and PresentedGroup.reduce take an integral
+Fraction as its int and raise ValueError naming an entry that is not an
+integer, rather than truncating it (_integral).
 
 Coordinates.  A basis in echelon form (EchelonBasis: the HNF rows of a
 lattice over Z, the kernel vectors of an RREF over Q) gives the coefficients
@@ -59,8 +59,9 @@ import numpy as np
 
 
 def intmat(rows):
-    """Build an object-dtype integer matrix from nested sequences."""
-    return _matrix(rows, int)
+    """Build an object-dtype integer matrix from nested sequences; an entry
+    that is not an int must be integral (_integral)."""
+    return _matrix(rows, _integral)
 
 
 def fracmat(rows):
@@ -95,7 +96,7 @@ def eye(n, ring="Z"):
 
 
 def intvec(xs):
-    return _matrix([xs], int)[0]
+    return _matrix([xs], _integral)[0]
 
 
 def fracvec(xs):
@@ -423,6 +424,8 @@ def _sparse_vector(x, ring):
 
 def _integral(x):
     """The int equal to the matrix entry x, or ValueError naming it."""
+    if type(x) is int:
+        return x
     if int(x) != x:
         raise ValueError("matrix entry %s is not an integer" % (x,))
     return int(x)
@@ -658,7 +661,11 @@ def q_rank(M):
 def _preimage_rows(rows, n, target):
     """Sparse rows spanning {x in Z^n : M x lies in the row lattice of target},
     for M given by its sparse rows: the first n coordinates of a kernel basis
-    of [M | -target^T], which kernel computes on the dense matrix."""
+    of [M | -target^T], which kernel computes on the dense matrix.  M with no
+    rows (the top degree of a complex, where C^{k+1} = 0) maps into Z^0, so
+    the preimage is Z^n, spanned by the unit rows, and no kernel is taken."""
+    if not rows:
+        return [{j: 1} for j in range(n)]
     A = [dict(row) for row in rows]
     for j, t in enumerate(target):
         for i, v in t.items():

@@ -226,25 +226,26 @@ def validate_sheaf(F):
     when N2 N1 d2' d1' - N2' N1' d2 d1 is divisible by m d2 d1 d2' d1' (zero
     when m = 0), which is what is checked.
 
-    Violations are listed in cell order: restrictions by coface, then face,
-    and squares by their top cell.
+    Violations are listed in cell order: restrictions by coface, then face
+    (the restrictions are checked as stored, and only the violations found
+    are sorted), and squares by their top cell.
     """
     bad = []
     X = F.base
-    for (face, cof), M in sorted(F.restrictions.items(), key=_coface_then_face):
+    for (face, cof), M in F.restrictions.items():
         if X.incidence.get((cof, face)) is None:
-            bad.append("restriction on non-covering pair (%s, %s)" % (face, cof))
-            continue
-        if M.shape != (F.rank(cof), F.rank(face)):
-            bad.append(
-                "restriction (%s, %s) has shape %s, expected (%d, %d)"
-                % (face, cof, M.shape, F.rank(cof), F.rank(face))
+            msg = "restriction on non-covering pair (%s, %s)" % (face, cof)
+        elif M.shape != (F.rank(cof), F.rank(face)):
+            msg = "restriction (%s, %s) has shape %s, expected (%d, %d)" % (
+                face, cof, M.shape, F.rank(cof), F.rank(face)
             )
+        elif not _respects_moduli(M, F.stalk(face), F.stalk(cof)):
+            msg = "restriction (%s, %s) ignores stalk torsion" % (face, cof)
+        else:
             continue
-        if not _respects_moduli(M, F.stalk(face), F.stalk(cof)):
-            bad.append("restriction (%s, %s) ignores stalk torsion" % (face, cof))
+        bad.append(((face, cof), msg))
     if bad:
-        return ValidationReport(bad)
+        return ValidationReport([msg for _, msg in sorted(bad, key=_coface_then_face)])
     # over Z every block is its own integer matrix, with denominator 1
     cleared = {}
     if F.ring == "Q":
@@ -320,7 +321,8 @@ class CohomologyResult:
 
     d, the coboundaries and the torsion are read as sparse rows, and the
     relations go to the presentation as sparse rows.  The one dense matrix is
-    the kernel of [d | -torsion^T] over Z (see exact._preimage_rows).
+    the kernel of [d | -torsion^T] over Z (see exact._preimage_rows), and the
+    top degree needs none: there d has no rows and every cochain is a cocycle.
 
     The basis and the presentation are computed once per sheaf and degree,
     and kept on the sheaf beside its differentials for every later result.
@@ -471,7 +473,7 @@ class SheafMap:
     def validate(self):
         bad = []
         X = self.source.base
-        blocks = {cell: self.block(cell) for cell in X.cells}
+        blocks = {cell: self.block(cell) for cell in X._order if cell in X.cells}
         for cell, B in blocks.items():
             if B.shape != (self.target.rank(cell), self.source.rank(cell)):
                 bad.append("block at %s has the wrong shape" % (cell,))
@@ -550,7 +552,8 @@ class ShortExactSequence:
             bad.append("maps do not compose")
         if bad:
             return ValidationReport(bad)
-        for cell in self.B.base.cells:
+        X = self.B.base
+        for cell in (c for c in X._order if c in X.cells):
             iB, pB = self.i.block(cell), self.p.block(cell)
             if not _diff_in_moduli(self.C.stalk(cell), pB.dot(iB)):
                 bad.append("p after i is nonzero at %s" % (cell,))

@@ -16,13 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import (
-    AffineSurface,
-    build_R_sheaf,
-    lagrangian_moduli,
-    monodromy_rep,
-)
-from .complexes import CellComplex, disjoint_union, identify_cells, validate
+from .affine import AffineSurface, build_R_sheaf, lagrangian_moduli
+from .complexes import CellComplex, disjoint_union, dual_loops, identify_cells, validate
 from .errors import TorusbaseError
 from .exact import PresentedGroup, QuotientSpace, _apply_columns, eye
 from .sheaves import (
@@ -270,8 +265,9 @@ def realizability_report_2d(S):
             "focus_focus_points": S.focus_focus_count(),
         }
         if S.base.is_connected():
-            mon = monodromy_rep(S)
-            details["monodromy generators"] = len(mon.loops)
+            # the count needs no holonomies: build_R_sheaf's star walks have
+            # already checked every transition's faces
+            details["monodromy generators"] = len(dual_loops(S.base, S.base.cells_of_dim(2)[0]))
         return RealizabilityReport(verdict="realizable", dimension=2, details=details)
     X, F = S
     dim = X.dimension

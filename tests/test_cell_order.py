@@ -1,4 +1,5 @@
-"""No answer depends on the order in which a document lists its cells.
+"""No answer depends on the order in which a document lists its cells, or
+in which the dicts of a surface or a complex hold them.
 
 The cell order is fixed by ``complexes.cell_key`` when a complex is built, so
 a document whose lists are shuffled gives the same monodromy, the same
@@ -10,10 +11,14 @@ import random
 
 import pytest
 
+from test_complexes import grid_torus
 from torusbase import serialize
-from torusbase.affine import build_R_sheaf
+from torusbase.affine import AffineSurface, SingularityMark, build_R_sheaf, validate_affine
+from torusbase.catalog import flat_torus_surface
 from torusbase.cli import main
 from torusbase.complexes import CellComplex, cell_key
+from torusbase.exact import eye, zeros
+from torusbase.sheaves import SheafMap, ShortExactSequence, constant_sheaf
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +113,69 @@ def test_shuffled_restrictions_give_the_same_sheaf_report(sphere_sheaf_document,
     report = _check(base, capsys)
     assert report.count("sheaf: restriction") == 2
     assert _check(moved, capsys) == report
+
+
+def _reversed(d):
+    return dict(reversed(list(d.items())))
+
+
+def test_affine_report_lists_charts_marks_and_chern_entries_in_cell_order():
+    S = flat_torus_surface(1)
+    faces = S.base.cells_of_dim(2)
+    charts = {f: dict(ch) for f, ch in S.charts.items()}
+    for f in (faces[1], faces[4]):
+        del charts[f][next(iter(charts[f]))]
+    edges = S.base.cells_of_dim(1)
+    S = AffineSurface(S.base, charts, S.transitions)
+    marked = AffineSurface(
+        S.base,
+        {},
+        S.transitions,
+        markings={e: SingularityMark("focus_focus", 1) for e in (edges[0], edges[5])},
+        chern_cocycle={c: (0, 0) for c in (edges[2], edges[7])},
+    )
+    for surface, where in ((S, (faces[1], faces[4])), (marked, (edges[0], edges[5], edges[2], edges[7]))):
+        report = validate_affine(surface).violations
+        assert [sum(str(c) in v for v in report) for c in where] == [1] * len(where)
+        flipped = AffineSurface(
+            surface.base,
+            _reversed(surface.charts),
+            surface.transitions,
+            markings=_reversed(surface.markings),
+            chern_cocycle=_reversed(surface.chern_cocycle),
+        )
+        assert validate_affine(flipped).violations == report
+        assert [next(c for c in where if str(c) in v) for v in report] == list(where)
+
+
+def test_check_lists_chart_violations_in_cell_order(tmp_path, capsys):
+    path = tmp_path / "ft.json"
+    assert main(["catalog", "flat_torus:1", "--export", str(path)]) == 0
+    capsys.readouterr()
+    raw = serialize.loads(path.read_text()).raw
+    for chart in (raw["affine"]["charts"][1], raw["affine"]["charts"][4]):
+        del chart[1][0]
+    path.write_text(serialize.dumps(raw))
+    report = _check(path, capsys)
+    assert report.count("misses vertices") == 2
+    raw["affine"]["charts"].reverse()
+    path.write_text(serialize.dumps(raw))
+    assert _check(path, capsys) == report
+
+
+def test_sheaf_map_and_sequence_reports_list_cells_in_cell_order():
+    X = grid_torus(2, 2)
+    flipped = CellComplex(_reversed(X.cells), X.incidence)
+    reports = []
+    for Y in (X, flipped):
+        Z = constant_sheaf(Y, 1)
+        cells = Y.cells_of_dim(0)
+        bad = SheafMap(Z, Z, {c: eye(2) for c in (cells[0], cells[3])})
+        zero = SheafMap(Z, Z, {c: zeros(1, 1) for c in Y.cells})
+        ses = ShortExactSequence(SheafMap(Z, Z, {c: eye(1) for c in Y.cells}), zero)
+        reports.append((bad.validate().violations, ses.validate().violations))
+    assert reports[0] == reports[1]
+    shapes, exact = reports[0]
+    vertices = X.cells_of_dim(0)
+    assert shapes == ["block at %s has the wrong shape" % (c,) for c in (vertices[0], vertices[3])]
+    assert exact == ["sequence is not exact at %s" % (c,) for c in sorted(X.cells, key=cell_key)]

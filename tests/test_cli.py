@@ -84,6 +84,38 @@ def test_moduli_verb(torus_file, capsys):
     assert "dim 1" in out and "R/Z" in out
 
 
+def test_moduli_verb_on_a_contractible_base(tmp_path, capsys):
+    path = tmp_path / "cp2.json"
+    assert main(["catalog", "cp2_triangle", "--export", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["moduli", str(path)]) == 0
+    assert capsys.readouterr().out == "(dim 0, lattice rank 0) ≅ 0\n"
+    assert main(["--json", "moduli", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dimension": 0, "lattice_rank": 0, "moduli": "0"}
+
+
+def test_cohomology_generators_as_text_and_json(torus_file, capsys):
+    from torusbase.affine import build_R_sheaf
+    from torusbase.sheaves import class_from_components, class_reduce
+
+    args = ["cohomology", torus_file, "--sheaf", "R", "--degree", "1", "--generators"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["--json"] + args) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["degree"] == 1 and data["group"] == "Z^4" and lines[0] == "H^1 = Z^4"
+    assert lines[1:] == ["generator: %s" % g for g in data["generators"]]
+    # the generators are the canonical ones: cocycles whose classes are the unit coordinates
+    with open(torus_file) as fh:
+        R = build_R_sheaf(serialize.loads(fh.read()).affine)
+    by_str = {str(c): c for c in R.cochain_cells(1)}
+    for i, comps in enumerate(data["generators"]):
+        assert comps and all(any(v != "0" for v in vals) for vals in comps.values())
+        cls = class_from_components(R, 1, {by_str[c]: [int(v) for v in vals] for c, vals in comps.items()})
+        assert R.is_cocycle(1, cls.cocycle)
+        assert tuple(class_reduce(cls)) == tuple(int(j == i) for j in range(4))
+
+
 def test_monodromy_verb(tmp_path, capsys):
     path = tmp_path / "ff.json"
     assert main(["catalog", "ff_disk", "--export", str(path)]) == 0

@@ -179,8 +179,8 @@ def reference_plus_piece():
         _, kc, gc = cell
         kcell_target = _klein_shift(kc)
         if kc[0] == "v":
-            faces_a, _, _, _, _ = _star_walk(Kb, kc)
-            faces_b, _, _, _, _ = _star_walk(Kb, kcell_target)
+            faces_a, _, _, _, _ = _star_walk(Kb, kc, {})
+            faces_b, _, _, _, _ = _star_walk(Kb, kcell_target, {})
             ref_img = _klein_shift(faces_a[0])
             JK = _covector_frame_transport(Kb, kcell_target, ref_img, faces_b[0])
         else:

@@ -13,7 +13,7 @@ from torusbase.exact import SmithDecomposition, eye, fracmat, fracvec, hnf, intm
 from torusbase.exact import mat_eq, q_rank, snf, unimodular_inverse
 from torusbase.exact import _dense, _echelon, _echelon_with_transform, _kernel_rows, _preimage_rows
 from torusbase.exact import _sparse_rows, _substitute
-from torusbase.sheaves import _same_lattice
+from torusbase.sheaves import _same_lattice, cohomology
 from torusbase.surgery import glue
 
 
@@ -439,6 +439,32 @@ def test_matrix_and_vector_builders_share_one_body():
     assert mat_eq(inv2(intmat([[2, 1], [1, 1]])), intmat([[1, -1], [-1, 2]]))
     with pytest.raises(ValueError, match="not 2x2"):
         inv2(eye(3))
+
+
+def test_intmat_and_intvec_reject_a_fraction():
+    with pytest.raises(ValueError, match="1.5"):
+        intmat([[1.5, Fraction(7, 2)]])
+    with pytest.raises(ValueError, match="7/2"):
+        intmat([[1, Fraction(7, 2)]])
+    with pytest.raises(ValueError, match="-1/2"):
+        intvec([Fraction(-1, 2)])
+    assert repr(intmat([[2.0, Fraction(4), np.int64(-3)]]).tolist()) == "[[2, 4, -3]]"
+    big = 10**30
+    assert intvec([big])[0] is big  # an int passes as it is
+
+
+def test_top_degree_preimage_takes_no_kernel(monkeypatch):
+    """With no rows, M maps into Z^0: the preimage is Z^n, the unit rows."""
+    want = [{j: 1} for j in range(3)]
+    assert _preimage_rows([], 3, []) == want
+    assert _same_lattice(_sparse_rows(kernel(intmat([[0, 0, 0]])).T, "Z"), want, 3)
+    F = build_R_sheaf(build("flat_torus").payload)
+
+    def no_kernel(M):
+        raise AssertionError("kernel taken in the top degree")
+
+    monkeypatch.setattr("torusbase.exact.kernel", no_kernel)
+    assert str(cohomology(F, 2).group) == "Z^2"
 
 
 def test_kernel_rejects_a_fraction():

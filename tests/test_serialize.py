@@ -76,3 +76,29 @@ def test_unserializable_value_raises_type_error():
 def test_writer_equals_json_dumps_on_every_catalog_export(name):
     doc = _export_entry(build(name))
     assert serialize.dumps(doc) == reference(doc)
+
+
+def test_classes_section_round_trips_over_Z_and_Q():
+    from fractions import Fraction
+
+    from torusbase.affine import build_R_sheaf
+    from torusbase.catalog import flat_torus_surface
+    from torusbase.sheaves import CohomologyClass, class_from_components, cohomology, constant_sheaf
+
+    S = flat_torus_surface()
+    R = build_R_sheaf(S)
+    gens = cohomology(R, 1).generator_cocycles()
+    face = S.base.cells_of_dim(2)[2]
+    classes = {
+        "shift": CohomologyClass(R, 1, gens[0] - 2 * gens[3]),
+        "chern": class_from_components(R, 2, {face: [5, -1]}),
+    }
+    Q = constant_sheaf(S.base, 1, "Q")
+    half = class_from_components(Q, 0, {v: [Fraction(1, 2)] for v in S.base.cells_of_dim(0)})
+    for sheaf, named in ((R, classes), (Q, {"half": half})):
+        doc = serialize.loads(serialize.dumps(serialize.encode_document(complex=S.base, sheaf=sheaf, classes=named)))
+        back = doc.classes(doc.sheaf)
+        assert sorted(back) == sorted(named)
+        for name, cls in named.items():
+            assert back[name].degree == cls.degree
+            assert repr(back[name].cocycle.tolist()) == repr(cls.cocycle.tolist())

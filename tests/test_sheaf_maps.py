@@ -26,6 +26,7 @@ from test_complexes import circle, grid_torus, klein_grid, point, rp2_complex
 from torusbase import sheaves
 from torusbase.affine import build_I_sheaf, build_R_sheaf
 from torusbase.catalog import build
+from torusbase.complexes import cell_key
 from torusbase.errors import ValidationReport
 from torusbase.exact import LinearSystem, _axpy, _dense, _transpose, eye, fracmat, intmat, mat_eq, q_rank, zeros
 from torusbase.sheaves import (
@@ -67,7 +68,7 @@ class _OldSheafMap:
     def validate(self):
         bad = []
         X = self.source.base
-        for cell in X.cells:
+        for cell in sorted(X.cells, key=cell_key):  # reports list cells in cell order
             B = self.block(cell)
             if B.shape != (self.target.rank(cell), self.source.rank(cell)):
                 bad.append("block at %s has the wrong shape" % (cell,))
@@ -110,7 +111,7 @@ class _OldSequence:
         if bad:
             return ValidationReport(bad)
         ring = self.A.ring
-        for cell in self.B.base.cells:
+        for cell in sorted(self.B.base.cells, key=cell_key):  # reports list cells in cell order
             iB = self.i.block(cell)
             pB = self.p.block(cell)
             comp = pB.dot(iB)

@@ -45,7 +45,7 @@ def reference_unimodular_inverse(U):
 
 def _covector_frame_transport(S, v, face_from, face_to):
     """Dual transport within the star of a regular vertex between two frames."""
-    faces, _, _, T, _ = _star_walk(S, v)
+    faces, _, _, T, _ = _star_walk(S, v, {})
     La, Lb = T[faces.index(face_from)][0], T[faces.index(face_to)][0]
     a, b, c, d = _dual(_lin_mul(Lb, _lin_inverse(La)))
     return intmat([[a, b], [c, d]])
@@ -56,8 +56,8 @@ def reference_involution_iso(Kb, kc):
     with Klein cell kc, as the first loop of fake_base_space built it."""
     kcell_target = _klein_shift(kc)
     if kc[0] == "v":
-        faces_a, _, _, _, _ = _star_walk(Kb, kc)
-        faces_b, _, _, _, _ = _star_walk(Kb, kcell_target)
+        faces_a, _, _, _, _ = _star_walk(Kb, kc, {})
+        faces_b, _, _, _, _ = _star_walk(Kb, kcell_target, {})
         ref_img = _klein_shift(faces_a[0])
         JK = _covector_frame_transport(Kb, kcell_target, ref_img, faces_b[0])
     else:
@@ -78,8 +78,8 @@ def reference_overlap_isos(K2, Kb, sub_p_cells):
         if kc[0] == "v":
             # the O+ stalk at q sits in the reference frame of kc's star in
             # the double cover; express the O- frame there
-            faces_a, _, _, _, _ = _star_walk(Kb, kc)
-            faces_b, _, _, _, _ = _star_walk(K2, _klein_projection(kc))
+            faces_a, _, _, _, _ = _star_walk(Kb, kc, {})
+            faces_b, _, _, _, _ = _star_walk(K2, _klein_projection(kc), {})
             ref_img = _klein_projection(faces_a[0])
             JK = _covector_frame_transport(K2, _klein_projection(kc), ref_img, faces_b[0])
             JK = unimodular_inverse(JK)
@@ -159,8 +159,8 @@ def test_projection_isos_match_the_star_walks(klein_pair):
     K2, RK2, Kb, RKb = klein_pair
     for v in Kb.base.cells_of_dim(0):
         J = _vertex_iso(RKb, RK2, _klein_projection, v)
-        faces_a, _, _, _, _ = _star_walk(Kb, v)
-        faces_b, _, _, _, _ = _star_walk(K2, _klein_projection(v))
+        faces_a, _, _, _, _ = _star_walk(Kb, v, {})
+        faces_b, _, _, _, _ = _star_walk(K2, _klein_projection(v), {})
         ref_img = _klein_projection(faces_a[0])
         ref = _covector_frame_transport(K2, _klein_projection(v), ref_img, faces_b[0])
         assert repr(J.tolist()) == repr(ref.tolist()), v

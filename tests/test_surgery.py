@@ -234,6 +234,34 @@ def test_realizability_2d():
     assert rep2.verdict == "realizable"
 
 
+def test_realizability_report_text_and_generator_count():
+    from torusbase.affine import monodromy_rep
+    from torusbase.catalog import ff_disk_surface
+
+    S = flat_torus_surface()
+    rep = realizability_report_2d(S)
+    assert str(rep) == "\n".join(
+        [
+            "verdict: realizable (base dimension 2)",
+            "  H2(O, R): Z^2",
+            "  focus_focus_points: 0",
+            "  moduli (dim, lattice rank): (1, 1)",
+            "  monodromy generators: 19",
+        ]
+    )
+    for T in (S, ff_disk_surface(2), sphere_24ff_surface()):
+        assert realizability_report_2d(T).details["monodromy generators"] == len(monodromy_rep(T).loops)
+
+
+def test_realizability_of_a_sheaf_on_a_base_of_dimension_at_most_two():
+    from test_complexes import circle, rp2_complex
+
+    for X, dim, h2 in ((circle(3), 1, "0"), (rp2_complex(), 2, "Z/2"), (flat_torus_surface().base, 2, "Z")):
+        rep = realizability_report_2d((X, constant_sheaf(X, 1)))
+        assert (rep.verdict, rep.dimension, rep.details) == ("realizable", dim, {"H2": h2})
+        assert str(rep) == "verdict: realizable (base dimension %d)\n  H2: %s" % (dim, h2)
+
+
 def test_realizability_3d_undecided():
     fb = fake_base_space()
     rep = realizability_report_2d(fb["piece_minus"])
